@@ -7,6 +7,11 @@ Cutting the dendrogram at threshold t yields clusters whose maximum pairwise
 footprint distance is at most t; t = 0 groups exactly the identical
 footprints. Tie-breaks (merge order, medoids) are by ascending pattern id so
 runs are reproducible.
+
+Agglomeration is the generic algorithm with a nearest-neighbour cache
+(Müllner 2011, arXiv:1109.2378): each cluster caches its nearest partner
+under the tie rule, and a merge rescans only the clusters whose cache it
+made stale. That costs O(p^2) plus O(p) per rescan, not O(p^3).
 """
 
 from __future__ import annotations
@@ -85,7 +90,14 @@ def agglomerate_complete(distances: np.ndarray,
 
     At every step the pair of clusters with minimal complete-linkage distance
     merges; ties pick the lexicographically smallest (min member id, second
-    min member id) pair. Deterministic.
+    min member id) pair. Deterministic; pattern_ids must be distinct.
+
+    Each active row caches its nearest partner under the pair key
+    height * p^2 + rank(smaller min member) * p + rank(larger min member),
+    one int64 that orders pairs exactly as the tie rule does. A merge
+    updates the surviving row with the elementwise maximum and rescans only
+    that row and the rows whose cached partner was one of the two merged
+    rows: O(p^2) time in the typical case and one p x p working matrix.
     """
     d = np.asarray(distances)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -96,50 +108,74 @@ def agglomerate_complete(distances: np.ndarray,
     ids = tuple(pattern_ids)
     if len(ids) != p:
         raise ClusterError("pattern_ids must match the matrix size")
+    if len(set(ids)) != p:
+        raise ClusterError("pattern_ids must be distinct")
     if n_graphs is None:
         n_graphs = int(d.max()) if p > 1 else 0
+    if p < 2:
+        return Dendrogram((), ids, int(n_graphs))
 
-    # Working complete-linkage distance matrix over active clusters.
-    work = d.astype(np.int64).copy()
-    active = list(range(p))                 # row index -> active flag via set
+    work = d.astype(np.int64)               # complete-linkage distances
+    big = np.iinfo(np.int64).max
+    span = max(abs(int(work.max())), abs(int(work.min()))) + 1
+    if span * p * p > big:
+        raise ClusterError("distances too large for the int64 pair key")
+    p2 = p * p
     alive = np.ones(p, dtype=bool)
     cluster_id = list(range(p))             # row index -> current cluster id
-    min_member = [ids[i] for i in range(p)]  # row index -> smallest pattern id
+    # row index -> rank of the cluster's smallest pattern id among all ids
+    min_rank = np.empty(p, dtype=np.int64)
+    min_rank[sorted(range(p), key=ids.__getitem__)] = np.arange(p)
+    nn = np.zeros(p, dtype=np.int64)        # cached nearest partner per row
+    nn_key = np.full(p, big, dtype=np.int64)
+
+    def rescan(rows: np.ndarray) -> None:
+        r = min_rank[rows, None]
+        keys = (work[rows] * p2 + np.minimum(r, min_rank) * p
+                + np.maximum(r, min_rank))
+        keys[:, ~alive] = big
+        keys[np.arange(len(rows)), rows] = big
+        nn[rows] = keys.argmin(axis=1)
+        nn_key[rows] = keys[np.arange(len(rows)), nn[rows]]
+
+    for start in range(0, p, 256):          # bounds the p x p temporaries
+        rescan(np.arange(start, min(start + 256, p)))
     merges = []
-    next_id = p
-    big = np.iinfo(np.int64).max
-
-    masked = work.copy()
-    np.fill_diagonal(masked, big)
-
-    for _step in range(p - 1):
-        sub = np.where(alive[:, None] & alive[None, :], masked, big)
-        h = int(sub.min())
-        xs, ys = np.where(sub == h)
-        best = None
-        for x, y in zip(xs.tolist(), ys.tolist()):
-            if x >= y:
-                continue
-            key = tuple(sorted((min_member[x], min_member[y])))
-            if best is None or key < best[0]:
-                best = (key, x, y)
-        _key, x, y = best
-        cx, cy = sorted((cluster_id[x], cluster_id[y]))
+    for next_id in range(p, 2 * p - 1):
+        a = int(nn_key.argmin())
+        b = int(nn[a])
+        h = int(work[a, b])
+        cx, cy = sorted((cluster_id[a], cluster_id[b]))
         merges.append((cx, cy, h, next_id))
-        # complete linkage update: row x absorbs y with elementwise max
-        new_row = np.maximum(work[x], work[y])
-        work[x, :] = new_row
-        work[:, x] = new_row
-        work[x, x] = 0
-        masked[x, :] = new_row
-        masked[:, x] = new_row
-        masked[x, x] = big
-        alive[y] = False
-        cluster_id[x] = next_id
-        min_member[x] = min(min_member[x], min_member[y])
-        next_id += 1
+        # complete linkage update: row a absorbs b with elementwise max
+        new_row = np.maximum(work[a], work[b])
+        work[a, :] = new_row
+        work[:, a] = new_row
+        alive[b] = False
+        nn_key[b] = big
+        cluster_id[a] = next_id
+        min_rank[a] = min(min_rank[a], min_rank[b])
+        # Only row a and rows whose cached partner was a or b can be stale.
+        # For any other row z, the smaller min member of a∪b gives the tie
+        # part (min(r, m), max(r, m)), which is monotone in m, so
+        #   key(z, a∪b) = (max(h_za, h_zb), min(tie_za, tie_zb))
+        #              >= min(key(z, a), key(z, b)) > key(z, nn[z]),
+        # the last step strict because distinct ids make keys distinct. A
+        # merged cluster can lower a pair's tie part at equal height, but
+        # never below a cached row minimum, so no other row needs a refresh.
+        stale = np.flatnonzero(alive & ((nn == a) | (nn == b)))
+        rescan(np.union1d(stale, [a]))
 
     return Dendrogram(tuple(merges), ids, int(n_graphs))
+
+
+def _medoid(rows: Sequence[int], distances: np.ndarray, weights: np.ndarray,
+            ids: Sequence[int]) -> int:
+    """Id of the row minimizing the weighted total distance to the others;
+    ties by ascending id."""
+    totals = distances[np.ix_(rows, rows)] @ weights[rows]
+    best = totals.min()
+    return min(ids[r] for r, t in zip(rows, totals.tolist()) if t == best)
 
 
 def medoids(clusters: Sequence[Sequence[int]], distances: np.ndarray,
@@ -147,14 +183,35 @@ def medoids(clusters: Sequence[Sequence[int]], distances: np.ndarray,
     """Per cluster, the member minimizing the total distance to the others;
     ties by ascending pattern id."""
     pos = {pid: i for i, pid in enumerate(pattern_ids)}
-    reps = []
-    for cluster in clusters:
-        rows = [pos[pid] for pid in cluster]
-        sub = distances[np.ix_(rows, rows)]
-        totals = sub.sum(axis=1)
-        best = min(range(len(cluster)), key=lambda i: (totals[i], cluster[i]))
-        reps.append(cluster[best])
-    return tuple(reps)
+    weights = np.ones(len(pattern_ids), dtype=np.int64)
+    return tuple(_medoid([pos[pid] for pid in cluster], distances, weights,
+                         pattern_ids)
+                 for cluster in clusters)
+
+
+def _cut(dendrogram: Dendrogram, threshold_pct: float, distances: np.ndarray,
+         groups: Sequence[Sequence[int]]) -> ClusterCut:
+    """Apply every merge of height <= the threshold, with leaf i standing
+    for the pattern ids groups[i] (smallest first), weighted by their count
+    in the medoid choice."""
+    if not (0.0 <= threshold_pct <= 1.0):
+        raise ClusterError("threshold_pct must be in [0, 1]")
+    threshold = math.floor(threshold_pct * dendrogram.n_graphs)
+    members: dict[int, list[int]] = {i: [i] for i in range(dendrogram.n_leaves)}
+    for (x, y, h, new_id) in dendrogram.merges:
+        if h > threshold:
+            break
+        members[new_id] = members.pop(x) + members.pop(y)
+    weights = np.array([len(g) for g in groups], dtype=np.int64)
+    leaf_ids = [g[0] for g in groups]
+    found = []
+    for rows in members.values():
+        cluster = tuple(sorted(pid for r in rows for pid in groups[r]))
+        found.append((cluster, _medoid(rows, distances, weights, leaf_ids)))
+    found.sort(key=lambda cr: cr[0][0])
+    return ClusterCut(clusters=tuple(c for c, _r in found),
+                      threshold=threshold,
+                      representatives=tuple(r for _c, r in found))
 
 
 def cut(dendrogram: Dendrogram, threshold_pct: float,
@@ -164,19 +221,8 @@ def cut(dendrogram: Dendrogram, threshold_pct: float,
     threshold_pct is a fraction of the graph count (the maximal possible
     Manhattan distance); threshold 0 groups exactly the identical footprints.
     """
-    if not (0.0 <= threshold_pct <= 1.0):
-        raise ClusterError("threshold_pct must be in [0, 1]")
-    threshold = math.floor(threshold_pct * dendrogram.n_graphs)
-    p = dendrogram.n_leaves
-    members: dict[int, list[int]] = {i: [dendrogram.pattern_ids[i]] for i in range(p)}
-    for (x, y, h, new_id) in dendrogram.merges:
-        if h > threshold:
-            break
-        members[new_id] = members.pop(x) + members.pop(y)
-    clusters = tuple(sorted((tuple(sorted(m)) for m in members.values()),
-                            key=lambda c: c[0]))
-    reps = medoids(clusters, distances, dendrogram.pattern_ids)
-    return ClusterCut(clusters=clusters, threshold=threshold, representatives=reps)
+    return _cut(dendrogram, threshold_pct, distances,
+                [(pid,) for pid in dendrogram.pattern_ids])
 
 
 @dataclass(frozen=True)
@@ -205,28 +251,7 @@ class FootprintClustering:
         return FootprintClustering(groups, reps, dist, dendro)
 
     def cut(self, threshold_pct: float) -> ClusterCut:
-        base = cut(self.dendrogram, threshold_pct, self.distances)
-        by_rep = {g[0]: g for g in self.groups}
-        size = {g[0]: len(g) for g in self.groups}
-        pos = {pid: i for i, pid in enumerate(self.group_reps)}
-        clusters = []
-        reps = []
-        for cluster in base.clusters:
-            members = tuple(sorted(pid for r in cluster for pid in by_rep[r]))
-            best = None
-            for r in cluster:
-                total = sum(size[r2] * int(self.distances[pos[r], pos[r2]])
-                            for r2 in cluster)
-                cand = (total, by_rep[r][0])
-                if best is None or cand < best:
-                    best = cand
-            clusters.append(members)
-            reps.append(best[1])
-        order = sorted(range(len(clusters)), key=lambda i: clusters[i][0])
-        return ClusterCut(
-            clusters=tuple(clusters[i] for i in order),
-            threshold=base.threshold,
-            representatives=tuple(reps[i] for i in order))
+        return _cut(self.dendrogram, threshold_pct, self.distances, self.groups)
 
 
 def clusters_csv(cut_result: ClusterCut) -> str:

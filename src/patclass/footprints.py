@@ -149,11 +149,12 @@ def distinct_footprint_groups(matrix: FootprintMatrix) -> list[list[int]]:
 
 
 def matrix_csv(matrix: FootprintMatrix) -> str:
+    # cells[present][j] is the ",j,present" tail of every row's cell j
+    cells = tuple([f",{j},{v}" for j in range(matrix.n_patterns)] for v in (0, 1))
     lines = ["graph_id,pattern_id,present"]
-    for i in range(matrix.n_graphs):
-        row = matrix.bits[i]
-        for j in range(matrix.n_patterns):
-            lines.append(f"{i},{j},{int(row[j])}")
+    for i, row in enumerate(matrix.bits.astype(np.uint8).tolist()):
+        graph = str(i)
+        lines.extend([graph + cells[v][j] for j, v in enumerate(row)])
     return "\n".join(lines) + "\n"
 
 

@@ -138,14 +138,18 @@ def naive_rbo(list_a, list_b, p, depth):
     return raw / norm
 
 
-def naive_complete_linkage(dist):
+def naive_complete_linkage(dist, ids=None):
     """O(p^3) reference agglomerator with the id-pair tie-break.
 
     dist: dict or 2D indexable of pairwise distances. Returns the merge list
     [(cluster_x, cluster_y, height, new_id)] using the same conventions as
-    the clusterer: leaves 0..p-1, new clusters numbered from p.
+    the clusterer: leaves 0..p-1, new clusters numbered from p. ids[i] is
+    the pattern id of leaf i (default: i); ties compare the clusters'
+    smallest pattern ids.
     """
     p = len(dist)
+    if ids is None:
+        ids = range(p)
     members = {i: frozenset([i]) for i in range(p)}
     next_id = p
     merges = []
@@ -156,7 +160,8 @@ def naive_complete_linkage(dist):
                 if x >= y:
                     continue
                 h = max(dist[a][b] for a in members[x] for b in members[y])
-                key = tuple(sorted((min(members[x]), min(members[y]))))
+                key = tuple(sorted((min(ids[i] for i in members[x]),
+                                    min(ids[i] for i in members[y]))))
                 cand = (h, key, x, y)
                 if best is None or (cand[0], cand[1]) < (best[0], best[1]):
                     best = cand

@@ -29,6 +29,12 @@ def random_footprints(rng, n_graphs, n_patterns):
 
 
 class TestManhattan:
+    def test_installed_numpy_has_bitwise_count(self):
+        # manhattan_matrix needs np.bitwise_count, which numpy has from 2.0
+        # on: the version pyproject.toml pins
+        import patclass.clusterer as mod
+        assert hasattr(mod.np, "bitwise_count")
+
     def test_identical_columns_zero(self):
         mat = matrix_from_columns([[1, 0, 1, 0], [1, 0, 1, 0]])
         d = manhattan_matrix(mat, [0, 1])
@@ -77,6 +83,50 @@ class TestAgglomerate:
             dg = agglomerate_complete(d, n_graphs=12)
             ref = naive_complete_linkage([list(row) for row in d])
             assert list(dg.merges) == ref
+
+    @staticmethod
+    def tie_heavy(rng, p):
+        """Symmetric integer distances in {0..3} with a zero diagonal."""
+        upper = np.triu(rng.integers(0, 4, (p, p)), 1)
+        return upper + upper.T
+
+    def test_tie_heavy_ascending_ids_match_oracle(self):
+        rng = np.random.default_rng(21)
+        for p in list(range(2, 41)) * 2:
+            d = self.tie_heavy(rng, p)
+            dg = agglomerate_complete(d, n_graphs=3)
+            assert list(dg.merges) == naive_complete_linkage(d.tolist()), p
+
+    def test_tie_heavy_permuted_ids_match_oracle(self):
+        rng = np.random.default_rng(22)
+        for p in list(range(2, 41)) * 2:
+            d = self.tie_heavy(rng, p)
+            ids = rng.permutation(3 * p)[:p].tolist()
+            dg = agglomerate_complete(d, ids, n_graphs=3)
+            assert list(dg.merges) == naive_complete_linkage(d.tolist(), ids), (p, ids)
+
+    def test_merged_min_member_decides_equal_height_tie(self):
+        # Leaves 1 and 2 (ids 7 and 1) merge at 0 into cluster 4, whose
+        # smallest id is 1. At height 2, pair (4, leaf 3) has key (1, 3) and
+        # pair (leaf 0, leaf 3) has key (3, 5): the merged cluster goes first.
+        ids = [5, 7, 1, 3]
+        d = np.array([[0, 3, 1, 2],
+                      [3, 0, 0, 2],
+                      [1, 0, 0, 1],
+                      [2, 2, 1, 0]])
+        expected = [(1, 2, 0, 4), (3, 4, 2, 5), (0, 5, 3, 6)]
+        assert naive_complete_linkage(d.tolist(), ids) == expected
+        assert list(agglomerate_complete(d, ids, n_graphs=4).merges) == expected
+
+    def test_duplicate_ids_rejected(self):
+        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
+        with pytest.raises(ClusterError):
+            agglomerate_complete(d, [4, 2, 4], n_graphs=2)
+
+    def test_pair_key_overflow_rejected(self):
+        d = np.array([[0, 2 ** 62], [2 ** 62, 0]])
+        with pytest.raises(ClusterError):
+            agglomerate_complete(d, n_graphs=1)
 
     def test_heights_non_decreasing(self):
         rng = random.Random(4)
