@@ -11,6 +11,17 @@ exposed objective trace is the objective of that running best model and is
 therefore non-increasing. The seed fixes cross-validation fold assignment;
 training itself is order-free.
 
+Cross-validation trains its folds as one stack: each epoch of `_fit` is one
+set of numpy calls over every fold's training set, and one stacked z @ v per
+epoch gives the margins for both the objective and the next subgradient.
+Each fold still gets the bits it would get trained alone: numpy's stacked
+matmul issues the same per-slice BLAS gemv as the 2-D call, and the y.z part
+of the gradient sums -1/0/+1 terms, which is exact in any order. The
+round-robin folds have at most two training-set sizes, one stack each.
+
+Feature columns are in ascending pattern id, so a model and its F1 depend on
+the set of patterns, not on the order they are listed in.
+
 Prediction is sign(w.x + b) with sign(0) -> positive.
 """
 
@@ -49,7 +60,9 @@ class FeatureView:
     @staticmethod
     def from_matrix(matrix: FootprintMatrix,
                     pattern_ids: Sequence[int]) -> "FeatureView":
-        x = matrix.bits[:, list(pattern_ids)].astype(np.float64)
+        """Columns in ascending pattern id, so a model depends on the set of
+        ids only: column order changes floating-point sums."""
+        x = matrix.bits[:, sorted(pattern_ids)].astype(np.float64)
         y = matrix.labels.astype(np.int64)
         return FeatureView(x, y)
 
@@ -79,39 +92,49 @@ class EvalReport:
     fold_f1: tuple[float, ...]
 
 
-def _objective(z, y, v, lam):
-    margins = y * (z @ v)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return float(0.5 * lam * (v @ v) + hinge.mean())
+def _fit(z: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Train one SVM per leading slice of z (sets, n, d+1) with labels y
+    (sets, n) of +-1.0; returns the best vectors (sets, d+1) and the running
+    best objectives (EPOCHS + 1, sets)."""
+    if c <= 0:
+        raise ClassifyError("C must be positive")
+    n = z.shape[1]
+    lam = 1.0 / (c * n)
+    yz_t = (y[:, :, None] * z).transpose(0, 2, 1)
+
+    def evaluate(v):
+        # the margins at v give both its objective and the next epoch's
+        # violators; sum / n has the bits of the 1-D mean()
+        margins = y * (z @ v[:, :, None])[:, :, 0]
+        hinge = np.maximum(0.0, 1.0 - margins).sum(axis=1) / n
+        return margins, 0.5 * lam * (v[:, None, :] @ v[:, :, None])[:, 0, 0] + hinge
+
+    v = best_v = np.zeros((z.shape[0], z.shape[2]))
+    margins, best_obj = evaluate(v)
+    trace = [best_obj]
+    for t in range(1, EPOCHS + 1):
+        eta = 1.0 / (lam * t)
+        viol = (margins < 1.0).astype(np.float64)
+        grad = lam * v - (yz_t @ viol[:, :, None])[:, :, 0] / n
+        v = v - eta * grad
+        margins, obj = evaluate(v)
+        better = obj < best_obj
+        best_obj = np.where(better, obj, best_obj)
+        best_v = np.where(better[:, None], v, best_v)
+        trace.append(best_obj)
+    return best_v, np.array(trace)
 
 
 def train(features: FeatureView, c: float = 1.0, seed: int = 0) -> LinearModel:
     """Fit the soft-margin linear SVM; deterministic given (data, c, seed)."""
-    if c <= 0:
-        raise ClassifyError("C must be positive")
-    x, y = features.x, features.y.astype(np.float64)
-    if len(set(features.y.tolist())) < 2:
+    x, y = features.x, features.y
+    if len(set(y.tolist())) < 2:
         raise ClassifyError("training data must contain both classes")
     n, d = x.shape
-    lam = 1.0 / (c * n)
     z = np.hstack([x, np.ones((n, 1))])
-    v = np.zeros(d + 1)
-    best_v = v.copy()
-    best_obj = _objective(z, y, v, lam)
-    trace = [best_obj]
-    for t in range(1, EPOCHS + 1):
-        eta = 1.0 / (lam * t)
-        margins = y * (z @ v)
-        viol = margins < 1.0
-        grad = lam * v - (z[viol].T @ y[viol]) / n
-        v = v - eta * grad
-        obj = _objective(z, y, v, lam)
-        if obj < best_obj:
-            best_obj = obj
-            best_v = v.copy()
-        trace.append(best_obj)
-    return LinearModel(weights=best_v[:d], bias=float(best_v[d]), c=c, seed=seed,
-                       objective_trace=tuple(trace))
+    best_v, trace = _fit(z[None], y[None].astype(np.float64), c)
+    return LinearModel(weights=best_v[0, :d], bias=float(best_v[0, d]), c=c,
+                       seed=seed, objective_trace=tuple(trace[:, 0].tolist()))
 
 
 def predict(model: LinearModel, features: FeatureView | np.ndarray) -> np.ndarray:
@@ -161,13 +184,22 @@ def cross_validate(features: FeatureView, k: int = 5, c: float = 1.0,
     """Stratified k-fold cross-validation; reports positive-class means."""
     x, y = features.x, features.y
     folds = stratified_folds(y.tolist(), k, seed)
+    n, d = x.shape
+    z = np.hstack([x, np.ones((n, 1))])
+    yf = y.astype(np.float64)
+    train_rows = [np.setdiff1d(np.arange(n), fold) for fold in folds]
+    # the round-robin folds have at most two sizes; each size is one stack
+    by_size: dict[int, list[int]] = {}
+    for i, rows in enumerate(train_rows):
+        by_size.setdefault(len(rows), []).append(i)
+    vectors = {}
+    for members in by_size.values():
+        rows = np.stack([train_rows[i] for i in members])
+        vectors.update(zip(members, _fit(z[rows], yf[rows], c)[0]))
     ps, rs, fs = [], [], []
-    for fold in folds:
-        mask = np.ones(len(y), dtype=bool)
-        mask[fold] = False
-        model = train(FeatureView(x[mask], y[mask]), c=c, seed=seed)
-        pred = predict(model, x[fold])
-        p, r, f = prf1(pred, y[fold])
+    for i, fold in enumerate(folds):
+        model = LinearModel(vectors[i][:d], float(vectors[i][d]), c, seed, ())
+        p, r, f = prf1(predict(model, x[fold]), y[fold])
         ps.append(p)
         rs.append(r)
         fs.append(f)

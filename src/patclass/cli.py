@@ -277,7 +277,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                              seed=cfg.seed)
             _write(out_dir, f"eval_{m}.csv", classify.eval_csv(report))
             model = classify.train(view, c=cfg.c, seed=cfg.seed)
-            _write(out_dir, f"model_{m}.csv", classify.model_csv(model, top))
+            _write(out_dir, f"model_{m}.csv",
+                   classify.model_csv(model, sorted(top)))
             lines.append(f"{m},{s},{report.precision!r},{report.recall!r},"
                          f"{report.f1!r}")
             summary_measures[m] = {"s_used": s, "precision": report.precision,

@@ -61,7 +61,11 @@ class FootprintMatrix:
         self._labels = labels
         self._labels.setflags(write=False)
         self._packed = np.packbits(bits, axis=0)
-        self._pos_mask = labels == POSITIVE
+        pos_mask = labels == POSITIVE
+        self._n_pos = int(pos_mask.sum())
+        # per-pattern supports in each class: the (a, b) of every contingency
+        pos_counts = bits[pos_mask].sum(axis=0)
+        self._class_supports = (pos_counts.tolist(), (col_counts - pos_counts).tolist())
 
     @property
     def n_graphs(self) -> int:
@@ -86,20 +90,14 @@ class FootprintMatrix:
 
     @property
     def n_pos(self) -> int:
-        return int(self._pos_mask.sum())
+        return self._n_pos
 
     @property
     def n_neg(self) -> int:
-        return int((~self._pos_mask).sum())
+        return self.n_graphs - self._n_pos
 
     def column(self, pattern_id: int) -> np.ndarray:
         return self._bits[:, pattern_id]
-
-    def restrict(self, pattern_ids: Sequence[int]) -> "FootprintMatrix":
-        return FootprintMatrix(self._bits[:, list(pattern_ids)], self._labels)
-
-    def restrict_rows(self, graph_ids: Sequence[int]) -> "FootprintMatrix":
-        return FootprintMatrix(self._bits[list(graph_ids), :], self._labels[list(graph_ids)])
 
 
 def build_matrix(pattern_set: PatternSet | Iterable[Pattern],
@@ -131,10 +129,9 @@ def build_matrix(pattern_set: PatternSet | Iterable[Pattern],
 def contingency(matrix: FootprintMatrix, pattern_id: int) -> ContingencyCounts:
     if not (0 <= pattern_id < matrix.n_patterns):
         raise FootprintError(f"pattern id {pattern_id} out of range")
-    col = matrix.column(pattern_id)
-    pos = matrix.labels == POSITIVE
+    pos_counts, neg_counts = matrix._class_supports
     return ContingencyCounts(
-        a=int(col[pos].sum()), b=int(col[~pos].sum()),
+        a=pos_counts[pattern_id], b=neg_counts[pattern_id],
         n_pos=matrix.n_pos, n_neg=matrix.n_neg)
 
 

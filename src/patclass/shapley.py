@@ -31,7 +31,7 @@ class CachedCharacteristic:
 
     f({}) is 0 by convention; every other value is delegated to the wrapped
     callable, keyed by the frozen id set (column order never matters because
-    the classifier is permutation-equivariant in its features).
+    `FeatureView.from_matrix` puts the columns in ascending id order).
     """
 
     def __init__(self, fn: Callable[[frozenset[int]], float]):
@@ -58,7 +58,7 @@ def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
     """
 
     def evaluate(subset: frozenset[int]) -> float:
-        view = FeatureView.from_matrix(matrix, sorted(subset))
+        view = FeatureView.from_matrix(matrix, subset)
         return cross_validate(view, k=k, c=c, seed=seed).f1
 
     return CachedCharacteristic(evaluate)

@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
-for rank correlation, and an O(p^3) reference agglomerator.
+for rank correlation, an O(p^3) reference agglomerator, and the one-fold-
+at-a-time SVM trainer and cross-validation loop.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
+import numpy as np
+
+from patclass.classify import EPOCHS, EvalReport, prf1, stratified_folds
 from patclass.graphdata import AttributedGraph
 
 
@@ -181,3 +185,53 @@ def random_graph(rng, n_vertices, edge_prob, n_vlabels, n_elabels, graph_id=0,
             if rng.random() < edge_prob:
                 edges.append((u, v, rng.randrange(n_elabels)))
     return AttributedGraph(graph_id, vlabels, tuple(edges), class_label)
+
+
+def _reference_objective(z, y, v, lam):
+    margins = y * (z @ v)
+    hinge = np.maximum(0.0, 1.0 - margins)
+    return float(0.5 * lam * (v @ v) + hinge.mean())
+
+
+def reference_train(x, y, c=1.0):
+    """Subgradient SVM on one training set, one epoch at a time, with the
+    objective recomputed from fresh margins; returns (weights, bias, trace)."""
+    y = np.asarray(y, dtype=np.float64)
+    n, d = x.shape
+    lam = 1.0 / (c * n)
+    z = np.hstack([x, np.ones((n, 1))])
+    v = np.zeros(d + 1)
+    best_v = v.copy()
+    best_obj = _reference_objective(z, y, v, lam)
+    trace = [best_obj]
+    for t in range(1, EPOCHS + 1):
+        eta = 1.0 / (lam * t)
+        margins = y * (z @ v)
+        viol = margins < 1.0
+        grad = lam * v - (z[viol].T @ y[viol]) / n
+        v = v - eta * grad
+        obj = _reference_objective(z, y, v, lam)
+        if obj < best_obj:
+            best_obj = obj
+            best_v = v.copy()
+        trace.append(best_obj)
+    return best_v[:d], float(best_v[d]), tuple(trace)
+
+
+def reference_cross_validate(x, y, k=5, c=1.0, seed=0):
+    """Stratified k-fold CV that trains each fold on its own."""
+    folds = stratified_folds(y.tolist(), k, seed)
+    ps, rs, fs = [], [], []
+    for fold in folds:
+        mask = np.ones(len(y), dtype=bool)
+        mask[fold] = False
+        weights, bias, _trace = reference_train(x[mask], y[mask], c=c)
+        pred = np.where(x[fold] @ weights + bias >= 0.0, 1, -1)
+        p, r, f = prf1(pred, y[fold])
+        ps.append(p)
+        rs.append(r)
+        fs.append(f)
+    return EvalReport(
+        precision=float(np.mean(ps)), recall=float(np.mean(rs)),
+        f1=float(np.mean(fs)), k=k,
+        fold_precision=tuple(ps), fold_recall=tuple(rs), fold_f1=tuple(fs))

@@ -8,6 +8,8 @@ from patclass.classify import (ClassifyError, EvalReport, FeatureView,
                                predict, prf1, stratified_folds, train)
 from patclass.footprints import FootprintMatrix
 
+from oracles import reference_cross_validate, reference_train
+
 
 def balanced_labels(n):
     return np.array([1] * (n // 2) + [-1] * (n - n // 2))
@@ -163,6 +165,75 @@ class TestCrossValidate:
         for f in folds:
             labs = [y[i] for i in f]
             assert labs.count(1) == 3 and labs.count(-1) == 3
+
+
+class TestAgainstReference:
+    """Stacked-fold training gives the bits of the one-fold-at-a-time loop."""
+
+    @staticmethod
+    def random_case(seed, k, d):
+        rng = np.random.default_rng(seed)
+        n_pos = 7 * k + 1 + seed % (k - 1)   # n_pos % k != 0
+        n = 2 * n_pos + 1
+        n += n % k == 0                        # n % k != 0: unequal folds
+        y = np.array([1] * n_pos + [-1] * (n - n_pos))
+        rng.shuffle(y)
+        x = (rng.random((n, d)) < rng.uniform(0.1, 0.5)).astype(float)
+        return x, y
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 10])
+    @pytest.mark.parametrize("d", [1, 13, 240])
+    def test_cross_validate_bit_identical(self, k, d):
+        for seed, c in ((k + d, 1.0), (k + d + 1, 0.1), (k + d + 2, 3.0)):
+            x, y = self.random_case(seed, k, d)
+            assert len({len(f) for f in stratified_folds(y.tolist(), k, seed)}) == 2
+            got = cross_validate(FeatureView(x, y), k=k, c=c, seed=seed)
+            want = reference_cross_validate(x, y, k=k, c=c, seed=seed)
+            for field in ("fold_precision", "fold_recall", "fold_f1",
+                          "precision", "recall", "f1"):
+                assert getattr(got, field) == getattr(want, field), field
+
+    @pytest.mark.parametrize("d", [1, 13, 240])
+    def test_train_bit_identical(self, d):
+        for seed, c in ((d, 1.0), (d + 1, 0.1), (d + 2, 3.0)):
+            x, y = self.random_case(seed, 5, d)
+            model = train(FeatureView(x, y), c=c)
+            weights, bias, trace = reference_train(x, y, c=c)
+            assert model.weights.tobytes() == weights.tobytes()
+            assert model.bias == bias
+            assert model.objective_trace == trace
+
+
+class TestColumnOrder:
+    def test_same_set_any_order_same_bits(self):
+        rng = np.random.default_rng(4)
+        n, p = 40, 30
+        bits = rng.random((n, p)) < rng.uniform(0.2, 0.6, p)
+        bits[0] = True
+        mat = FootprintMatrix(bits, balanced_labels(n).tolist())
+        for _ in range(12):
+            ids = rng.choice(p, size=int(rng.integers(5, p)), replace=False).tolist()
+            want = cross_validate(FeatureView.from_matrix(mat, sorted(ids)), k=5, seed=2)
+            weights = train(FeatureView.from_matrix(mat, sorted(ids))).weights
+            for _ in range(3):
+                shuffled = rng.permutation(ids).tolist()
+                view = FeatureView.from_matrix(mat, shuffled)
+                assert cross_validate(view, k=5, seed=2) == want
+                assert train(view).weights.tobytes() == weights.tobytes()
+
+    def test_model_csv_pairs_weights_with_ids(self):
+        # column 2 is the class itself: it gets the one large positive weight
+        y = balanced_labels(24)
+        x = np.zeros((24, 3))
+        x[:, 0] = 1.0
+        x[::3, 1] = 1.0
+        x[:, 2] = y == 1
+        mat = FootprintMatrix(x.astype(bool), y.tolist())
+        ids = [2, 0, 1]
+        model = train(FeatureView.from_matrix(mat, ids))
+        rows = dict(line.split(",") for line in
+                    model_csv(model, sorted(ids)).splitlines()[1:-1])
+        assert max(rows, key=lambda pid: float(rows[pid])) == "2"
 
 
 class TestDuplicateColumnStability:

@@ -129,6 +129,26 @@ class TestPipeline:
             assert a == b, name
 
 
+    def test_full_selection_one_f1_for_every_measure(self, tmp_path):
+        # s = 100% hands every measure the same set in its own rank order
+        from oracles import random_graph
+        from patclass.graphdata import (NEGATIVE, POSITIVE, GraphDataset,
+                                        serialize_spmf)
+        from patclass.measures import MEASURE_NAMES
+        rng = random.Random(0)
+        ds = GraphDataset(tuple(
+            random_graph(rng, rng.randint(4, 6), 0.5, 3, 2, graph_id=i,
+                         class_label=POSITIVE if i % 2 else NEGATIVE)
+            for i in range(24)))
+        path = tmp_path / "noisy.spmf"
+        path.write_text(serialize_spmf(ds))
+        cfg = base_config(path, tmp_path, s="100%", measures=tuple(MEASURE_NAMES))
+        run_pipeline(cfg)
+        rows = (Path(cfg.out) / "pipeline_f1.csv").read_text().splitlines()[1:]
+        assert len(rows) == len(MEASURE_NAMES)
+        assert len({r.split(",")[-1] for r in rows}) == 1
+
+
 class TestCliCommands:
     def test_pipeline_command_and_exit_zero(self, dataset_file, tmp_path):
         runner = CliRunner()
