@@ -68,6 +68,8 @@ class RunConfig:
             raise ConfigError("k_folds must be >= 2")
         if self.c <= 0:
             raise ConfigError("c must be positive")
+        if self.property_n is None or self.property_n < 2:
+            raise ConfigError("property_n must be >= 2")
         unknown = set(self.measures) - set(measures.MEASURE_NAMES)
         if unknown:
             raise ConfigError(f"unknown measures: {sorted(unknown)}")
@@ -404,16 +406,12 @@ def run_gold(cfg: RunConfig) -> dict:
         for pct in cfg.s_grid:
             s = max(1, math.ceil(pct / 100.0 * len(reps)))
             gold_top = list(gold.ranking.top(s))
-            view = classify.FeatureView.from_matrix(matrix, gold_top)
-            gf1 = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
-                                          seed=cfg.seed).f1
+            gf1 = gold.characteristic(gold_top)
             gold_lines.append(f"{pct!r},{s},{gf1!r}")
             for m in cfg.measures:
                 top = list(rankings[m].top(s))
                 r = rankcmp.rbo(top, gold_top, p=cfg.rbo_p, depth=s)
-                view = classify.FeatureView.from_matrix(matrix, top)
-                f1 = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
-                                             seed=cfg.seed).f1
+                f1 = gold.characteristic(top)
                 rbo_lines.append(f"{m},{pct!r},{s},{r!r}")
                 f1_lines.append(f"{m},{pct!r},{s},{f1!r}")
         _write(out_dir, "gold_rbo.csv", "\n".join(rbo_lines) + "\n")

@@ -13,6 +13,10 @@ Rational formulas are evaluated in exact integer-fraction arithmetic and
 converted to float once, so equal rational scores compare equal and ties are
 deterministic. Three measures score lower = more discriminative (FPR, Gini,
 Entropy); effective_score negates them so higher always means better.
+
+A call that scores many tables (rank, scores_csv, the property checks)
+shares one TableScorer, so it scores each distinct table once per measure,
+all measures from one probability kit per table.
 """
 
 from __future__ import annotations
@@ -414,25 +418,60 @@ def measure_table() -> list[MeasureInfo]:
     return [measure_info(n) for n in MEASURE_NAMES]
 
 
+class TableScorer:
+    """Scores contingency tables measure by measure, each (measure, table)
+    once.
+
+    Holds one ProbKit per distinct contingency table and the raw scores of
+    the measure being scored, both filled on first use. Callers score
+    measure by measure, and no raw score serves two measures, so keeping
+    one measure's scores rescores nothing and bounds the memory to one
+    measure's tables; interleaving measures stays correct but rescores. Make one for a call that scores many tables (a
+    ranking, a score CSV, a property grid) and drop it with the call: it is
+    not a cache for the life of the process.
+    """
+
+    def __init__(self):
+        self._kits: dict[ContingencyCounts, ProbKit] = {}
+        self._measure: str | None = None
+        self._fn: Callable | None = None
+        self._scores: dict[ContingencyCounts, float] = {}
+
+    def raw(self, measure: str, counts: ContingencyCounts) -> float:
+        """Raw score of one measure on one contingency table (extended real)."""
+        if measure != self._measure:
+            try:
+                self._fn = _REGISTRY[measure][0]
+            except KeyError:
+                raise MeasureError(f"unknown measure {measure!r}") from None
+            self._measure, self._scores = measure, {}
+        out = self._scores.get(counts)
+        if out is None:
+            kit = self._kits.get(counts)
+            if kit is None:
+                kit = self._kits[counts] = prob_kit(counts)
+            out = float(self._fn(kit))
+            if math.isnan(out):
+                raise MeasureError(f"{measure} produced NaN on {counts}")
+            self._scores[counts] = out
+        return out
+
+    def effective(self, measure: str, counts: ContingencyCounts) -> float:
+        """Raw score, negated for reversed-scale measures, so higher = better."""
+        raw = self.raw(measure, counts)
+        if measure in REVERSED_MEASURES:
+            return 0.0 if raw == 0 else -raw
+        return raw
+
+
 def score(measure: str, counts: ContingencyCounts) -> float:
     """Raw score of one measure on one contingency table (extended real)."""
-    try:
-        fn = _REGISTRY[measure][0]
-    except KeyError:
-        raise MeasureError(f"unknown measure {measure!r}") from None
-    val = fn(prob_kit(counts))
-    out = float(val)
-    if math.isnan(out):
-        raise MeasureError(f"{measure} produced NaN on {counts}")
-    return out
+    return TableScorer().raw(measure, counts)
 
 
 def effective_score(measure: str, counts: ContingencyCounts) -> float:
     """Raw score, negated for reversed-scale measures, so higher = better."""
-    raw = score(measure, counts)
-    if measure in REVERSED_MEASURES:
-        return 0.0 if raw == 0 else -raw
-    return raw
+    return TableScorer().effective(measure, counts)
 
 
 @dataclass(frozen=True)
@@ -454,22 +493,26 @@ class Ranking:
         return self.pattern_ids[:s]
 
 
+def _rank(scorer: TableScorer, measure: str, ids: Sequence[int],
+          counts_by_id: dict[int, ContingencyCounts]) -> Ranking:
+    effs = {pid: scorer.effective(measure, counts_by_id[pid]) for pid in ids}
+    order = sorted(ids, key=lambda pid: (-effs[pid], pid))
+    return Ranking(tuple(order), tuple(effs[pid] for pid in order))
+
+
 def rank(measure: str, matrix: FootprintMatrix,
          pattern_ids: Sequence[int]) -> Ranking:
     """Rank pattern ids by effective score descending, ties by ascending id."""
     ids = list(pattern_ids)
     if not ids:
         raise MeasureError("pattern_ids must be non-empty")
-    effs = {pid: effective_score(measure, contingency(matrix, pid)) for pid in ids}
-    order = sorted(ids, key=lambda pid: (-effs[pid], pid))
-    return Ranking(tuple(order), tuple(effs[pid] for pid in order))
+    counts = {pid: contingency(matrix, pid) for pid in ids}
+    return _rank(TableScorer(), measure, ids, counts)
 
 
 def rank_from_counts(measure: str,
                      counts_by_id: dict[int, ContingencyCounts]) -> Ranking:
-    effs = {pid: effective_score(measure, c) for pid, c in counts_by_id.items()}
-    order = sorted(effs, key=lambda pid: (-effs[pid], pid))
-    return Ranking(tuple(order), tuple(effs[pid] for pid in order))
+    return _rank(TableScorer(), measure, list(counts_by_id), counts_by_id)
 
 
 def _fmt(x: float) -> str:
@@ -486,11 +529,13 @@ def scores_csv(matrix: FootprintMatrix, pattern_ids: Sequence[int],
     measures = list(measures) if measures is not None else list(MEASURE_NAMES)
     lines = ["pattern_id,measure,raw_score,effective_score,rank"]
     counts = {pid: contingency(matrix, pid) for pid in pattern_ids}
+    ids = list(counts)
+    scorer = TableScorer()
     for m in measures:
-        ranking = rank_from_counts(m, counts)
+        ranking = _rank(scorer, m, ids, counts)
         pos = {pid: r for r, pid in enumerate(ranking.pattern_ids, start=1)}
         for pid in pattern_ids:
-            raw = score(m, counts[pid])
-            eff = effective_score(m, counts[pid])
+            raw = scorer.raw(m, counts[pid])
+            eff = scorer.effective(m, counts[pid])
             lines.append(f"{pid},{m},{_fmt(raw)},{_fmt(eff)},{pos[pid]}")
     return "\n".join(lines) + "\n"

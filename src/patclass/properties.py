@@ -23,8 +23,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .footprints import ContingencyCounts
-from .measures import (MEASURE_NAMES, Ranking, effective_score, measure_info,
-                       score)
+from .measures import (MEASURE_NAMES, Ranking, TableScorer, effective_score,
+                       measure_info, score)
 from .rankcmp import RankCmpError, kendall_tau
 
 PROPERTIES = ("Contrastivity", "Jumpiness", "ClassSymmetry", "PatternSymmetry")
@@ -58,13 +58,11 @@ def _report(measure, prop, n, violation) -> PropertyReport:
     return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
 
 
-def check_contrastivity(measure: str, n: int) -> PropertyReport:
-    """Equal positive support, lower negative support must score strictly
-    higher (effective scale)."""
+def _contrastivity(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     if n < 2:
         raise ValueError("n must be >= 2")
     for a in range(1, n):
-        effs = [effective_score(measure, ContingencyCounts(a, b, n, n))
+        effs = [scorer.effective(measure, ContingencyCounts(a, b, n, n))
                 for b in range(n + 1)]
         for b in range(n + 1):
             for b2 in range(b + 1, n + 1):
@@ -76,12 +74,10 @@ def check_contrastivity(measure: str, n: int) -> PropertyReport:
     return _report(measure, "Contrastivity", n, None)
 
 
-def check_jumpiness(measure: str, n: int) -> PropertyReport:
-    """Among patterns exclusive to the positive class, higher support must
-    score strictly higher (effective scale)."""
+def _jumpiness(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     if n < 2:
         raise ValueError("n must be >= 2")
-    effs = {a: effective_score(measure, ContingencyCounts(a, 0, n, n))
+    effs = {a: scorer.effective(measure, ContingencyCounts(a, 0, n, n))
             for a in range(1, n + 1)}
     for a2 in range(1, n + 1):
         for a in range(a2 + 1, n + 1):
@@ -93,14 +89,13 @@ def check_jumpiness(measure: str, n: int) -> PropertyReport:
     return _report(measure, "Jumpiness", n, None)
 
 
-def check_class_symmetry(measure: str, n: int) -> PropertyReport:
-    """Raw score invariant under swapping the two classes, exactly."""
+def _class_symmetry(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     for a in range(n + 1):
         for b in range(n + 1):
             if a + b == 0:
                 continue
-            s1 = score(measure, ContingencyCounts(a, b, n, n))
-            s2 = score(measure, ContingencyCounts(b, a, n, n))
+            s1 = scorer.raw(measure, ContingencyCounts(a, b, n, n))
+            s2 = scorer.raw(measure, ContingencyCounts(b, a, n, n))
             if s1 != s2:
                 return _report(measure, "ClassSymmetry", n,
                                (ContingencyCounts(a, b, n, n),
@@ -108,14 +103,13 @@ def check_class_symmetry(measure: str, n: int) -> PropertyReport:
     return _report(measure, "ClassSymmetry", n, None)
 
 
-def check_pattern_symmetry(measure: str, n: int) -> PropertyReport:
-    """Raw score invariant under replacing presence with absence, exactly."""
+def _pattern_symmetry(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     for a in range(n + 1):
         for b in range(n + 1):
             if not (1 <= a + b <= 2 * n - 1):
                 continue
-            s1 = score(measure, ContingencyCounts(a, b, n, n))
-            s2 = score(measure, ContingencyCounts(n - a, n - b, n, n))
+            s1 = scorer.raw(measure, ContingencyCounts(a, b, n, n))
+            s2 = scorer.raw(measure, ContingencyCounts(n - a, n - b, n, n))
             if s1 != s2:
                 return _report(measure, "PatternSymmetry", n,
                                (ContingencyCounts(a, b, n, n),
@@ -123,11 +117,35 @@ def check_pattern_symmetry(measure: str, n: int) -> PropertyReport:
     return _report(measure, "PatternSymmetry", n, None)
 
 
+def check_contrastivity(measure: str, n: int) -> PropertyReport:
+    """Equal positive support, lower negative support must score strictly
+    higher (effective scale)."""
+    return _contrastivity(TableScorer(), measure, n)
+
+
+def check_jumpiness(measure: str, n: int) -> PropertyReport:
+    """Among patterns exclusive to the positive class, higher support must
+    score strictly higher (effective scale)."""
+    return _jumpiness(TableScorer(), measure, n)
+
+
+def check_class_symmetry(measure: str, n: int) -> PropertyReport:
+    """Raw score invariant under swapping the two classes, exactly."""
+    return _class_symmetry(TableScorer(), measure, n)
+
+
+def check_pattern_symmetry(measure: str, n: int) -> PropertyReport:
+    """Raw score invariant under replacing presence with absence, exactly."""
+    return _pattern_symmetry(TableScorer(), measure, n)
+
+
+# Each check takes the scorer its caller shares, so a property matrix scores
+# every (measure, table) once however many checks and operands reach it.
 _CHECKS = {
-    "Contrastivity": check_contrastivity,
-    "Jumpiness": check_jumpiness,
-    "ClassSymmetry": check_class_symmetry,
-    "PatternSymmetry": check_pattern_symmetry,
+    "Contrastivity": _contrastivity,
+    "Jumpiness": _jumpiness,
+    "ClassSymmetry": _class_symmetry,
+    "PatternSymmetry": _pattern_symmetry,
 }
 
 
@@ -147,10 +165,11 @@ def property_matrix(n: int = 10,
                     measures: Sequence[str] | None = None) -> list[PropertyReport]:
     """All (measure, property) verdicts over the balanced domain of size n."""
     measures = list(measures) if measures is not None else list(MEASURE_NAMES)
+    scorer = TableScorer()
     out = []
     for m in measures:
         for prop in PROPERTIES:
-            out.append(_CHECKS[prop](m, n))
+            out.append(_CHECKS[prop](scorer, m, n))
     return out
 
 
@@ -169,13 +188,11 @@ def check_independence_equilibrium(n: int) -> bool:
     return True
 
 
-def check_ps2(measure: str, n: int) -> PropertyReport:
-    """Monotone increase with the positive joint when overall support is
-    fixed: for a > a' with a + b = a' + b', the score must strictly grow."""
+def _ps2(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     for t in range(1, 2 * n + 1):
         lo = max(0, t - n)
         hi = min(n, t)
-        effs = {a: effective_score(measure, ContingencyCounts(a, t - a, n, n))
+        effs = {a: scorer.effective(measure, ContingencyCounts(a, t - a, n, n))
                 for a in range(lo, hi + 1)}
         for a2 in range(lo, hi + 1):
             for a in range(a2 + 1, hi + 1):
@@ -187,13 +204,20 @@ def check_ps2(measure: str, n: int) -> PropertyReport:
     return PropertyReport(measure, "PS2", True, None, None, n)
 
 
+def check_ps2(measure: str, n: int) -> PropertyReport:
+    """Monotone increase with the positive joint when overall support is
+    fixed: for a > a' with a + b = a' + b', the score must strictly grow."""
+    return _ps2(TableScorer(), measure, n)
+
+
 def check_ps2_exclusivity(n: int) -> list[tuple[str, bool, bool]]:
     """Per measure: (name, PS2 holds, Class Symmetry holds). No measure may
     have both."""
+    scorer = TableScorer()
     out = []
     for m in MEASURE_NAMES:
-        ps2 = check_ps2(m, n).holds
-        cs = check_class_symmetry(m, n).holds
+        ps2 = _ps2(scorer, m, n).holds
+        cs = _class_symmetry(scorer, m, n).holds
         out.append((m, ps2, cs))
     return out
 

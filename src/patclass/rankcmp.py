@@ -8,31 +8,9 @@ ranks, normalized so identical prefixes score exactly 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
-
 
 class RankCmpError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class RankingPair:
-    """Two rankings under comparison. Tau requires a shared universe; RBO
-    accepts different id sets."""
-
-    ranking_a: Sequence
-    ranking_b: Sequence
-
-    @property
-    def shared_universe(self) -> bool:
-        return set(_ids(self.ranking_a)) == set(_ids(self.ranking_b))
-
-    def tau(self) -> float:
-        return kendall_tau(self.ranking_a, self.ranking_b)
-
-    def rbo(self, p: float = 0.9, depth: int | None = None) -> float:
-        return rbo(self.ranking_a, self.ranking_b, p=p, depth=depth)
 
 
 def _ids(ranking) -> list:
@@ -126,51 +104,3 @@ def rbo(ranking_a, ranking_b, p: float = 0.9, depth: int | None = None) -> float
         norm += weight
         weight *= p
     return raw / norm
-
-
-def rbo_raw(ranking_a, ranking_b, p: float, depth: int) -> float:
-    """Un-normalized truncated sum (1-p) * sum p^(d-1) * overlap/d."""
-    if not (0.0 < p < 1.0):
-        raise RankCmpError("p must be in (0, 1)")
-    a = _ids(ranking_a)
-    b = _ids(ranking_b)
-    total = 0.0
-    for d in range(1, depth + 1):
-        over = len(set(a[:d]) & set(b[:d]))
-        total += p ** (d - 1) * over / d
-    return (1 - p) * total
-
-
-def rbo_prefix_monotonicity_check(base, extension, p: float) -> bool:
-    """True iff the un-normalized RBO' never decreases with depth when one
-    ranking is a prefix of the other.
-
-    RBO'(s+1) - RBO'(s) = (1-p) p^s overlap(s+1)/(s+1), accumulated
-    incrementally; overlaps are non-negative, so any decrease is a bug.
-    """
-    b = _ids(base)
-    e = _ids(extension)
-    if e[:len(b)] != b:
-        raise RankCmpError("extension must extend base")
-    seen_b: set = set()
-    seen_e: set = set()
-    overlap = 0
-    raw = 0.0
-    prev = -1.0
-    weight = 1.0
-    for d in range(1, len(e) + 1):
-        fresh = set()
-        if d <= len(b):
-            seen_b.add(b[d - 1])
-            fresh.add(b[d - 1])
-        seen_e.add(e[d - 1])
-        fresh.add(e[d - 1])
-        for el in fresh:
-            if el in seen_b and el in seen_e:
-                overlap += 1
-        raw += (1 - p) * weight * overlap / d
-        weight *= p
-        if raw < prev - 1e-15:
-            return False
-        prev = raw
-    return True

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .classify import FeatureView, cross_validate
@@ -154,6 +154,9 @@ class GoldStandard:
     std_error: Optional[dict[int, float]]
     ranking: Ranking
     method: str  # "exact" | "sampled(n_permutations=..., seed=...)"
+    # the f the values were computed from; it keeps its cache, so reading a
+    # coalition the Shapley run already evaluated costs no cross-validation
+    characteristic: CachedCharacteristic = field(compare=False, repr=False)
 
 
 def _ranking_from_values(values: dict[int, float]) -> Ranking:
@@ -174,11 +177,13 @@ def gold_standard(matrix: FootprintMatrix, pattern_ids: Sequence[int],
     if len(ids) <= exact_limit:
         values = exact_shapley(ids, f, exact_limit=exact_limit)
         return GoldStandard(values=values, std_error=None,
-                            ranking=_ranking_from_values(values), method="exact")
+                            ranking=_ranking_from_values(values), method="exact",
+                            characteristic=f)
     sampled = sampled_shapley(ids, f, n_permutations=n_permutations, seed=seed)
     return GoldStandard(values=sampled.values, std_error=sampled.std_error,
                         ranking=_ranking_from_values(sampled.values),
-                        method=f"sampled(n_permutations={n_permutations}, seed={seed})")
+                        method=f"sampled(n_permutations={n_permutations}, seed={seed})",
+                        characteristic=f)
 
 
 def shapley_csv(gold: GoldStandard) -> str:

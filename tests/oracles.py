@@ -3,17 +3,27 @@
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, an O(p^3) reference agglomerator, and the one-fold-
-at-a-time SVM trainer and cross-validation loop.
+at-a-time SVM trainer and cross-validation loop, and the property checks,
+ranking and score table that score every operand with a fresh call. The RBO
+checks used only by tests (un-normalized RBO, prefix monotonicity) and
+`RankingPair` live here too.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
 from itertools import permutations
+from typing import Sequence
 
 import numpy as np
 
 from patclass.classify import EPOCHS, EvalReport, prf1, stratified_folds
+from patclass.footprints import ContingencyCounts, contingency
 from patclass.graphdata import AttributedGraph
+from patclass.measures import MEASURE_NAMES, Ranking, effective_score, score
+from patclass.properties import PropertyReport
+from patclass.rankcmp import RankCmpError, _ids, kendall_tau, rbo
 
 
 def perm_canonical_form(vlabels, edges):
@@ -235,3 +245,170 @@ def reference_cross_validate(x, y, k=5, c=1.0, seed=0):
         precision=float(np.mean(ps)), recall=float(np.mean(rs)),
         f1=float(np.mean(fs)), k=k,
         fold_precision=tuple(ps), fold_recall=tuple(rs), fold_f1=tuple(fs))
+
+
+@dataclass(frozen=True)
+class RankingPair:
+    """Two rankings under comparison. Tau requires a shared universe; RBO
+    accepts different id sets."""
+
+    ranking_a: Sequence
+    ranking_b: Sequence
+
+    @property
+    def shared_universe(self) -> bool:
+        return set(_ids(self.ranking_a)) == set(_ids(self.ranking_b))
+
+    def tau(self) -> float:
+        return kendall_tau(self.ranking_a, self.ranking_b)
+
+    def rbo(self, p: float = 0.9, depth: int | None = None) -> float:
+        return rbo(self.ranking_a, self.ranking_b, p=p, depth=depth)
+
+
+def rbo_raw(ranking_a, ranking_b, p: float, depth: int) -> float:
+    """Un-normalized truncated sum (1-p) * sum p^(d-1) * overlap/d."""
+    if not (0.0 < p < 1.0):
+        raise RankCmpError("p must be in (0, 1)")
+    a = _ids(ranking_a)
+    b = _ids(ranking_b)
+    total = 0.0
+    for d in range(1, depth + 1):
+        over = len(set(a[:d]) & set(b[:d]))
+        total += p ** (d - 1) * over / d
+    return (1 - p) * total
+
+
+def rbo_prefix_monotonicity_check(base, extension, p: float) -> bool:
+    """True iff the un-normalized RBO' never decreases with depth when one
+    ranking is a prefix of the other.
+
+    RBO'(s+1) - RBO'(s) = (1-p) p^s overlap(s+1)/(s+1), accumulated
+    incrementally; overlaps are non-negative, so any decrease is a bug.
+    """
+    b = _ids(base)
+    e = _ids(extension)
+    if e[:len(b)] != b:
+        raise RankCmpError("extension must extend base")
+    seen_b: set = set()
+    seen_e: set = set()
+    overlap = 0
+    raw = 0.0
+    prev = -1.0
+    weight = 1.0
+    for d in range(1, len(e) + 1):
+        fresh = set()
+        if d <= len(b):
+            seen_b.add(b[d - 1])
+            fresh.add(b[d - 1])
+        seen_e.add(e[d - 1])
+        fresh.add(e[d - 1])
+        for el in fresh:
+            if el in seen_b and el in seen_e:
+                overlap += 1
+        raw += (1 - p) * weight * overlap / d
+        weight *= p
+        if raw < prev - 1e-15:
+            return False
+        prev = raw
+    return True
+
+
+def _reference_report(measure, prop, n, violation):
+    if violation is None:
+        return PropertyReport(measure, prop, True, None, None, n)
+    c1, c2, s1, s2 = violation
+    return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
+
+
+def reference_contrastivity(measure, n):
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    for a in range(1, n):
+        effs = [effective_score(measure, ContingencyCounts(a, b, n, n))
+                for b in range(n + 1)]
+        for b in range(n + 1):
+            for b2 in range(b + 1, n + 1):
+                if not effs[b] > effs[b2]:
+                    return _reference_report(measure, "Contrastivity", n,
+                                             (ContingencyCounts(a, b, n, n),
+                                              ContingencyCounts(a, b2, n, n),
+                                              effs[b], effs[b2]))
+    return _reference_report(measure, "Contrastivity", n, None)
+
+
+def reference_jumpiness(measure, n):
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    effs = {a: effective_score(measure, ContingencyCounts(a, 0, n, n))
+            for a in range(1, n + 1)}
+    for a2 in range(1, n + 1):
+        for a in range(a2 + 1, n + 1):
+            if not effs[a] > effs[a2]:
+                return _reference_report(measure, "Jumpiness", n,
+                                         (ContingencyCounts(a, 0, n, n),
+                                          ContingencyCounts(a2, 0, n, n),
+                                          effs[a], effs[a2]))
+    return _reference_report(measure, "Jumpiness", n, None)
+
+
+def reference_class_symmetry(measure, n):
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if a + b == 0:
+                continue
+            s1 = score(measure, ContingencyCounts(a, b, n, n))
+            s2 = score(measure, ContingencyCounts(b, a, n, n))
+            if s1 != s2:
+                return _reference_report(measure, "ClassSymmetry", n,
+                                         (ContingencyCounts(a, b, n, n),
+                                          ContingencyCounts(b, a, n, n), s1, s2))
+    return _reference_report(measure, "ClassSymmetry", n, None)
+
+
+def reference_pattern_symmetry(measure, n):
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if not (1 <= a + b <= 2 * n - 1):
+                continue
+            s1 = score(measure, ContingencyCounts(a, b, n, n))
+            s2 = score(measure, ContingencyCounts(n - a, n - b, n, n))
+            if s1 != s2:
+                return _reference_report(measure, "PatternSymmetry", n,
+                                         (ContingencyCounts(a, b, n, n),
+                                          ContingencyCounts(n - a, n - b, n, n),
+                                          s1, s2))
+    return _reference_report(measure, "PatternSymmetry", n, None)
+
+
+def reference_property_matrix(n, measures=None):
+    """Every (measure, property) verdict, each check scoring its operands
+    with fresh `score`/`effective_score` calls."""
+    checks = (reference_contrastivity, reference_jumpiness,
+              reference_class_symmetry, reference_pattern_symmetry)
+    measures = list(measures) if measures is not None else list(MEASURE_NAMES)
+    return [check(m, n) for m in measures for check in checks]
+
+
+def reference_rank(measure, matrix, pattern_ids):
+    ids = list(pattern_ids)
+    effs = {pid: effective_score(measure, contingency(matrix, pid)) for pid in ids}
+    order = sorted(ids, key=lambda pid: (-effs[pid], pid))
+    return Ranking(tuple(order), tuple(effs[pid] for pid in order))
+
+
+def reference_scores_csv(matrix, pattern_ids, measures):
+    """The score table with one `score` and one `effective_score` call per
+    (pattern, measure) cell."""
+    def fmt(x):
+        return {math.inf: "inf", -math.inf: "-inf"}.get(x, repr(x))
+
+    lines = ["pattern_id,measure,raw_score,effective_score,rank"]
+    for m in measures:
+        ranking = reference_rank(m, matrix, pattern_ids)
+        pos = {pid: r for r, pid in enumerate(ranking.pattern_ids, start=1)}
+        for pid in pattern_ids:
+            c = contingency(matrix, pid)
+            lines.append(f"{pid},{m},{fmt(score(m, c))},"
+                         f"{fmt(effective_score(m, c))},{pos[pid]}")
+    return "\n".join(lines) + "\n"

@@ -33,7 +33,7 @@ from patclass import miner, properties, rankcmp, shapley
 from patclass.cli import RunConfig, run_pipeline
 
 from oracles import (connected_subgraph_classes, graph_canonical_form,
-                     naive_rbo, random_graph)
+                     naive_rbo, random_graph, rbo_prefix_monotonicity_check)
 
 COLSTR_JU = ("ColStr", "Jumpiness")
 ENTROPY_BLOCK_PAIRS = {("Dep", "Entropy"), ("Entropy", "Fisher"),
@@ -355,8 +355,8 @@ def test_c6_rbo_term_by_term_and_monotonicity():
         rng.shuffle(universe)
         cut_at = rng.randint(1, s - 1)
         for p in (0.5, 0.9, 0.98):
-            if not rankcmp.rbo_prefix_monotonicity_check(universe[:cut_at],
-                                                         universe, p):
+            if not rbo_prefix_monotonicity_check(universe[:cut_at],
+                                                 universe, p):
                 mono_ok = False
     ok = worst <= 1e-12 and mono_ok
     assert report(

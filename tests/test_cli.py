@@ -6,7 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from patclass.cli import (ConfigError, RunConfig, load_config, main,
-                          run_pairwise_tau, run_pipeline)
+                          run_gold, run_pairwise_tau, run_pipeline)
 
 
 def spmf_fixture(seed=0, n=16):
@@ -207,6 +207,16 @@ class TestCliCommands:
         assert (tmp_path / "out" / "properties.csv").exists()
         assert "deviation" in result.output
 
+    @pytest.mark.parametrize("value", ["1", "-3", "none"])
+    def test_property_n_below_two_exits_two(self, tmp_path, value):
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "properties", "--out", str(tmp_path / "out"),
+            "--set", f"property_n={value}"])
+        assert result.exit_code == 2, result.output
+        assert "property_n must be >= 2" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_stats_command(self, dataset_file, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [
@@ -283,6 +293,40 @@ class TestGoldCommand:
         curve = (out / "gold_curve.csv").read_text().strip().splitlines()[1:]
         gold_full = [r.split(",")[2] for r in curve if r.split(",")[0] == "100.0"]
         assert gold_full[0] in set(full.values())
+
+    @pytest.mark.parametrize("exact_limit", [12, 2])
+    def test_no_pattern_set_cross_validated_twice(self, tmp_path, monkeypatch,
+                                                  exact_limit):
+        # the s_grid sweep reads F1 through the gold standard's cached
+        # characteristic; at s = 1% and 2% the top set is the same single
+        # pattern, and in exact mode every swept set is a coalition already
+        from patclass import classify, shapley
+        seen = []
+        real = classify.cross_validate
+
+        def counting(view, **kw):
+            seen.append(view.x.T.tobytes())
+            return real(view, **kw)
+
+        monkeypatch.setattr(classify, "cross_validate", counting)
+        monkeypatch.setattr(shapley, "cross_validate", counting)
+        p = tmp_path / "toy.spmf"
+        p.write_text(spmf_fixture(seed=3, n=12))
+        cfg = RunConfig()
+        cfg.dataset = (str(p),)
+        cfg.out = str(tmp_path / "out")
+        cfg.max_edges = 2
+        cfg.threshold_pct = 40.0
+        cfg.measures = ("Sup", "GR")
+        cfg.k_folds = 3
+        cfg.s_grid = (1.0, 2.0, 50.0, 100.0)
+        cfg.exact_limit = exact_limit
+        cfg.n_permutations = 3
+        cfg.validate()
+        info = run_gold(cfg)
+        assert info["method"].startswith("exact" if exact_limit == 12 else "sampled")
+        n_cvs, n_sets = len(seen), len(set(seen))
+        assert n_cvs and n_cvs == n_sets
 
     def test_gold_vs_itself_rbo_one(self, tmp_path):
         # the gold ranking compared with itself scores 1 at every depth

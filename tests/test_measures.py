@@ -1,13 +1,19 @@
 import math
+import random
+import struct
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from patclass.footprints import ContingencyCounts
+from patclass.footprints import ContingencyCounts, FootprintMatrix, contingency
 from patclass.measures import (KNOWN_BOUND_EXCEPTIONS, MEASURE_NAMES,
-                               REVERSED_MEASURES, MeasureError, effective_score,
-                               measure_info, measure_table, prob_kit, rank,
-                               rank_from_counts, score, scores_csv)
+                               REVERSED_MEASURES, MeasureError, TableScorer,
+                               effective_score, measure_info, measure_table,
+                               prob_kit, rank, rank_from_counts, score,
+                               scores_csv)
+
+from oracles import reference_rank, reference_scores_csv
 
 INF = math.inf
 
@@ -312,3 +318,78 @@ class TestCsvExport:
         # P0 is jumping with higher support: GR rank 1; P2 also inf but higher id
         rank_of = {int(r.split(",")[0]): int(r.split(",")[4]) for r in gr_rows}
         assert rank_of[0] == 1 and rank_of[2] == 2
+
+
+def _tables(n_pos, n_neg):
+    return [ContingencyCounts(a, b, n_pos, n_neg)
+            for a in range(n_pos + 1) for b in range(n_neg + 1) if a + b]
+
+
+class TestTableScorer:
+    # every balanced table with n <= 10, plus unbalanced class sizes, so a
+    # key that dropped the class sizes would mix tables up
+    TABLES = ([c for n in range(1, 11) for c in _tables(n, n)]
+              + [c for sizes in ((1, 4), (3, 7), (10, 2), (5, 13))
+                 for c in _tables(*sizes)])
+
+    def test_shared_scorer_matches_per_call_scores_bit_for_bit(self):
+        want = {(m, c): (score(m, c), effective_score(m, c))
+                for m in MEASURE_NAMES for c in self.TABLES}
+        # measure by measure, each table twice (the second read is stored),
+        # and shuffled, which switches measure on almost every call
+        measure_major = [(m, c) for m in MEASURE_NAMES
+                         for c in self.TABLES + self.TABLES]
+        shuffled = list(want)
+        random.Random(11).shuffle(shuffled)
+        for pairs in (measure_major, shuffled):
+            scorer = TableScorer()
+            wrong = [(m, c) for m, c in pairs
+                     if struct.pack("<dd", scorer.raw(m, c), scorer.effective(m, c))
+                     != struct.pack("<dd", *want[(m, c)])]
+            assert not wrong[:3], f"{len(wrong)} scores differ"
+        flat = [x for row in want.values() for x in row]
+        assert math.inf in flat and -math.inf in flat
+
+    def test_one_kit_per_distinct_table(self, monkeypatch):
+        from patclass import measures
+        built = []
+        real = measures.prob_kit
+
+        def counting(counts):
+            built.append(counts)
+            return real(counts)
+
+        monkeypatch.setattr(measures, "prob_kit", counting)
+        scorer = TableScorer()
+        tables = _tables(3, 5)
+        for m in MEASURE_NAMES:
+            for c in tables + tables:
+                scorer.effective(m, c)
+        assert built == tables
+
+
+def _random_matrix(seed):
+    rng = np.random.default_rng(seed)
+    n_graphs = int(rng.integers(8, 60))
+    while True:
+        bits = rng.random((n_graphs, 80)) < rng.uniform(0.05, 0.6, 80)
+        if bits.sum(axis=0).min() >= 1:
+            break
+    labels = np.where(rng.random(n_graphs) < rng.uniform(0.2, 0.8), 1, -1)
+    labels[:2] = (1, -1)
+    return FootprintMatrix(bits, labels.tolist())
+
+
+class TestSharedScorerOutputs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_scores_csv_and_rank_match_per_call_scoring(self, seed):
+        mat = _random_matrix(seed)
+        ids = random.Random(seed).sample(range(mat.n_patterns), 50)
+        # compared as line lists: a failing text comparison is slow to report
+        assert (scores_csv(mat, ids).splitlines()
+                == reference_scores_csv(mat, ids, MEASURE_NAMES).splitlines())
+        counts = {pid: contingency(mat, pid) for pid in ids}
+        for m in MEASURE_NAMES:
+            want = reference_rank(m, mat, ids)
+            assert rank(m, mat, ids) == want
+            assert rank_from_counts(m, counts) == want

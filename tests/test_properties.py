@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from patclass import measures
 from patclass.footprints import ContingencyCounts, FootprintMatrix
 from patclass.measures import MEASURE_NAMES, measure_info, rank
 from patclass.properties import (check_class_symmetry,
@@ -9,6 +10,8 @@ from patclass.properties import (check_class_symmetry,
                                  check_ps2, check_ps2_exclusivity,
                                  equivalence_blocks, min_tau_csv, properties_csv,
                                  property_matrix, recheck_counterexample)
+
+from oracles import reference_property_matrix
 
 # The one known gap between exhaustive verdicts and the declared flags:
 # ColStr's printed composite formula changes sign where its second denominator
@@ -221,3 +224,32 @@ class TestCsvReport:
         lines = text.strip().splitlines()
         assert lines[0].startswith("measure,property,holds")
         assert len(lines) == 1 + 8
+
+
+class TestSharedScorer:
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
+    def test_matrix_matches_per_call_reference(self, n):
+        got = property_matrix(n)
+        want = reference_property_matrix(n)
+        assert properties_csv(got).splitlines() == properties_csv(want).splitlines()
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g == w  # counterexample scores too
+
+    def test_one_kit_per_table_of_the_grid(self, monkeypatch):
+        built = []
+        real = measures.prob_kit
+
+        def counting(counts):
+            built.append(counts)
+            return real(counts)
+
+        monkeypatch.setattr(measures, "prob_kit", counting)
+        n = 10
+        property_matrix(n)
+        assert len(built) == len(set(built)) <= (n + 1) ** 2 - 1
+
+    def test_n_below_two_rejected(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ValueError):
+                property_matrix(n)

@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from patclass.rankcmp import (RankCmpError, RankingPair, kendall_tau, rbo,
-                              rbo_raw, rbo_prefix_monotonicity_check)
+from patclass.rankcmp import RankCmpError, kendall_tau, rbo
 
-from oracles import naive_kendall_tau, naive_rbo
+from oracles import (RankingPair, naive_kendall_tau, naive_rbo,
+                     rbo_prefix_monotonicity_check, rbo_raw)
 
 
 class TestRankingPair:
