@@ -14,9 +14,10 @@ import json
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
 import click
 
@@ -55,6 +56,18 @@ class RunConfig:
     out: str = "out"
 
     def validate(self) -> None:
+        for key, low in (("k_folds", 2), ("property_n", 2), ("n_permutations", 1)):
+            value = getattr(self, key)
+            if value is None or value < low:
+                raise ConfigError(f"{key} must be >= {low}")
+        hints = get_type_hints(RunConfig)
+        for f in fields(self):
+            if (getattr(self, f.name) is None
+                    and type(None) not in get_args(hints[f.name])):
+                raise ConfigError(f"{f.name} must not be none or empty")
+        for key in ("measures", "s_grid"):
+            if not getattr(self, key):
+                raise ConfigError(f"{key} must not be empty")
         if self.format not in ("spmf", "tudataset"):
             raise ConfigError(f"unknown format {self.format!r}")
         if not (0.0 <= self.threshold_pct <= 100.0):
@@ -64,12 +77,8 @@ class RunConfig:
                 raise ConfigError("s_grid percentages must be in (0, 100]")
         if not (0.0 < self.rbo_p < 1.0):
             raise ConfigError("rbo_p must be in (0, 1)")
-        if self.k_folds < 2:
-            raise ConfigError("k_folds must be >= 2")
         if self.c <= 0:
             raise ConfigError("c must be positive")
-        if self.property_n is None or self.property_n < 2:
-            raise ConfigError("property_n must be >= 2")
         unknown = set(self.measures) - set(measures.MEASURE_NAMES)
         if unknown:
             raise ConfigError(f"unknown measures: {sorted(unknown)}")
@@ -109,48 +118,40 @@ def _parse_count_or_pct(raw: str, key: str) -> tuple[str, float]:
         if value < 0 or value != int(value):
             raise ValueError
         return "count", value
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"{key} must be a non-negative integer or 'N%', got {raw!r}"
                           ) from None
 
 
-_LIST_KEYS = {"dataset", "measures", "s_grid"}
-_INT_KEYS = {"max_patterns", "k_folds", "seed", "n_permutations", "exact_limit",
-             "property_n"}
-_FLOAT_KEYS = {"threshold_pct", "c", "rbo_p"}
-_BOOL_KEYS = {"balance"}
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number"}
 
 
 def _coerce(key: str, raw: str):
+    """Parse one value by the type RunConfig declares for `key`. Tuples are
+    comma lists; `none` or an empty value is None, which validate() accepts
+    for the Optional fields only."""
+    hint = get_type_hints(RunConfig)[key]
     raw = raw.strip()
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"{key} must be a boolean, got {raw!r}")
-    if key in _INT_KEYS or key == "max_edges":
-        if raw.lower() in ("", "none"):
-            return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {raw!r}") from None
-    if key in _LIST_KEYS:
+    if get_origin(hint) is tuple:
         items = [x.strip() for x in raw.split(",") if x.strip()]
-        if key == "s_grid":
-            return tuple(float(x) for x in items)
         if key == "measures" and items == ["all"]:
             return measures.MEASURE_NAMES
-        return tuple(items)
-    if key in ("labels", "tu_name"):
-        return raw or None
-    return raw
+        return tuple(_scalar(key, get_args(hint)[0], x) for x in items)
+    if raw.lower() in ("", "none"):
+        return None
+    return _scalar(key, (get_args(hint) or (hint,))[0], raw)
+
+
+def _scalar(key: str, kind: type, raw: str):
+    try:
+        value = _BOOLS[raw.lower()] if kind is bool else kind(raw)
+        if kind is not float or math.isfinite(value):
+            return value
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError(f"{key} must be {_KINDS[kind]}, got {raw!r}")
 
 
 def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
@@ -199,17 +200,6 @@ def _write(out_dir: Path, name: str, text: str) -> None:
     (out_dir / name).write_text(text)
 
 
-@dataclass
-class _Stage:
-    """Labels pipeline stages so failures report the stage and cause."""
-
-    name: str = ""
-
-    def __call__(self, name: str):
-        self.name = name
-        return self
-
-
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage!r} failed: {cause}")
@@ -217,20 +207,38 @@ class StageError(RuntimeError):
         self.cause = cause
 
 
-def _mine_and_cluster(cfg: RunConfig, ds: graphdata.GraphDataset, stage: _Stage):
-    stage("mine")
-    min_sup = cfg.resolve_min_support(len(ds))
-    pattern_set = miner.mine_frequent(ds, min_support=min_sup,
-                                      max_patterns=cfg.max_patterns,
-                                      max_edges=cfg.max_edges)
-    if len(pattern_set) == 0:
-        raise RuntimeError("no frequent patterns at this support threshold")
-    stage("footprints")
-    matrix = footprints.build_matrix(pattern_set, ds)
-    stage("cluster")
-    clustering = clusterer.FootprintClustering.build(matrix)
-    cut = clustering.cut(cfg.threshold_pct / 100.0)
-    return min_sup, pattern_set, matrix, clustering, cut
+@contextmanager
+def _stage(name: str, seconds: Optional[dict] = None):
+    """Name a step so a failure reports the step and its cause (a
+    ConfigError passes through); with `seconds`, record its wall time too."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise StageError(name, exc) from exc
+    if seconds is not None:
+        seconds[f"{name}_s"] = time.perf_counter() - t0
+
+
+def _mine_and_cluster(cfg: RunConfig, path: str, seconds: Optional[dict] = None,
+                      load: str = "load"):
+    with _stage(load, seconds):
+        ds = _load_dataset(cfg, path)
+    with _stage("mine", seconds):
+        min_sup = cfg.resolve_min_support(len(ds))
+        pattern_set = miner.mine_frequent(ds, min_support=min_sup,
+                                          max_patterns=cfg.max_patterns,
+                                          max_edges=cfg.max_edges)
+        if len(pattern_set) == 0:
+            raise RuntimeError("no frequent patterns at this support threshold")
+    with _stage("footprints", seconds):
+        matrix = footprints.build_matrix(pattern_set, ds)
+    with _stage("cluster", seconds):
+        clustering = clusterer.FootprintClustering.build(matrix)
+        cut = clustering.cut(cfg.threshold_pct / 100.0)
+    return ds, pattern_set, matrix, clustering, cut
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -238,18 +246,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if not cfg.dataset:
         raise ConfigError("a dataset path is required")
     out_dir = Path(cfg.out)
-    stage = _Stage()
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
-    try:
-        stage("load")
-        ds = _load_dataset(cfg, cfg.dataset[0])
-        t0 = time.perf_counter()
-        min_sup, pattern_set, matrix, clustering, cut = \
-            _mine_and_cluster(cfg, ds, stage)
-        timings["mine_cluster_s"] = time.perf_counter() - t0
-
-        stage("export")
+    ds, pattern_set, matrix, clustering, cut = \
+        _mine_and_cluster(cfg, cfg.dataset[0], timings)
+    reps = list(cut.representatives)
+    with _stage("export", timings):
         pat_text, sup_text = miner.export_patterns(pattern_set)
         _write(out_dir, "patterns.spmf", pat_text)
         _write(out_dir, "pattern_supports.txt", sup_text)
@@ -258,17 +260,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
         _write(out_dir, "clusters.csv", clusterer.clusters_csv(cut))
         _write(out_dir, "dendrogram.csv",
                clusterer.dendrogram_csv(clustering.dendrogram))
-
-        stage("rank")
-        t0 = time.perf_counter()
-        reps = list(cut.representatives)
+    with _stage("rank", timings):
         _write(out_dir, "scores.csv",
                measures.scores_csv(matrix, reps, cfg.measures))
         rankings = {m: measures.rank(m, matrix, reps) for m in cfg.measures}
-        timings["rank_s"] = time.perf_counter() - t0
-
-        stage("classify")
-        t0 = time.perf_counter()
+    with _stage("classify", timings):
         s = cfg.resolve_s(len(reps))
         lines = ["measure,s,precision,recall,f1"]
         summary_measures = {}
@@ -286,25 +282,19 @@ def run_pipeline(cfg: RunConfig) -> dict:
             summary_measures[m] = {"s_used": s, "precision": report.precision,
                                    "recall": report.recall, "f1": report.f1}
         _write(out_dir, "pipeline_f1.csv", "\n".join(lines) + "\n")
-        timings["classify_s"] = time.perf_counter() - t0
-    except (ConfigError, click.ClickException):
-        raise
-    except Exception as exc:
-        raise StageError(stage.name, exc) from exc
-
     timings["total_s"] = time.perf_counter() - t_start
     summary = {
         "dataset": cfg.dataset[0],
         "n_graphs": len(ds),
         "n_pos": ds.n_pos,
         "n_neg": ds.n_neg,
-        "min_support": min_sup,
+        "min_support": cfg.resolve_min_support(len(ds)),
         "n_patterns": len(pattern_set),
         "truncated": pattern_set.truncated,
-        "n_representatives": len(cut.representatives),
+        "n_representatives": len(reps),
         "threshold_pct": cfg.threshold_pct,
         "abs_threshold": cut.threshold,
-        "s": cfg.resolve_s(len(cut.representatives)),
+        "s": s,
         "measures": summary_measures,
         "timings": timings,
     }
@@ -320,12 +310,8 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
             raise ConfigError("thresholds are percentages in [0, 100]")
     if not cfg.dataset:
         raise ConfigError("a dataset path is required")
-    stage = _Stage()
-    try:
-        stage("load")
-        ds = _load_dataset(cfg, cfg.dataset[0])
-        _min_sup, _ps, matrix, clustering, _cut = _mine_and_cluster(cfg, ds, stage)
-        stage("sweep")
+    _ds, _ps, matrix, clustering, _cut = _mine_and_cluster(cfg, cfg.dataset[0])
+    with _stage("sweep"):
         lines = ["threshold_pct,abs_threshold,n_representatives,f1"]
         for pct in thresholds:
             cut = clustering.cut(pct / 100.0)
@@ -334,10 +320,6 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
             report = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
                                              seed=cfg.seed)
             lines.append(f"{pct!r},{cut.threshold},{len(reps)},{report.f1!r}")
-    except (ConfigError, click.ClickException):
-        raise
-    except Exception as exc:
-        raise StageError(stage.name, exc) from exc
     text = "\n".join(lines) + "\n"
     _write(Path(cfg.out), "cluster_sweep.csv", text)
     return text
@@ -346,17 +328,13 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
 def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
     if not cfg.dataset:
         raise ConfigError("at least one dataset path is required")
-    stage = _Stage()
     out_dir = Path(cfg.out)
     rankings: dict[str, dict[str, measures.Ranking]] = {}
-    try:
-        for path in cfg.dataset:
-            stage(f"load {path}")
-            ds = _load_dataset(cfg, path)
-            _min_sup, _ps, matrix, _clustering, cut = \
-                _mine_and_cluster(cfg, ds, stage)
+    for path in cfg.dataset:
+        _ds, _ps, matrix, _clustering, cut = \
+            _mine_and_cluster(cfg, path, load=f"load {path}")
+        with _stage(f"rank {path}"):
             reps = list(cut.representatives)
-            stage(f"rank {path}")
             per = {m: measures.rank(m, matrix, reps) for m in cfg.measures}
             name = Path(path).stem
             rankings[name] = per
@@ -367,7 +345,7 @@ def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
                     tau = rankcmp.kendall_tau(per[m1], per[m2])
                     lines.append(f"{m1},{m2},{name},{tau!r}")
             _write(out_dir, f"tau_{name}.csv", "\n".join(lines) + "\n")
-        stage("blocks")
+    with _stage("blocks"):
         blocks = props.equivalence_blocks(rankings)
         _write(out_dir, "min_tau.csv", props.min_tau_csv(blocks))
         block_lines = ["block_id,measure"]
@@ -375,30 +353,22 @@ def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
             for m in block:
                 block_lines.append(f"{bid},{m}")
         _write(out_dir, "blocks.csv", "\n".join(block_lines) + "\n")
-    except (ConfigError, click.ClickException):
-        raise
-    except Exception as exc:
-        raise StageError(stage.name, exc) from exc
     return blocks
 
 
 def run_gold(cfg: RunConfig) -> dict:
     if not cfg.dataset:
         raise ConfigError("a dataset path is required")
-    stage = _Stage()
     out_dir = Path(cfg.out)
-    try:
-        stage("load")
-        ds = _load_dataset(cfg, cfg.dataset[0])
-        _min_sup, _ps, matrix, _clustering, cut = _mine_and_cluster(cfg, ds, stage)
-        reps = list(cut.representatives)
-        stage("gold standard")
+    _ds, _ps, matrix, _clustering, cut = _mine_and_cluster(cfg, cfg.dataset[0])
+    reps = list(cut.representatives)
+    with _stage("gold standard"):
         gold = shapley.gold_standard(matrix, reps, k=cfg.k_folds, c=cfg.c,
                                      seed=cfg.seed,
                                      n_permutations=cfg.n_permutations,
                                      exact_limit=cfg.exact_limit)
         _write(out_dir, "gold.csv", shapley.shapley_csv(gold))
-        stage("sweep")
+    with _stage("sweep"):
         rankings = {m: measures.rank(m, matrix, reps) for m in cfg.measures}
         rbo_lines = ["measure,s_pct,s,rbo_vs_gold"]
         f1_lines = ["measure,s_pct,s,f1"]
@@ -417,10 +387,6 @@ def run_gold(cfg: RunConfig) -> dict:
         _write(out_dir, "gold_rbo.csv", "\n".join(rbo_lines) + "\n")
         _write(out_dir, "gold_f1.csv", "\n".join(f1_lines) + "\n")
         _write(out_dir, "gold_curve.csv", "\n".join(gold_lines) + "\n")
-    except (ConfigError, click.ClickException):
-        raise
-    except Exception as exc:
-        raise StageError(stage.name, exc) from exc
     return {"method": gold.method, "n_representatives": len(reps)}
 
 
@@ -471,7 +437,6 @@ def _build_config(config, overrides, dataset, out) -> RunConfig:
             cfg.dataset = tuple(dataset)
         if out is not None:
             cfg.out = out
-        cfg.validate()
         return cfg
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
@@ -482,10 +447,7 @@ def _run(action, *args):
         return action(*args)
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc
-    except StageError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    except Exception as exc:  # runtime failures exit 1
+    except Exception as exc:  # runtime failures, StageError included, exit 1
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
 

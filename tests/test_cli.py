@@ -1,12 +1,14 @@
 import json
 import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from patclass.cli import (ConfigError, RunConfig, load_config, main,
-                          run_gold, run_pairwise_tau, run_pipeline)
+from patclass.cli import (ConfigError, RunConfig, StageError, _stage,
+                          load_config, main, run_gold, run_pairwise_tau,
+                          run_pipeline)
 
 
 def spmf_fixture(seed=0, n=16):
@@ -79,13 +81,51 @@ class TestConfig:
         cfg.s = "20%"
         assert cfg.resolve_s(10) == 2
 
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_default_written_as_text_round_trips(self, field):
+        default = field.default
+        if isinstance(default, tuple):
+            text = ",".join(str(x) for x in default)
+        else:
+            text = "none" if default is None else str(default)
+        value = getattr(load_config(None, [f"{field.name}={text}"]), field.name)
+        assert value == default and type(value) is type(default)
+
+    @pytest.mark.parametrize("key", ["max_patterns", "max_edges", "labels",
+                                     "tu_name"])
+    @pytest.mark.parametrize("text", ["none", "None", ""])
+    def test_optional_keys_take_none(self, key, text):
+        assert getattr(load_config(None, [f"{key}={text}"]), key) is None
+
     def test_invalid_values(self):
         for key, value in [("s", "0"), ("min_support", "0"),
-                           ("rbo_p", 1.5), ("threshold_pct", 120.0)]:
+                           ("rbo_p", 1.5), ("threshold_pct", 120.0),
+                           ("exact_limit", None), ("seed", None)]:
             cfg = RunConfig()
             setattr(cfg, key, value)
             with pytest.raises(ConfigError):
                 cfg.validate()
+
+
+class TestStage:
+    def test_wraps_runtime_errors_with_the_stage_name(self):
+        with pytest.raises(StageError, match="stage 'load' failed: boom"):
+            with _stage("load"):
+                raise OSError("boom")
+
+    def test_config_errors_pass_through(self):
+        with pytest.raises(ConfigError):
+            with _stage("classify"):
+                raise ConfigError("bad s")
+
+    def test_records_seconds_on_success_only(self):
+        seconds = {}
+        with _stage("rank", seconds):
+            pass
+        with pytest.raises(StageError):
+            with _stage("classify", seconds):
+                raise ValueError("x")
+        assert list(seconds) == ["rank_s"] and seconds["rank_s"] >= 0
 
 
 class TestPipeline:
@@ -103,6 +143,16 @@ class TestPipeline:
             "n_patterns", "truncated", "n_representatives", "threshold_pct",
             "abs_threshold", "s", "measures", "timings"}
         assert summary["n_graphs"] == 16
+
+    def test_summary_timings_are_per_stage(self, dataset_file, tmp_path):
+        cfg = base_config(dataset_file, tmp_path)
+        run_pipeline(cfg)
+        timings = json.loads((Path(cfg.out) / "summary.json").read_text())["timings"]
+        stages = {"load_s", "mine_s", "footprints_s", "cluster_s", "export_s",
+                  "rank_s", "classify_s"}
+        assert set(timings) == stages | {"total_s"}
+        assert all(t >= 0 for t in timings.values())
+        assert sum(timings[k] for k in stages) <= timings["total_s"]
 
     def test_threshold0_reps_equal_distinct_footprints(self, dataset_file, tmp_path):
         from patclass import footprints, graphdata, miner
@@ -179,6 +229,33 @@ class TestCliCommands:
             "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "stage 'load'" in result.output
+
+    @pytest.mark.parametrize("setting", [
+        "k_folds=none", "exact_limit=none", "seed=none", "s_grid=a,b",
+        "n_permutations=0", "seed=", "balance=maybe", "c=nan", "out=",
+        "measures=", "format=none", "min_support=none", "k_folds=2.5",
+        "min_support=inf", "s=inf"])
+    def test_bad_value_exits_two_naming_the_key(self, dataset_file, tmp_path,
+                                                setting):
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            "gold", "--dataset", str(dataset_file),
+            "--out", str(tmp_path / "out"), "--set", "max_edges=2",
+            "--set", setting])
+        assert result.exit_code == 2, result.output
+        assert setting.partition("=")[0] in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["pipeline", "cluster-sweep", "gold",
+                                         "pairwise-tau"])
+    def test_no_frequent_pattern_exits_one_naming_mine(self, dataset_file,
+                                                       tmp_path, command):
+        runner = CliRunner()
+        result = runner.invoke(main, [
+            command, "--dataset", str(dataset_file),
+            "--out", str(tmp_path / "out"), "--set", "min_support=17"])
+        assert result.exit_code == 1, result.output
+        assert "stage 'mine' failed" in result.output
 
     def test_cluster_sweep_monotone(self, dataset_file, tmp_path):
         runner = CliRunner()
