@@ -60,9 +60,12 @@ class RunConfig:
             value = getattr(self, key)
             if value is None or value < low:
                 raise ConfigError(f"{key} must be >= {low}")
+        for key in ("max_patterns", "max_edges"):
+            if getattr(self, key) is not None and getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1 or none")
         hints = get_type_hints(RunConfig)
         for f in fields(self):
-            if (getattr(self, f.name) is None
+            if (getattr(self, f.name) in (None, "")
                     and type(None) not in get_args(hints[f.name])):
                 raise ConfigError(f"{f.name} must not be none or empty")
         for key in ("measures", "s_grid"):
@@ -268,15 +271,20 @@ def run_pipeline(cfg: RunConfig) -> dict:
         s = cfg.resolve_s(len(reps))
         lines = ["measure,s,precision,recall,f1"]
         summary_measures = {}
+        # measures that pick the same set share its report and model
+        evaluated: dict[frozenset[int], tuple] = {}
         for m in cfg.measures:
-            top = list(rankings[m].top(s))
-            view = classify.FeatureView.from_matrix(matrix, top)
-            report = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
-                                             seed=cfg.seed)
-            _write(out_dir, f"eval_{m}.csv", classify.eval_csv(report))
-            model = classify.train(view, c=cfg.c, seed=cfg.seed)
-            _write(out_dir, f"model_{m}.csv",
-                   classify.model_csv(model, sorted(top)))
+            top = frozenset(rankings[m].top(s))
+            if top not in evaluated:
+                view = classify.FeatureView.from_matrix(matrix, top)
+                report = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
+                                                 seed=cfg.seed)
+                model = classify.train(view, c=cfg.c, seed=cfg.seed)
+                evaluated[top] = (report, classify.eval_csv(report),
+                                  classify.model_csv(model, sorted(top)))
+            report, eval_text, model_text = evaluated[top]
+            _write(out_dir, f"eval_{m}.csv", eval_text)
+            _write(out_dir, f"model_{m}.csv", model_text)
             lines.append(f"{m},{s},{report.precision!r},{report.recall!r},"
                          f"{report.f1!r}")
             summary_measures[m] = {"s_used": s, "precision": report.precision,
@@ -312,14 +320,13 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
         raise ConfigError("a dataset path is required")
     _ds, _ps, matrix, clustering, _cut = _mine_and_cluster(cfg, cfg.dataset[0])
     with _stage("sweep"):
+        f1 = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
+                                                seed=cfg.seed)
         lines = ["threshold_pct,abs_threshold,n_representatives,f1"]
         for pct in thresholds:
             cut = clustering.cut(pct / 100.0)
-            reps = list(cut.representatives)
-            view = classify.FeatureView.from_matrix(matrix, reps)
-            report = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
-                                             seed=cfg.seed)
-            lines.append(f"{pct!r},{cut.threshold},{len(reps)},{report.f1!r}")
+            reps = cut.representatives
+            lines.append(f"{pct!r},{cut.threshold},{len(reps)},{f1(reps)!r}")
     text = "\n".join(lines) + "\n"
     _write(Path(cfg.out), "cluster_sweep.csv", text)
     return text
@@ -328,6 +335,9 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
 def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
     if not cfg.dataset:
         raise ConfigError("at least one dataset path is required")
+    if len({Path(path).stem for path in cfg.dataset}) < len(cfg.dataset):
+        raise ConfigError("dataset file stems must differ: they key the "
+                          "rankings and name the tau_<stem>.csv files")
     out_dir = Path(cfg.out)
     rankings: dict[str, dict[str, measures.Ranking]] = {}
     for path in cfg.dataset:
@@ -433,10 +443,12 @@ def _common(fn):
 def _build_config(config, overrides, dataset, out) -> RunConfig:
     try:
         cfg = load_config(config, overrides)
+        # the flags win over --set; a bad value in either exits 2
         if dataset:
             cfg.dataset = tuple(dataset)
         if out is not None:
             cfg.out = out
+        cfg.validate()
         return cfg
     except ConfigError as exc:
         raise click.UsageError(str(exc)) from exc

@@ -231,12 +231,6 @@ class EquivalenceBlocks:
     measures: tuple[str, ...]
     min_tau: dict[tuple[str, str], float]
 
-    def block_of(self, measure: str) -> tuple[str, ...]:
-        for blk in self.blocks:
-            if measure in blk:
-                return blk
-        raise KeyError(measure)
-
 
 def equivalence_blocks(rankings: dict[str, dict[str, Ranking]]) -> EquivalenceBlocks:
     """rankings: dataset name -> measure name -> Ranking over that dataset's

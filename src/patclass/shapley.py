@@ -44,10 +44,6 @@ class CachedCharacteristic:
             self._cache[key] = float(self._fn(key))
         return self._cache[key]
 
-    @property
-    def evaluations(self) -> int:
-        return len(self._cache) - 1
-
 
 def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
                                c: float = 1.0, seed: int = 0,
@@ -70,7 +66,8 @@ def exact_shapley(pattern_ids: Sequence[int],
     """Exact Shapley values by full coalition enumeration.
 
     SV(p) = sum over coalitions S not containing p of
-            |S|! (k - |S| - 1)! / k! * (f(S + p) - f(S)).
+            |S|! (k - |S| - 1)! / k! * (f(S + p) - f(S)),
+    with f called once per coalition, 2^k calls in all.
     """
     ids = list(pattern_ids)
     k = len(ids)
@@ -82,36 +79,41 @@ def exact_shapley(pattern_ids: Sequence[int],
             "use sampled_shapley")
     fact = [math.factorial(i) for i in range(k + 1)]
     values: dict[int, float] = {pid: 0.0 for pid in ids}
-    cache: dict[int, float] = {}
-
-    def f_mask(mask: int) -> float:
-        if mask not in cache:
-            subset = frozenset(ids[i] for i in range(k) if mask >> i & 1)
-            cache[mask] = float(f(subset))
-        return cache[mask]
-
+    worth = [float(f(frozenset(ids[i] for i in range(k) if mask >> i & 1)))
+             for mask in range(1 << k)]
     for mask in range(1 << k):
         size = mask.bit_count()
-        base = f_mask(mask)
+        base = worth[mask]
         for i in range(k):
             if mask >> i & 1:
                 continue
             weight = fact[size] * fact[k - size - 1] / fact[k]
-            values[ids[i]] += weight * (f_mask(mask | (1 << i)) - base)
+            values[ids[i]] += weight * (worth[mask | (1 << i)] - base)
     return values
 
 
 @dataclass(frozen=True)
-class SampledValues:
+class GoldStandard:
+    """Pattern ranking by decreasing Shapley value (ties by ascending id)."""
+
     values: dict[int, float]
-    std_error: dict[int, float]
-    n_permutations: int
-    seed: int
+    std_error: Optional[dict[int, float]]
+    ranking: Ranking
+    method: str  # "exact" | "sampled(n_permutations=..., seed=...)"
+    # the f the values were computed from; gold_standard's keeps its cache, so
+    # reading a coalition the Shapley run already evaluated costs no CV
+    characteristic: Callable[[frozenset[int]], float] = field(compare=False,
+                                                               repr=False)
+
+
+def _ranking_from_values(values: dict[int, float]) -> Ranking:
+    order = sorted(values, key=lambda pid: (-values[pid], pid))
+    return Ranking(tuple(order), tuple(values[pid] for pid in order))
 
 
 def sampled_shapley(pattern_ids: Sequence[int],
                     f: Callable[[frozenset[int]], float],
-                    n_permutations: int, seed: int) -> SampledValues:
+                    n_permutations: int, seed: int) -> GoldStandard:
     """Monte-Carlo Shapley: mean marginal contribution over seeded uniform
     random permutations, with per-player sample standard errors."""
     ids = list(pattern_ids)
@@ -142,26 +144,11 @@ def sampled_shapley(pattern_ids: Sequence[int],
             std_error[pid] = math.sqrt(max(0.0, var) / n_permutations)
         else:
             std_error[pid] = float("inf")
-    return SampledValues(values=values, std_error=std_error,
-                         n_permutations=n_permutations, seed=seed)
-
-
-@dataclass(frozen=True)
-class GoldStandard:
-    """Pattern ranking by decreasing Shapley value (ties by ascending id)."""
-
-    values: dict[int, float]
-    std_error: Optional[dict[int, float]]
-    ranking: Ranking
-    method: str  # "exact" | "sampled(n_permutations=..., seed=...)"
-    # the f the values were computed from; it keeps its cache, so reading a
-    # coalition the Shapley run already evaluated costs no cross-validation
-    characteristic: CachedCharacteristic = field(compare=False, repr=False)
-
-
-def _ranking_from_values(values: dict[int, float]) -> Ranking:
-    order = sorted(values, key=lambda pid: (-values[pid], pid))
-    return Ranking(tuple(order), tuple(values[pid] for pid in order))
+    return GoldStandard(
+        values=values, std_error=std_error,
+        ranking=_ranking_from_values(values),
+        method=f"sampled(n_permutations={n_permutations}, seed={seed})",
+        characteristic=f)
 
 
 def gold_standard(matrix: FootprintMatrix, pattern_ids: Sequence[int],
@@ -174,15 +161,11 @@ def gold_standard(matrix: FootprintMatrix, pattern_ids: Sequence[int],
     """
     ids = list(pattern_ids)
     f = performance_characteristic(matrix, k=k, c=c, seed=seed)
-    if len(ids) <= exact_limit:
-        values = exact_shapley(ids, f, exact_limit=exact_limit)
-        return GoldStandard(values=values, std_error=None,
-                            ranking=_ranking_from_values(values), method="exact",
-                            characteristic=f)
-    sampled = sampled_shapley(ids, f, n_permutations=n_permutations, seed=seed)
-    return GoldStandard(values=sampled.values, std_error=sampled.std_error,
-                        ranking=_ranking_from_values(sampled.values),
-                        method=f"sampled(n_permutations={n_permutations}, seed={seed})",
+    if len(ids) > exact_limit:
+        return sampled_shapley(ids, f, n_permutations=n_permutations, seed=seed)
+    values = exact_shapley(ids, f, exact_limit=exact_limit)
+    return GoldStandard(values=values, std_error=None,
+                        ranking=_ranking_from_values(values), method="exact",
                         characteristic=f)
 
 

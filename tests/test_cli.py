@@ -100,7 +100,8 @@ class TestConfig:
     def test_invalid_values(self):
         for key, value in [("s", "0"), ("min_support", "0"),
                            ("rbo_p", 1.5), ("threshold_pct", 120.0),
-                           ("exact_limit", None), ("seed", None)]:
+                           ("exact_limit", None), ("seed", None),
+                           ("out", ""), ("max_edges", 0)]:
             cfg = RunConfig()
             setattr(cfg, key, value)
             with pytest.raises(ConfigError):
@@ -234,7 +235,7 @@ class TestCliCommands:
         "k_folds=none", "exact_limit=none", "seed=none", "s_grid=a,b",
         "n_permutations=0", "seed=", "balance=maybe", "c=nan", "out=",
         "measures=", "format=none", "min_support=none", "k_folds=2.5",
-        "min_support=inf", "s=inf"])
+        "min_support=inf", "s=inf", "max_edges=-1", "max_patterns=0"])
     def test_bad_value_exits_two_naming_the_key(self, dataset_file, tmp_path,
                                                 setting):
         runner = CliRunner()
@@ -245,6 +246,16 @@ class TestCliCommands:
         assert result.exit_code == 2, result.output
         assert setting.partition("=")[0] in result.output
         assert not (tmp_path / "out").exists()
+
+    def test_empty_out_flag_exits_two_writing_nothing(self, tmp_path,
+                                                      monkeypatch):
+        # --out is applied before validation, like --set out=
+        monkeypatch.chdir(tmp_path)
+        result = CliRunner().invoke(main, ["properties", "--out", "",
+                                           "--set", "property_n=2"])
+        assert result.exit_code == 2, result.output
+        assert "out must not be none or empty" in result.output
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["pipeline", "cluster-sweep", "gold",
                                          "pairwise-tau"])
@@ -345,6 +356,19 @@ class TestPairwiseTau:
         for (m1, m2), t in blocks.min_tau.items():
             assert blocks.min_tau[(m1, m2)] == t  # stored once per sorted pair
 
+    def test_datasets_with_one_file_stem_exit_two(self, tmp_path):
+        # both would be keyed "x", so one dataset's rankings would be dropped
+        args = ["pairwise-tau", "--out", str(tmp_path / "out"),
+                "--set", "max_edges=2"]
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.spmf").write_text(spmf_fixture(seed=1, n=12))
+            args += ["--dataset", str(tmp_path / sub / "x.spmf")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "stems must differ" in result.output
+        assert not (tmp_path / "out").exists()
+
 
 class TestGoldCommand:
     def test_gold_small_exact(self, tmp_path):
@@ -371,22 +395,33 @@ class TestGoldCommand:
         gold_full = [r.split(",")[2] for r in curve if r.split(",")[0] == "100.0"]
         assert gold_full[0] in set(full.values())
 
-    @pytest.mark.parametrize("exact_limit", [12, 2])
+    @pytest.mark.parametrize("command, exact_limit", [
+        pytest.param("gold", 12, id="12"), pytest.param("gold", 2, id="2"),
+        pytest.param("pipeline", None, id="pipeline"),
+        pytest.param("cluster-sweep", None, id="cluster-sweep")])
     def test_no_pattern_set_cross_validated_twice(self, tmp_path, monkeypatch,
-                                                  exact_limit):
-        # the s_grid sweep reads F1 through the gold standard's cached
+                                                  command, exact_limit):
+        # gold: the s_grid sweep reads F1 through the gold standard's cached
         # characteristic; at s = 1% and 2% the top set is the same single
-        # pattern, and in exact mode every swept set is a coalition already
+        # pattern, and in exact mode every swept set is a coalition already.
+        # pipeline: at s = 100% every measure picks the same set.
+        # cluster-sweep: the repeated threshold repeats a cut.
         from patclass import classify, shapley
-        seen = []
-        real = classify.cross_validate
+        from patclass.cli import run_cluster_sweep
+        seen, trained = [], []
+        real_cv, real_train = classify.cross_validate, classify.train
 
         def counting(view, **kw):
             seen.append(view.x.T.tobytes())
-            return real(view, **kw)
+            return real_cv(view, **kw)
+
+        def counting_train(view, **kw):
+            trained.append(view.x.T.tobytes())
+            return real_train(view, **kw)
 
         monkeypatch.setattr(classify, "cross_validate", counting)
         monkeypatch.setattr(shapley, "cross_validate", counting)
+        monkeypatch.setattr(classify, "train", counting_train)
         p = tmp_path / "toy.spmf"
         p.write_text(spmf_fixture(seed=3, n=12))
         cfg = RunConfig()
@@ -394,16 +429,24 @@ class TestGoldCommand:
         cfg.out = str(tmp_path / "out")
         cfg.max_edges = 2
         cfg.threshold_pct = 40.0
-        cfg.measures = ("Sup", "GR")
+        cfg.measures = ("Sup", "GR", "AbsSupDif", "WRACC")
         cfg.k_folds = 3
         cfg.s_grid = (1.0, 2.0, 50.0, 100.0)
-        cfg.exact_limit = exact_limit
+        cfg.exact_limit = exact_limit or cfg.exact_limit
         cfg.n_permutations = 3
         cfg.validate()
-        info = run_gold(cfg)
-        assert info["method"].startswith("exact" if exact_limit == 12 else "sampled")
+        if command == "gold":
+            info = run_gold(cfg)
+            assert info["method"].startswith(
+                "exact" if exact_limit == 12 else "sampled")
+        elif command == "pipeline":
+            run_pipeline(cfg)
+            assert len(trained) == 1
+        else:
+            run_cluster_sweep(cfg, [0.0, 40.0, 40.0, 100.0])
         n_cvs, n_sets = len(seen), len(set(seen))
         assert n_cvs and n_cvs == n_sets
+        assert len(trained) == len(set(trained))
 
     def test_gold_vs_itself_rbo_one(self, tmp_path):
         # the gold ranking compared with itself scores 1 at every depth

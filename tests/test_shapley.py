@@ -70,6 +70,19 @@ class TestExact:
         assert sum(values.values()) == pytest.approx(
             table[frozenset(ids)] - table[frozenset()], abs=1e-9)
 
+    def test_plain_f_called_once_per_coalition(self):
+        rng = random.Random(6)
+        ids = [2, 5, 8, 11, 13]
+        table = random_game(rng, ids)
+        calls = []
+
+        def f(subset):
+            calls.append(subset)
+            return table[subset]
+
+        assert exact_shapley(ids, f) == exact_shapley(ids, table_game(table))
+        assert len(calls) == 2 ** len(ids) == len(set(calls))
+
     def test_limit_enforced(self):
         with pytest.raises(ShapleyError, match="sampled"):
             exact_shapley(list(range(16)), table_game({}))
