@@ -85,6 +85,9 @@ class RunConfig:
         unknown = set(self.measures) - set(measures.MEASURE_NAMES)
         if unknown:
             raise ConfigError(f"unknown measures: {sorted(unknown)}")
+        twice = sorted({m for m in self.measures if self.measures.count(m) > 1})
+        if twice:
+            raise ConfigError(f"measures must not name a measure twice: {twice}")
         kind, value = _parse_count_or_pct(self.min_support, "min_support")
         if kind == "count" and value < 1:
             raise ConfigError("min_support must be >= 1")
@@ -266,7 +269,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     with _stage("rank", timings):
         _write(out_dir, "scores.csv",
                measures.scores_csv(matrix, reps, cfg.measures))
-        rankings = {m: measures.rank(m, matrix, reps) for m in cfg.measures}
+        rankings = measures.rank_all(matrix, reps, cfg.measures)
     with _stage("classify", timings):
         s = cfg.resolve_s(len(reps))
         lines = ["measure,s,precision,recall,f1"]
@@ -345,7 +348,7 @@ def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
             _mine_and_cluster(cfg, path, load=f"load {path}")
         with _stage(f"rank {path}"):
             reps = list(cut.representatives)
-            per = {m: measures.rank(m, matrix, reps) for m in cfg.measures}
+            per = measures.rank_all(matrix, reps, cfg.measures)
             name = Path(path).stem
             rankings[name] = per
             lines = ["measure_a,measure_b,dataset,tau"]
@@ -379,7 +382,7 @@ def run_gold(cfg: RunConfig) -> dict:
                                      exact_limit=cfg.exact_limit)
         _write(out_dir, "gold.csv", shapley.shapley_csv(gold))
     with _stage("sweep"):
-        rankings = {m: measures.rank(m, matrix, reps) for m in cfg.measures}
+        rankings = measures.rank_all(matrix, reps, cfg.measures)
         rbo_lines = ["measure,s_pct,s,rbo_vs_gold"]
         f1_lines = ["measure,s_pct,s,f1"]
         gold_lines = ["s_pct,s,f1"]

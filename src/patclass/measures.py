@@ -14,13 +14,16 @@ converted to float once, so equal rational scores compare equal and ties are
 deterministic. Three measures score lower = more discriminative (FPR, Gini,
 Entropy); effective_score negates them so higher always means better.
 
-A call that scores many tables (rank, scores_csv, the property checks)
-shares one TableScorer, so it scores each distinct table once per measure,
-all measures from one probability kit per table.
+`scorer(measure, kit)` is a measure's raw score as a function of the table,
+memoized. A call that scores many tables (rank_all, scores_csv, the property
+matrix) passes every measure one `functools.cache(prob_kit)`, so it builds
+one probability kit per distinct table for all its measures, and scores each
+(measure, table) once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -418,60 +421,40 @@ def measure_table() -> list[MeasureInfo]:
     return [measure_info(n) for n in MEASURE_NAMES]
 
 
-class TableScorer:
-    """Scores contingency tables measure by measure, each (measure, table)
-    once.
+def scorer(measure: str, kit: Callable[[ContingencyCounts], ProbKit]
+           ) -> Callable[[ContingencyCounts], float]:
+    """The raw score of one measure as a function of the table, reading each
+    table's probabilities through `kit` (`prob_kit`, or a memo of it that
+    the caller shares across measures). It scores each table once for as
+    long as the caller keeps it."""
+    try:
+        fn = _REGISTRY[measure][0]
+    except KeyError:
+        raise MeasureError(f"unknown measure {measure!r}") from None
 
-    Holds one ProbKit per distinct contingency table and the raw scores of
-    the measure being scored, both filled on first use. Callers score
-    measure by measure, and no raw score serves two measures, so keeping
-    one measure's scores rescores nothing and bounds the memory to one
-    measure's tables; interleaving measures stays correct but rescores. Make one for a call that scores many tables (a
-    ranking, a score CSV, a property grid) and drop it with the call: it is
-    not a cache for the life of the process.
-    """
-
-    def __init__(self):
-        self._kits: dict[ContingencyCounts, ProbKit] = {}
-        self._measure: str | None = None
-        self._fn: Callable | None = None
-        self._scores: dict[ContingencyCounts, float] = {}
-
-    def raw(self, measure: str, counts: ContingencyCounts) -> float:
-        """Raw score of one measure on one contingency table (extended real)."""
-        if measure != self._measure:
-            try:
-                self._fn = _REGISTRY[measure][0]
-            except KeyError:
-                raise MeasureError(f"unknown measure {measure!r}") from None
-            self._measure, self._scores = measure, {}
-        out = self._scores.get(counts)
-        if out is None:
-            kit = self._kits.get(counts)
-            if kit is None:
-                kit = self._kits[counts] = prob_kit(counts)
-            out = float(self._fn(kit))
-            if math.isnan(out):
-                raise MeasureError(f"{measure} produced NaN on {counts}")
-            self._scores[counts] = out
+    def raw(counts: ContingencyCounts) -> float:
+        out = float(fn(kit(counts)))
+        if math.isnan(out):
+            raise MeasureError(f"{measure} produced NaN on {counts}")
         return out
+    return functools.cache(raw)
 
-    def effective(self, measure: str, counts: ContingencyCounts) -> float:
-        """Raw score, negated for reversed-scale measures, so higher = better."""
-        raw = self.raw(measure, counts)
-        if measure in REVERSED_MEASURES:
-            return 0.0 if raw == 0 else -raw
-        return raw
+
+def effective(measure: str, raw: float) -> float:
+    """A raw score, negated for reversed-scale measures, so higher = better."""
+    if measure in REVERSED_MEASURES:
+        return 0.0 if raw == 0 else -raw
+    return raw
 
 
 def score(measure: str, counts: ContingencyCounts) -> float:
     """Raw score of one measure on one contingency table (extended real)."""
-    return TableScorer().raw(measure, counts)
+    return scorer(measure, prob_kit)(counts)
 
 
 def effective_score(measure: str, counts: ContingencyCounts) -> float:
     """Raw score, negated for reversed-scale measures, so higher = better."""
-    return TableScorer().effective(measure, counts)
+    return effective(measure, scorer(measure, prob_kit)(counts))
 
 
 @dataclass(frozen=True)
@@ -493,26 +476,35 @@ class Ranking:
         return self.pattern_ids[:s]
 
 
-def _rank(scorer: TableScorer, measure: str, ids: Sequence[int],
-          counts_by_id: dict[int, ContingencyCounts]) -> Ranking:
-    effs = {pid: scorer.effective(measure, counts_by_id[pid]) for pid in ids}
-    order = sorted(ids, key=lambda pid: (-effs[pid], pid))
-    return Ranking(tuple(order), tuple(effs[pid] for pid in order))
+def _scored(matrix: FootprintMatrix, pattern_ids: Sequence[int],
+            measures: Sequence[str]):
+    """Per measure: (measure, raw score by pattern id, Ranking). Every
+    measure reads one kit memo, and each (measure, table) is scored once."""
+    ids = list(pattern_ids)
+    counts = {pid: contingency(matrix, pid) for pid in ids}
+    kit = functools.cache(prob_kit)
+    for m in measures:
+        raw = scorer(m, kit)
+        raws = {pid: raw(c) for pid, c in counts.items()}
+        effs = {pid: effective(m, r) for pid, r in raws.items()}
+        order = sorted(ids, key=lambda pid: (-effs[pid], pid))
+        yield m, raws, Ranking(tuple(order), tuple(effs[pid] for pid in order))
+
+
+def rank_all(matrix: FootprintMatrix, pattern_ids: Sequence[int],
+             measures: Sequence[str]) -> dict[str, Ranking]:
+    """Rank pattern ids by each measure's effective score descending, ties by
+    ascending id."""
+    ids = list(pattern_ids)
+    if not ids:
+        raise MeasureError("pattern_ids must be non-empty")
+    return {m: ranking for m, _, ranking in _scored(matrix, ids, measures)}
 
 
 def rank(measure: str, matrix: FootprintMatrix,
          pattern_ids: Sequence[int]) -> Ranking:
     """Rank pattern ids by effective score descending, ties by ascending id."""
-    ids = list(pattern_ids)
-    if not ids:
-        raise MeasureError("pattern_ids must be non-empty")
-    counts = {pid: contingency(matrix, pid) for pid in ids}
-    return _rank(TableScorer(), measure, ids, counts)
-
-
-def rank_from_counts(measure: str,
-                     counts_by_id: dict[int, ContingencyCounts]) -> Ranking:
-    return _rank(TableScorer(), measure, list(counts_by_id), counts_by_id)
+    return rank_all(matrix, pattern_ids, [measure])[measure]
 
 
 def _fmt(x: float) -> str:
@@ -526,16 +518,11 @@ def _fmt(x: float) -> str:
 def scores_csv(matrix: FootprintMatrix, pattern_ids: Sequence[int],
                measures: Sequence[str] | None = None) -> str:
     """`pattern_id, measure, raw_score, effective_score, rank` rows."""
-    measures = list(measures) if measures is not None else list(MEASURE_NAMES)
     lines = ["pattern_id,measure,raw_score,effective_score,rank"]
-    counts = {pid: contingency(matrix, pid) for pid in pattern_ids}
-    ids = list(counts)
-    scorer = TableScorer()
-    for m in measures:
-        ranking = _rank(scorer, m, ids, counts)
+    for m, raws, ranking in _scored(matrix, pattern_ids,
+                                    MEASURE_NAMES if measures is None else measures):
         pos = {pid: r for r, pid in enumerate(ranking.pattern_ids, start=1)}
         for pid in pattern_ids:
-            raw = scorer.raw(m, counts[pid])
-            eff = scorer.effective(m, counts[pid])
-            lines.append(f"{pid},{m},{_fmt(raw)},{_fmt(eff)},{pos[pid]}")
+            raw = raws[pid]
+            lines.append(f"{pid},{m},{_fmt(raw)},{_fmt(effective(m, raw))},{pos[pid]}")
     return "\n".join(lines) + "\n"

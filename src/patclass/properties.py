@@ -20,11 +20,13 @@ Quantifier domains:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import cache
+from typing import Callable, Optional, Sequence
 
+from . import measures as _measures  # prob_kit is looked up per call
 from .footprints import ContingencyCounts
-from .measures import (MEASURE_NAMES, Ranking, TableScorer, effective_score,
-                       measure_info, score)
+from .measures import (MEASURE_NAMES, Ranking, effective, effective_score,
+                       measure_info, score, scorer)
 from .rankcmp import RankCmpError, kendall_tau
 
 PROPERTIES = ("Contrastivity", "Jumpiness", "ClassSymmetry", "PatternSymmetry")
@@ -58,11 +60,14 @@ def _report(measure, prop, n, violation) -> PropertyReport:
     return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
 
 
-def _contrastivity(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
+Raw = Callable[[ContingencyCounts], float]  # a memoized `measures.scorer`
+
+
+def _contrastivity(raw: Raw, measure: str, n: int) -> PropertyReport:
     if n < 2:
         raise ValueError("n must be >= 2")
     for a in range(1, n):
-        effs = [scorer.effective(measure, ContingencyCounts(a, b, n, n))
+        effs = [effective(measure, raw(ContingencyCounts(a, b, n, n)))
                 for b in range(n + 1)]
         for b in range(n + 1):
             for b2 in range(b + 1, n + 1):
@@ -74,10 +79,10 @@ def _contrastivity(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     return _report(measure, "Contrastivity", n, None)
 
 
-def _jumpiness(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
+def _jumpiness(raw: Raw, measure: str, n: int) -> PropertyReport:
     if n < 2:
         raise ValueError("n must be >= 2")
-    effs = {a: scorer.effective(measure, ContingencyCounts(a, 0, n, n))
+    effs = {a: effective(measure, raw(ContingencyCounts(a, 0, n, n)))
             for a in range(1, n + 1)}
     for a2 in range(1, n + 1):
         for a in range(a2 + 1, n + 1):
@@ -89,13 +94,13 @@ def _jumpiness(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
     return _report(measure, "Jumpiness", n, None)
 
 
-def _class_symmetry(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
+def _class_symmetry(raw: Raw, measure: str, n: int) -> PropertyReport:
     for a in range(n + 1):
         for b in range(n + 1):
             if a + b == 0:
                 continue
-            s1 = scorer.raw(measure, ContingencyCounts(a, b, n, n))
-            s2 = scorer.raw(measure, ContingencyCounts(b, a, n, n))
+            s1 = raw(ContingencyCounts(a, b, n, n))
+            s2 = raw(ContingencyCounts(b, a, n, n))
             if s1 != s2:
                 return _report(measure, "ClassSymmetry", n,
                                (ContingencyCounts(a, b, n, n),
@@ -103,13 +108,13 @@ def _class_symmetry(scorer: TableScorer, measure: str, n: int) -> PropertyReport
     return _report(measure, "ClassSymmetry", n, None)
 
 
-def _pattern_symmetry(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
+def _pattern_symmetry(raw: Raw, measure: str, n: int) -> PropertyReport:
     for a in range(n + 1):
         for b in range(n + 1):
             if not (1 <= a + b <= 2 * n - 1):
                 continue
-            s1 = scorer.raw(measure, ContingencyCounts(a, b, n, n))
-            s2 = scorer.raw(measure, ContingencyCounts(n - a, n - b, n, n))
+            s1 = raw(ContingencyCounts(a, b, n, n))
+            s2 = raw(ContingencyCounts(n - a, n - b, n, n))
             if s1 != s2:
                 return _report(measure, "PatternSymmetry", n,
                                (ContingencyCounts(a, b, n, n),
@@ -120,27 +125,29 @@ def _pattern_symmetry(scorer: TableScorer, measure: str, n: int) -> PropertyRepo
 def check_contrastivity(measure: str, n: int) -> PropertyReport:
     """Equal positive support, lower negative support must score strictly
     higher (effective scale)."""
-    return _contrastivity(TableScorer(), measure, n)
+    return _contrastivity(scorer(measure, _measures.prob_kit), measure, n)
 
 
 def check_jumpiness(measure: str, n: int) -> PropertyReport:
     """Among patterns exclusive to the positive class, higher support must
     score strictly higher (effective scale)."""
-    return _jumpiness(TableScorer(), measure, n)
+    return _jumpiness(scorer(measure, _measures.prob_kit), measure, n)
 
 
 def check_class_symmetry(measure: str, n: int) -> PropertyReport:
     """Raw score invariant under swapping the two classes, exactly."""
-    return _class_symmetry(TableScorer(), measure, n)
+    return _class_symmetry(scorer(measure, _measures.prob_kit), measure, n)
 
 
 def check_pattern_symmetry(measure: str, n: int) -> PropertyReport:
     """Raw score invariant under replacing presence with absence, exactly."""
-    return _pattern_symmetry(TableScorer(), measure, n)
+    return _pattern_symmetry(scorer(measure, _measures.prob_kit), measure, n)
 
 
 # Each check takes the scorer its caller shares, so a property matrix scores
-# every (measure, table) once however many checks and operands reach it.
+# every (measure, table) once however many checks and operands reach it, and
+# builds one kit per table for all measures. Scoring stays lazy: a check
+# that exits early never scores the tables it did not reach.
 _CHECKS = {
     "Contrastivity": _contrastivity,
     "Jumpiness": _jumpiness,
@@ -164,12 +171,12 @@ def recheck_counterexample(report: PropertyReport) -> bool:
 def property_matrix(n: int = 10,
                     measures: Sequence[str] | None = None) -> list[PropertyReport]:
     """All (measure, property) verdicts over the balanced domain of size n."""
-    measures = list(measures) if measures is not None else list(MEASURE_NAMES)
-    scorer = TableScorer()
+    kit = cache(_measures.prob_kit)
     out = []
-    for m in measures:
+    for m in MEASURE_NAMES if measures is None else measures:
+        raw = scorer(m, kit)
         for prop in PROPERTIES:
-            out.append(_CHECKS[prop](scorer, m, n))
+            out.append(_CHECKS[prop](raw, m, n))
     return out
 
 
@@ -188,11 +195,11 @@ def check_independence_equilibrium(n: int) -> bool:
     return True
 
 
-def _ps2(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
+def _ps2(raw: Raw, measure: str, n: int) -> PropertyReport:
     for t in range(1, 2 * n + 1):
         lo = max(0, t - n)
         hi = min(n, t)
-        effs = {a: scorer.effective(measure, ContingencyCounts(a, t - a, n, n))
+        effs = {a: effective(measure, raw(ContingencyCounts(a, t - a, n, n)))
                 for a in range(lo, hi + 1)}
         for a2 in range(lo, hi + 1):
             for a in range(a2 + 1, hi + 1):
@@ -207,17 +214,18 @@ def _ps2(scorer: TableScorer, measure: str, n: int) -> PropertyReport:
 def check_ps2(measure: str, n: int) -> PropertyReport:
     """Monotone increase with the positive joint when overall support is
     fixed: for a > a' with a + b = a' + b', the score must strictly grow."""
-    return _ps2(TableScorer(), measure, n)
+    return _ps2(scorer(measure, _measures.prob_kit), measure, n)
 
 
 def check_ps2_exclusivity(n: int) -> list[tuple[str, bool, bool]]:
     """Per measure: (name, PS2 holds, Class Symmetry holds). No measure may
     have both."""
-    scorer = TableScorer()
+    kit = cache(_measures.prob_kit)
     out = []
     for m in MEASURE_NAMES:
-        ps2 = _ps2(scorer, m, n).holds
-        cs = _class_symmetry(scorer, m, n).holds
+        raw = scorer(m, kit)
+        ps2 = _ps2(raw, m, n).holds
+        cs = _class_symmetry(raw, m, n).holds
         out.append((m, ps2, cs))
     return out
 

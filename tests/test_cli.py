@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -101,7 +102,8 @@ class TestConfig:
         for key, value in [("s", "0"), ("min_support", "0"),
                            ("rbo_p", 1.5), ("threshold_pct", 120.0),
                            ("exact_limit", None), ("seed", None),
-                           ("out", ""), ("max_edges", 0)]:
+                           ("out", ""), ("max_edges", 0),
+                           ("measures", ("Sup", "Sup"))]:
             cfg = RunConfig()
             setattr(cfg, key, value)
             with pytest.raises(ConfigError):
@@ -235,7 +237,8 @@ class TestCliCommands:
         "k_folds=none", "exact_limit=none", "seed=none", "s_grid=a,b",
         "n_permutations=0", "seed=", "balance=maybe", "c=nan", "out=",
         "measures=", "format=none", "min_support=none", "k_folds=2.5",
-        "min_support=inf", "s=inf", "max_edges=-1", "max_patterns=0"])
+        "min_support=inf", "s=inf", "max_edges=-1", "max_patterns=0",
+        "measures=Sup,GR,Sup"])
     def test_bad_value_exits_two_naming_the_key(self, dataset_file, tmp_path,
                                                 setting):
         runner = CliRunner()
@@ -368,6 +371,40 @@ class TestPairwiseTau:
         assert result.exit_code == 2, result.output
         assert "stems must differ" in result.output
         assert not (tmp_path / "out").exists()
+
+
+class TestScoringOnce:
+    @pytest.mark.parametrize("command", ["pipeline", "gold", "pairwise-tau"])
+    def test_one_kit_per_table_per_scoring_pass(self, tmp_path, monkeypatch,
+                                                command):
+        # every measure ranks from one kit memo per table; pipeline builds a
+        # second memo for scores.csv
+        from patclass import measures
+        built = []
+        real = measures.prob_kit
+
+        def counting(counts):
+            built.append(counts)
+            return real(counts)
+
+        monkeypatch.setattr(measures, "prob_kit", counting)
+        paths = []
+        # the class sizes differ, so the two datasets share no table
+        for n in (12, 16):
+            p = tmp_path / f"d{n}.spmf"
+            p.write_text(spmf_fixture(seed=n, n=n))
+            paths.append(str(p))
+        cfg = base_config(paths[0], tmp_path, n_permutations=3,
+                          s_grid=(50.0, 100.0))
+        if command == "pipeline":
+            run_pipeline(cfg)
+        elif command == "gold":
+            run_gold(cfg)
+        else:
+            cfg.dataset = tuple(paths)
+            run_pairwise_tau(cfg)
+        assert built
+        assert max(Counter(built).values()) <= (2 if command == "pipeline" else 1)
 
 
 class TestGoldCommand:

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import struct
@@ -8,9 +9,9 @@ import pytest
 
 from patclass.footprints import ContingencyCounts, FootprintMatrix, contingency
 from patclass.measures import (KNOWN_BOUND_EXCEPTIONS, MEASURE_NAMES,
-                               REVERSED_MEASURES, MeasureError, TableScorer,
+                               REVERSED_MEASURES, MeasureError, effective,
                                effective_score, measure_info, measure_table,
-                               prob_kit, rank, rank_from_counts, score,
+                               prob_kit, rank, rank_all, score, scorer,
                                scores_csv)
 
 from oracles import reference_rank, reference_scores_csv
@@ -20,6 +21,17 @@ INF = math.inf
 
 def C(a, b, n_pos=3, n_neg=3):
     return ContingencyCounts(a, b, n_pos, n_neg)
+
+
+def matrix_of(counts, n_pos, n_neg):
+    """A FootprintMatrix whose column pid has the table counts[pid]."""
+    bits = np.zeros((n_pos + n_neg, len(counts)), dtype=bool)
+    for pid, c in counts.items():
+        bits[:c.a, pid] = True
+        bits[n_pos:n_pos + c.b, pid] = True
+    mat = FootprintMatrix(bits, [1] * n_pos + [-1] * n_neg)
+    assert {pid: contingency(mat, pid) for pid in counts} == counts
+    return mat
 
 
 class TestProbKit:
@@ -226,7 +238,7 @@ class TestRanking:
             a = rng.randint(0, 10)
             b = rng.randint(0 if a else 1, 10)
             counts[pid] = ContingencyCounts(a, b, 10, 10)
-        r = rank_from_counts("Sup", counts)
+        r = rank("Sup", matrix_of(counts, 10, 10), list(counts))
         oracle = sorted(counts, key=lambda pid: (-counts[pid].a, pid))
         assert list(r.pattern_ids) == oracle
 
@@ -280,8 +292,10 @@ class TestTableMetadata:
             b = rng.randint(0 if a else 1, 10)
             counts[pid] = ContingencyCounts(a, b, 10, 10)
         ln2 = math.log(2.0)
-        for m in ("Gain", "InfGain", "MDisc", "MutInf", "Entropy"):
-            base2 = rank_from_counts(m, counts).pattern_ids
+        log_measures = ("Gain", "InfGain", "MDisc", "MutInf", "Entropy")
+        rankings = rank_all(matrix_of(counts, 10, 10), list(counts), log_measures)
+        for m in log_measures:
+            base2 = rankings[m].pattern_ids
             rescaled = {pid: effective_score(m, c) * ln2 for pid, c in counts.items()}
             basee = tuple(sorted(rescaled, key=lambda pid: (-rescaled[pid], pid)))
             assert base2 == basee
@@ -326,7 +340,9 @@ def _tables(n_pos, n_neg):
 
 
 class TestTableScorer:
-    # every balanced table with n <= 10, plus unbalanced class sizes, so a
+    # The memoized path that rank_all, scores_csv and the property matrix
+    # take: one kit memo for all measures, one memoized scorer per measure.
+    # Every balanced table with n <= 10, plus unbalanced class sizes, so a
     # key that dropped the class sizes would mix tables up
     TABLES = ([c for n in range(1, 11) for c in _tables(n, n)]
               + [c for sizes in ((1, 4), (3, 7), (10, 2), (5, 13))
@@ -342,9 +358,10 @@ class TestTableScorer:
         shuffled = list(want)
         random.Random(11).shuffle(shuffled)
         for pairs in (measure_major, shuffled):
-            scorer = TableScorer()
+            kit = functools.cache(prob_kit)
+            raw = {m: scorer(m, kit) for m in MEASURE_NAMES}
             wrong = [(m, c) for m, c in pairs
-                     if struct.pack("<dd", scorer.raw(m, c), scorer.effective(m, c))
+                     if struct.pack("<dd", raw[m](c), effective(m, raw[m](c)))
                      != struct.pack("<dd", *want[(m, c)])]
             assert not wrong[:3], f"{len(wrong)} scores differ"
         flat = [x for row in want.values() for x in row]
@@ -360,11 +377,17 @@ class TestTableScorer:
             return real(counts)
 
         monkeypatch.setattr(measures, "prob_kit", counting)
-        scorer = TableScorer()
+        kit = functools.cache(measures.prob_kit)
         tables = _tables(3, 5)
         for m in MEASURE_NAMES:
+            raw = scorer(m, kit)
             for c in tables + tables:
-                scorer.effective(m, c)
+                effective(m, raw(c))
+        assert built == tables
+        # rank_all builds its own memo the same way, one kit per table
+        built.clear()
+        mat = matrix_of(dict(enumerate(tables)), 3, 5)
+        rank_all(mat, range(len(tables)), MEASURE_NAMES)
         assert built == tables
 
 
@@ -388,8 +411,8 @@ class TestSharedScorerOutputs:
         # compared as line lists: a failing text comparison is slow to report
         assert (scores_csv(mat, ids).splitlines()
                 == reference_scores_csv(mat, ids, MEASURE_NAMES).splitlines())
-        counts = {pid: contingency(mat, pid) for pid in ids}
+        rankings = rank_all(mat, ids, MEASURE_NAMES)
         for m in MEASURE_NAMES:
             want = reference_rank(m, mat, ids)
             assert rank(m, mat, ids) == want
-            assert rank_from_counts(m, counts) == want
+            assert rankings[m] == want
