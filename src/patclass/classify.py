@@ -11,13 +11,19 @@ exposed objective trace is the objective of that running best model and is
 therefore non-increasing. The seed fixes cross-validation fold assignment;
 training itself is order-free.
 
-Cross-validation trains its folds as one stack: each epoch of `_fit` is one
-set of numpy calls over every fold's training set, and one stacked z @ v per
-epoch gives the margins for both the objective and the next subgradient.
-Each fold still gets the bits it would get trained alone: numpy's stacked
-matmul issues the same per-slice BLAS gemv as the 2-D call, and the y.z part
-of the gradient sums -1/0/+1 terms, which is exact in any order. The
-round-robin folds have at most two training-set sizes, one stack each.
+Cross-validation trains many folds as one stack: each epoch of `_fit` is
+one set of numpy calls over every stacked training set, and one stacked
+z @ v per epoch gives the margins for both the objective and the next
+subgradient. `cross_validate_many` stacks across column sets too: it takes
+one labelled feature matrix and many sets of its columns, and the folds of
+every set of the same size share one stack per training-set size (the
+round-robin folds have at most two sizes). The stacks are cut into chunks of
+at most STACK_FLOATS floats, and a chunk's features are copied out of the
+matrix only when it trains, so memory stays bounded however many sets one
+call trains; `cross_validate` is its one-set case. Each fold still gets the bits it would get trained alone:
+numpy's stacked matmul issues the same per-slice BLAS gemv as the 2-D call,
+the per-slice sums reduce the same rows in the same order, and the y.z part
+of the gradient sums -1/0/+1 terms, which is exact in any order.
 
 Feature columns are in ascending pattern id, so a model and its F1 depend on
 the set of patterns, not on the order they are listed in.
@@ -28,14 +34,21 @@ Prediction is sign(w.x + b) with sign(0) -> positive.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .footprints import FootprintMatrix
 
 EPOCHS = 200
+# Memory cap of `cross_validate_many`: the floats of one chunk of column
+# sets, counted as k * n * (d + 1) per set (2**18 floats, 2 MB). A chunk's
+# features, its `_fit` stack and the stack's temporaries are a small
+# multiple of that, however many sets one call trains; a set larger than the
+# cap trains alone.
+STACK_FLOATS = 1 << 18
 
 
 class ClassifyError(ValueError):
@@ -65,6 +78,12 @@ class FeatureView:
         x = matrix.bits[:, sorted(pattern_ids)].astype(np.float64)
         y = matrix.labels.astype(np.int64)
         return FeatureView(x, y)
+
+    @staticmethod
+    def all_columns(matrix: FootprintMatrix) -> "FeatureView":
+        """Every column, as the matrix's own bool bits: the source that
+        `cross_validate_many` copies each set's columns from."""
+        return FeatureView(matrix.bits, matrix.labels.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -179,34 +198,67 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[np.ndarra
     return [np.array(sorted(f)) for f in folds]
 
 
-def cross_validate(features: FeatureView, k: int = 5, c: float = 1.0,
-                   seed: int = 0) -> EvalReport:
-    """Stratified k-fold cross-validation; reports positive-class means."""
+def cross_validate_many(features: FeatureView,
+                        column_sets: Sequence[Iterable[int]], k: int = 5,
+                        c: float = 1.0, seed: int = 0,
+                        counts: Optional[Counter] = None) -> list[EvalReport]:
+    """Stratified k-fold CV on each set of columns of `features`, one report
+    per set in order; a set's columns are taken in ascending index.
+
+    All sets share the folds. Sets of equal size train as one `_fit` stack
+    per training-set size, in chunks of at most STACK_FLOATS stacked floats,
+    and a chunk's features are copied out of `features` only when it trains;
+    `counts["fits"]` (when given) counts the stacked `_fit` calls.
+    """
     x, y = features.x, features.y
+    columns = [sorted(cols) for cols in column_sets]
     folds = stratified_folds(y.tolist(), k, seed)
-    n, d = x.shape
-    z = np.hstack([x, np.ones((n, 1))])
+    n = len(y)
     yf = y.astype(np.float64)
     train_rows = [np.setdiff1d(np.arange(n), fold) for fold in folds]
     # the round-robin folds have at most two sizes; each size is one stack
     by_size: dict[int, list[int]] = {}
     for i, rows in enumerate(train_rows):
         by_size.setdefault(len(rows), []).append(i)
-    vectors = {}
-    for members in by_size.values():
-        rows = np.stack([train_rows[i] for i in members])
-        vectors.update(zip(members, _fit(z[rows], yf[rows], c)[0]))
-    ps, rs, fs = [], [], []
-    for i, fold in enumerate(folds):
-        model = LinearModel(vectors[i][:d], float(vectors[i][d]), c, seed, ())
-        p, r, f = prf1(predict(model, x[fold]), y[fold])
-        ps.append(p)
-        rs.append(r)
-        fs.append(f)
-    return EvalReport(
-        precision=float(np.mean(ps)), recall=float(np.mean(rs)),
-        f1=float(np.mean(fs)), k=k,
-        fold_precision=tuple(ps), fold_recall=tuple(rs), fold_f1=tuple(fs))
+    by_width: dict[int, list[int]] = {}
+    for j, cols in enumerate(columns):
+        by_width.setdefault(len(cols), []).append(j)
+    reports = [None] * len(columns)    # filled chunk by chunk
+    for d, members in by_width.items():
+        step = max(1, STACK_FLOATS // (k * n * (d + 1)))
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            z = np.ones((len(chunk), n, d + 1))
+            for a, j in enumerate(chunk):
+                z[a, :, :d] = x[:, columns[j]]
+            vectors = np.empty((len(chunk), k, d + 1))   # (w, b) per set, fold
+            for size, fold_ids in by_size.items():
+                rows = np.stack([train_rows[i] for i in fold_ids])
+                best_v = _fit(z[:, rows].reshape(-1, size, d + 1),
+                              np.tile(yf[rows], (len(chunk), 1)), c)[0]
+                vectors[:, fold_ids] = best_v.reshape(len(chunk), len(fold_ids), d + 1)
+                if counts is not None:
+                    counts["fits"] += 1
+            for j, zj, set_vectors in zip(chunk, z, vectors):
+                ps, rs, fs = [], [], []
+                for fold, v in zip(folds, set_vectors):
+                    model = LinearModel(v[:d], float(v[d]), c, seed, ())
+                    p, r, f = prf1(predict(model, zj[fold, :d]), y[fold])
+                    ps.append(p)
+                    rs.append(r)
+                    fs.append(f)
+                reports[j] = EvalReport(
+                    precision=float(np.mean(ps)), recall=float(np.mean(rs)),
+                    f1=float(np.mean(fs)), k=k, fold_precision=tuple(ps),
+                    fold_recall=tuple(rs), fold_f1=tuple(fs))
+    return reports
+
+
+def cross_validate(features: FeatureView, k: int = 5, c: float = 1.0,
+                   seed: int = 0) -> EvalReport:
+    """Stratified k-fold cross-validation; reports positive-class means."""
+    d = features.x.shape[1]
+    return cross_validate_many(features, [range(d)], k=k, c=c, seed=seed)[0]
 
 
 def eval_csv(report: EvalReport) -> str:

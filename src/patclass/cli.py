@@ -274,18 +274,21 @@ def run_pipeline(cfg: RunConfig) -> dict:
         s = cfg.resolve_s(len(reps))
         lines = ["measure,s,precision,recall,f1"]
         summary_measures = {}
-        # measures that pick the same set share its report and model
+        # measures that pick the same set share its report and model; the
+        # distinct sets are cross-validated as one batch
+        tops = {m: frozenset(rankings[m].top(s)) for m in cfg.measures}
+        distinct = list(dict.fromkeys(tops.values()))
+        features = classify.FeatureView.all_columns(matrix)
+        reports = classify.cross_validate_many(features, distinct, k=cfg.k_folds,
+                                               c=cfg.c, seed=cfg.seed)
         evaluated: dict[frozenset[int], tuple] = {}
+        for top, report in zip(distinct, reports):
+            view = classify.FeatureView.from_matrix(matrix, top)
+            model = classify.train(view, c=cfg.c, seed=cfg.seed)
+            evaluated[top] = (report, classify.eval_csv(report),
+                              classify.model_csv(model, sorted(top)))
         for m in cfg.measures:
-            top = frozenset(rankings[m].top(s))
-            if top not in evaluated:
-                view = classify.FeatureView.from_matrix(matrix, top)
-                report = classify.cross_validate(view, k=cfg.k_folds, c=cfg.c,
-                                                 seed=cfg.seed)
-                model = classify.train(view, c=cfg.c, seed=cfg.seed)
-                evaluated[top] = (report, classify.eval_csv(report),
-                                  classify.model_csv(model, sorted(top)))
-            report, eval_text, model_text = evaluated[top]
+            report, eval_text, model_text = evaluated[tops[m]]
             _write(out_dir, f"eval_{m}.csv", eval_text)
             _write(out_dir, f"model_{m}.csv", model_text)
             lines.append(f"{m},{s},{report.precision!r},{report.recall!r},"
@@ -325,11 +328,12 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
     with _stage("sweep"):
         f1 = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
                                                 seed=cfg.seed)
+        cuts = [clustering.cut(pct / 100.0) for pct in thresholds]
+        scores = f1.many(cut.representatives for cut in cuts)
         lines = ["threshold_pct,abs_threshold,n_representatives,f1"]
-        for pct in thresholds:
-            cut = clustering.cut(pct / 100.0)
-            reps = cut.representatives
-            lines.append(f"{pct!r},{cut.threshold},{len(reps)},{f1(reps)!r}")
+        for pct, cut, score in zip(thresholds, cuts, scores):
+            lines.append(f"{pct!r},{cut.threshold},{len(cut.representatives)},"
+                         f"{score!r}")
     text = "\n".join(lines) + "\n"
     _write(Path(cfg.out), "cluster_sweep.csv", text)
     return text
@@ -383,24 +387,31 @@ def run_gold(cfg: RunConfig) -> dict:
         _write(out_dir, "gold.csv", shapley.shapley_csv(gold))
     with _stage("sweep"):
         rankings = measures.rank_all(matrix, reps, cfg.measures)
+        sizes = [max(1, math.ceil(pct / 100.0 * len(reps))) for pct in cfg.s_grid]
+        # every swept set is cross-validated in one batch before the rows
+        f = gold.characteristic
+        f.many(ranking.top(s) for s in sizes
+               for ranking in (gold.ranking, *rankings.values()))
         rbo_lines = ["measure,s_pct,s,rbo_vs_gold"]
         f1_lines = ["measure,s_pct,s,f1"]
         gold_lines = ["s_pct,s,f1"]
-        for pct in cfg.s_grid:
-            s = max(1, math.ceil(pct / 100.0 * len(reps)))
+        for pct, s in zip(cfg.s_grid, sizes):
             gold_top = list(gold.ranking.top(s))
-            gf1 = gold.characteristic(gold_top)
+            gf1 = f(gold_top)
             gold_lines.append(f"{pct!r},{s},{gf1!r}")
             for m in cfg.measures:
                 top = list(rankings[m].top(s))
                 r = rankcmp.rbo(top, gold_top, p=cfg.rbo_p, depth=s)
-                f1 = gold.characteristic(top)
+                f1 = f(top)
                 rbo_lines.append(f"{m},{pct!r},{s},{r!r}")
                 f1_lines.append(f"{m},{pct!r},{s},{f1!r}")
         _write(out_dir, "gold_rbo.csv", "\n".join(rbo_lines) + "\n")
         _write(out_dir, "gold_f1.csv", "\n".join(f1_lines) + "\n")
         _write(out_dir, "gold_curve.csv", "\n".join(gold_lines) + "\n")
-    return {"method": gold.method, "n_representatives": len(reps)}
+    # distinct coalitions cross-validated and stacked SVM fits, Shapley and
+    # sweep together
+    return {"method": gold.method, "n_representatives": len(reps),
+            "evaluations": f.counts["evaluations"], "fits": f.counts["fits"]}
 
 
 def run_properties(cfg: RunConfig) -> str:

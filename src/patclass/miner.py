@@ -299,12 +299,11 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
             return
         if not _is_min(code):
             return
-        gids = tuple(sorted(by_graph))
-        graph = code_to_graph(code)
+        # _is_min validated the code: its DFS indices are 0..n-1, one edge each
         patterns.append(Pattern(
             pattern_id=len(patterns), code=code,
-            n_vertices=graph.n_vertices, n_edges=graph.n_edges,
-            graph_ids=gids))
+            n_vertices=max(max(i, j) for i, j, *_ in code) + 1,
+            n_edges=len(code), graph_ids=tuple(sorted(by_graph))))
         if max_edges is not None and len(code) >= max_edges:
             return
         embeddings = [e for embs in by_graph.values() for e in embs]

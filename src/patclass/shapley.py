@@ -5,17 +5,32 @@ linear classifier cross-validated on the pattern columns in S, with f({}) = 0
 by convention so the values sum to the full-set F1 (efficiency). Exact
 computation enumerates all coalitions and is reserved for small player sets;
 above the limit, values are estimated by averaging marginal contributions
-over seeded uniform random permutations.
+over seeded uniform random permutations (Castro et al. 2009).
+
+Both modes evaluate coalitions one size at a time: the 2^k coalitions of
+exact mode grouped by size, and the position-t prefixes of all sampled
+permutations together. A `CachedCharacteristic` hands each group's misses
+to `classify.cross_validate_many` as one batch, which trains equal-size
+coalitions in one stack and copies their columns out of the footprint
+matrix one bounded chunk at a time (`classify.STACK_FLOATS`), so a batch
+never holds more than one chunk's features. The marginals are then summed
+in permutation order, so the values have the bits of a
+one-coalition-at-a-time loop. The cache keys a coalition by an int
+bitmask over a dense index of the ids it has seen: at most one bit per
+player, where a frozenset key took tens of bytes per member.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
-from .classify import FeatureView, cross_validate
+# cross_validate is not called here; it stays importable from this module
+# because perfbench/spans.py wraps it under this name
+from .classify import FeatureView, cross_validate, cross_validate_many  # noqa: F401
 from .footprints import FootprintMatrix
 from .measures import Ranking
 
@@ -30,19 +45,47 @@ class CachedCharacteristic:
     """Deterministic subset -> performance map with memoization.
 
     f({}) is 0 by convention; every other value is delegated to the wrapped
-    callable, keyed by the frozen id set (column order never matters because
-    `FeatureView.from_matrix` puts the columns in ascending id order).
+    callable, which maps one subset to its value, or with `batch=True` a
+    list of subsets to their values. `many` hands all the distinct misses of
+    its subsets to the callable at once; a single call is its one-subset
+    case. The cache key is the subset's bitmask over a dense index of the ids
+    seen so far: column order never matters because the classifier takes
+    the columns in ascending id order. `counts["evaluations"]` counts the
+    subsets evaluated.
     """
 
-    def __init__(self, fn: Callable[[frozenset[int]], float]):
-        self._fn = fn
-        self._cache: dict[frozenset[int], float] = {frozenset(): 0.0}
+    def __init__(self, fn: Callable, batch: bool = False):
+        self._fn = fn if batch else (lambda subsets: [fn(s) for s in subsets])
+        self._bits: dict[int, int] = {}
+        self._cache: dict[int, float] = {0: 0.0}
+        self.counts: Counter = Counter()
+
+    def _key(self, subset: frozenset[int]) -> int:
+        for pid in subset.difference(self._bits):
+            self._bits[pid] = 1 << len(self._bits)
+        return sum(map(self._bits.__getitem__, subset))
 
     def __call__(self, subset) -> float:
-        key = frozenset(subset)
-        if key not in self._cache:
-            self._cache[key] = float(self._fn(key))
-        return self._cache[key]
+        return self.many([subset])[0]
+
+    def many(self, subsets: Iterable[Iterable[int]]) -> list[float]:
+        """f of every subset; the distinct misses are evaluated as one batch."""
+        subsets = [frozenset(s) for s in subsets]
+        keys = [self._key(s) for s in subsets]
+        missing = {key: s for key, s in zip(keys, subsets) if key not in self._cache}
+        if missing:
+            values = self._fn(list(missing.values()))
+            self._cache.update(zip(missing, map(float, values)))
+            self.counts["evaluations"] += len(missing)
+        return [self._cache[key] for key in keys]
+
+
+def _worths(f: Callable[[frozenset[int]], float],
+            subsets: list[frozenset[int]]) -> list[float]:
+    """f on each subset; a CachedCharacteristic evaluates them as one batch."""
+    if isinstance(f, CachedCharacteristic):
+        return f.many(subsets)
+    return [float(f(s)) for s in subsets]
 
 
 def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
@@ -51,13 +94,17 @@ def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
     """f(S) = mean F1 of stratified k-fold CV on columns S; f({}) = 0.
 
     The fold assignment is fixed by the seed, so f is a pure function of S.
+    `counts["fits"]` counts the stacked SVM fits behind the evaluations.
     """
+    features = FeatureView.all_columns(matrix)
 
-    def evaluate(subset: frozenset[int]) -> float:
-        view = FeatureView.from_matrix(matrix, subset)
-        return cross_validate(view, k=k, c=c, seed=seed).f1
+    def evaluate(subsets: list[frozenset[int]]) -> list[float]:
+        reports = cross_validate_many(features, subsets, k=k, c=c, seed=seed,
+                                      counts=f.counts)
+        return [r.f1 for r in reports]
 
-    return CachedCharacteristic(evaluate)
+    f = CachedCharacteristic(evaluate, batch=True)
+    return f
 
 
 def exact_shapley(pattern_ids: Sequence[int],
@@ -67,7 +114,7 @@ def exact_shapley(pattern_ids: Sequence[int],
 
     SV(p) = sum over coalitions S not containing p of
             |S|! (k - |S| - 1)! / k! * (f(S + p) - f(S)),
-    with f called once per coalition, 2^k calls in all.
+    with f called once per coalition, 2^k calls in all, one size at a time.
     """
     ids = list(pattern_ids)
     k = len(ids)
@@ -79,8 +126,15 @@ def exact_shapley(pattern_ids: Sequence[int],
             "use sampled_shapley")
     fact = [math.factorial(i) for i in range(k + 1)]
     values: dict[int, float] = {pid: 0.0 for pid in ids}
-    worth = [float(f(frozenset(ids[i] for i in range(k) if mask >> i & 1)))
-             for mask in range(1 << k)]
+    worth = [0.0] * (1 << k)
+    by_size: list[list[int]] = [[] for _ in range(k + 1)]
+    for mask in range(1 << k):
+        by_size[mask.bit_count()].append(mask)
+    for masks in by_size:
+        subsets = [frozenset(ids[i] for i in range(k) if mask >> i & 1)
+                   for mask in masks]
+        for mask, w in zip(masks, _worths(f, subsets)):
+            worth[mask] = w
     for mask in range(1 << k):
         size = mask.bit_count()
         base = worth[mask]
@@ -115,27 +169,37 @@ def sampled_shapley(pattern_ids: Sequence[int],
                     f: Callable[[frozenset[int]], float],
                     n_permutations: int, seed: int) -> GoldStandard:
     """Monte-Carlo Shapley: mean marginal contribution over seeded uniform
-    random permutations, with per-player sample standard errors."""
+    random permutations, with per-player sample standard errors.
+
+    All permutations are drawn first; the position-t prefixes of all of them
+    are evaluated together, for t = 1..p; the marginals are then summed
+    permutation by permutation. Besides what f caches and the one size of
+    prefixes in flight, memory is one float per (permutation, position).
+    """
     ids = list(pattern_ids)
     if not ids:
         raise ShapleyError("no players")
     if n_permutations < 1:
         raise ShapleyError("n_permutations must be >= 1")
     rng = random.Random(seed)
-    sums = {pid: 0.0 for pid in ids}
-    sqsums = {pid: 0.0 for pid in ids}
+    orders = []
     for _ in range(n_permutations):
         order = ids[:]
         rng.shuffle(order)
-        prefix: set[int] = set()
-        prev = float(f(frozenset()))
-        for pid in order:
-            prefix.add(pid)
-            cur = float(f(frozenset(prefix)))
-            marginal = cur - prev
+        orders.append(order)
+    empty = _worths(f, [frozenset()])[0]
+    worth = [[empty] for _ in orders]   # worth[r][t]: f of order r's t-prefix
+    for t in range(1, len(ids) + 1):
+        prefixes = [frozenset(order[:t]) for order in orders]
+        for row, w in zip(worth, _worths(f, prefixes)):
+            row.append(w)
+    sums = {pid: 0.0 for pid in ids}
+    sqsums = {pid: 0.0 for pid in ids}
+    for order, row in zip(orders, worth):
+        for t, pid in enumerate(order):
+            marginal = row[t + 1] - row[t]
             sums[pid] += marginal
             sqsums[pid] += marginal * marginal
-            prev = cur
     values = {pid: sums[pid] / n_permutations for pid in ids}
     std_error = {}
     for pid in ids:

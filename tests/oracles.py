@@ -3,7 +3,8 @@
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, an O(p^3) reference agglomerator, and the one-fold-
-at-a-time SVM trainer and cross-validation loop, and the property checks,
+at-a-time SVM trainer and cross-validation loop, the one-coalition-at-a-time
+permutation-sampling Shapley loop, and the property checks,
 ranking and score table that score every operand with a fresh call. The RBO
 checks used only by tests (un-normalized RBO, prefix monotonicity) and
 `RankingPair` live here too.
@@ -12,6 +13,7 @@ checks used only by tests (un-normalized RBO, prefix monotonicity) and
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from itertools import permutations
 from typing import Sequence
@@ -245,6 +247,35 @@ def reference_cross_validate(x, y, k=5, c=1.0, seed=0):
         precision=float(np.mean(ps)), recall=float(np.mean(rs)),
         f1=float(np.mean(fs)), k=k,
         fold_precision=tuple(ps), fold_recall=tuple(rs), fold_f1=tuple(fs))
+
+
+def reference_sampled_shapley(ids, f, n_permutations, seed):
+    """Permutation-sampling Shapley that walks each seeded permutation and
+    calls f on each prefix as it grows; returns (values, std_error)."""
+    rng = random.Random(seed)
+    sums = {pid: 0.0 for pid in ids}
+    sqsums = {pid: 0.0 for pid in ids}
+    for _ in range(n_permutations):
+        order = list(ids)
+        rng.shuffle(order)
+        prefix = set()
+        prev = float(f(frozenset()))
+        for pid in order:
+            prefix.add(pid)
+            cur = float(f(frozenset(prefix)))
+            marginal = cur - prev
+            sums[pid] += marginal
+            sqsums[pid] += marginal * marginal
+            prev = cur
+    values = {pid: sums[pid] / n_permutations for pid in ids}
+    std_error = {}
+    for pid in ids:
+        if n_permutations > 1:
+            var = (sqsums[pid] - n_permutations * values[pid] ** 2) / (n_permutations - 1)
+            std_error[pid] = math.sqrt(max(0.0, var) / n_permutations)
+        else:
+            std_error[pid] = float("inf")
+    return values, std_error
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from patclass import classify
 from patclass.classify import (ClassifyError, EvalReport, FeatureView,
-                               LinearModel, cross_validate, eval_csv, model_csv,
-                               predict, prf1, stratified_folds, train)
+                               LinearModel, cross_validate, cross_validate_many,
+                               eval_csv, model_csv, predict, prf1,
+                               stratified_folds, train)
 from patclass.footprints import FootprintMatrix
 
 from oracles import reference_cross_validate, reference_train
@@ -192,6 +195,35 @@ class TestAgainstReference:
             for field in ("fold_precision", "fold_recall", "fold_f1",
                           "precision", "recall", "f1"):
                 assert getattr(got, field) == getattr(want, field), field
+
+    @pytest.mark.parametrize("stack_floats", [1 << 40, 1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cross_validate_many_bit_identical(self, monkeypatch, k, stack_floats):
+        # mixed set sizes and repeated sets in one call: every set gets the
+        # bits of its own CV, whatever stack and chunk it trains in;
+        # 1 << 40 makes one chunk per set size, 1 one chunk per set
+        monkeypatch.setattr(classify, "STACK_FLOATS", stack_floats)
+        x, y = self.random_case(k + 17, k, 240)
+        rng = np.random.default_rng(k)
+        sets = [rng.choice(240, d, replace=False).tolist()
+                for d in (13, 1, 240, 13, 13, 1, 240, 13)]
+        sets += [sets[0], sets[2][::-1]]
+        counts = Counter()
+        got = cross_validate_many(FeatureView(x.astype(bool), y), sets, k=k,
+                                  c=0.5, seed=k, counts=counts)
+        for cols, report in zip(sets, got, strict=True):
+            want = reference_cross_validate(x[:, sorted(cols)], y, k=k, c=0.5,
+                                            seed=k)
+            for field in ("fold_precision", "fold_recall", "fold_f1",
+                          "precision", "recall", "f1"):
+                assert getattr(report, field) == getattr(want, field), field
+        # two training-set sizes: two stacks per set size, or per set
+        chunks = 3 if stack_floats > 1 else len(sets)
+        assert counts["fits"] == 2 * chunks
+
+    def test_cross_validate_many_no_sets(self):
+        x, y = self.random_case(2, 3, 4)
+        assert cross_validate_many(FeatureView(x, y), [], k=3) == []
 
     @pytest.mark.parametrize("d", [1, 13, 240])
     def test_train_bit_identical(self, d):

@@ -443,21 +443,24 @@ class TestGoldCommand:
         # pattern, and in exact mode every swept set is a coalition already.
         # pipeline: at s = 100% every measure picks the same set.
         # cluster-sweep: the repeated threshold repeats a cut.
+        # Every CV, one column set or a batch, runs through
+        # cross_validate_many; each set is counted by its feature columns.
         from patclass import classify, shapley
         from patclass.cli import run_cluster_sweep
         seen, trained = [], []
-        real_cv, real_train = classify.cross_validate, classify.train
+        real_cv, real_train = classify.cross_validate_many, classify.train
 
-        def counting(view, **kw):
-            seen.append(view.x.T.tobytes())
-            return real_cv(view, **kw)
+        def counting(features, column_sets, **kw):
+            seen.extend(features.x[:, sorted(cols)].T.tobytes()
+                        for cols in column_sets)
+            return real_cv(features, column_sets, **kw)
 
         def counting_train(view, **kw):
             trained.append(view.x.T.tobytes())
             return real_train(view, **kw)
 
-        monkeypatch.setattr(classify, "cross_validate", counting)
-        monkeypatch.setattr(shapley, "cross_validate", counting)
+        monkeypatch.setattr(classify, "cross_validate_many", counting)
+        monkeypatch.setattr(shapley, "cross_validate_many", counting)
         monkeypatch.setattr(classify, "train", counting_train)
         p = tmp_path / "toy.spmf"
         p.write_text(spmf_fixture(seed=3, n=12))
@@ -484,6 +487,9 @@ class TestGoldCommand:
         n_cvs, n_sets = len(seen), len(set(seen))
         assert n_cvs and n_cvs == n_sets
         assert len(trained) == len(set(trained))
+        if command == "gold":
+            assert info["evaluations"] == n_sets
+            assert 0 < info["fits"] <= 2 * n_sets
 
     def test_gold_vs_itself_rbo_one(self, tmp_path):
         # the gold ranking compared with itself scores 1 at every depth

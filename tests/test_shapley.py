@@ -1,13 +1,17 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from patclass.classify import FeatureView, cross_validate
 from patclass.footprints import FootprintMatrix
 from patclass.shapley import (CachedCharacteristic, ShapleyError, exact_shapley,
                               gold_standard, performance_characteristic,
                               sampled_shapley, shapley_csv)
+
+from oracles import reference_sampled_shapley
 
 
 def table_game(table):
@@ -132,6 +136,107 @@ class TestSampled:
             sampled_shapley([1], lambda s: 0.0, 0, seed=0)
         with pytest.raises(ShapleyError):
             sampled_shapley([], lambda s: 0.0, 5, seed=0)
+
+
+class TestBatchedAgainstOracle:
+    """Filling coalitions one size at a time keeps the bits of the
+    one-coalition-at-a-time loop and of a plain (uncached) f."""
+
+    @staticmethod
+    def matrix(n_patterns):
+        rng = np.random.default_rng(7)
+        y = np.array([1] * 12 + [-1] * 13)
+        bits = rng.random((25, n_patterns)) < rng.uniform(0.2, 0.6, n_patterns)
+        bits[:, 0] = y == 1
+        return FootprintMatrix(bits, y.tolist())
+
+    def test_sampled_table_game(self):
+        rng = random.Random(8)
+        ids = [4, 1, 9, 6, 3, 7]
+        table = random_game(rng, ids)
+
+        def plain(subset):
+            return table[frozenset(subset)]
+
+        want = reference_sampled_shapley(ids, plain, 9, seed=3)
+        for f in (table_game(table), plain):
+            got = sampled_shapley(ids, f, 9, seed=3)
+            assert (got.values, got.std_error) == want
+
+    def test_sampled_performance_characteristic(self):
+        m = self.matrix(7)
+        ids = list(range(7))
+
+        seen = set()
+
+        def plain(subset):
+            seen.add(subset)
+            return (cross_validate(FeatureView.from_matrix(m, subset), k=3, seed=1).f1
+                    if subset else 0.0)
+
+        f = performance_characteristic(m, k=3, seed=1)
+        got = sampled_shapley(ids, f, 5, seed=2)
+        assert (got.values, got.std_error) == reference_sampled_shapley(
+            ids, plain, 5, seed=2)
+        # each distinct prefix is evaluated once; the prefixes of one size
+        # train as one stack per training-set size (25 rows: two, for k = 3)
+        assert f.counts["evaluations"] == len(seen - {frozenset()})
+        assert f.counts["fits"] == 2 * len(ids)
+
+    def test_exact_performance_characteristic(self):
+        m = self.matrix(6)
+        ids = [5, 0, 3, 1, 4, 2]
+
+        def plain(subset):
+            return (cross_validate(FeatureView.from_matrix(m, subset), k=3, seed=4).f1
+                    if subset else 0.0)
+
+        f = performance_characteristic(m, k=3, seed=4)
+        assert exact_shapley(ids, f) == exact_shapley(ids, plain)
+        assert f.counts["evaluations"] == 2 ** len(ids) - 1
+
+    def test_sampled_peak_memory_bounded(self):
+        # frozenset keys, tens of bytes per member of every prefix, peak
+        # above 80 MB here; bitmask keys and one float per (permutation,
+        # position) stay near 2 MB
+        p = 600
+        f = CachedCharacteristic(lambda s: len(s) / p)
+        tracemalloc.start()
+        try:
+            sampled_shapley(list(range(p)), f, 10, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+
+    def test_batch_features_copied_one_chunk_at_a_time(self, monkeypatch):
+        # 80 coalitions of 100 columns, as one size of sampled prefixes over
+        # many permutations hands over: their float features take 6.4 MB,
+        # but with a cap of one coalition per chunk only one coalition's
+        # features and stack are held at a time (1.7 MB peak; 8.1 MB when
+        # every coalition's features were built before training)
+        from patclass import classify
+        n, p, d, sets = 100, 120, 100, 80
+        rng = np.random.default_rng(3)
+        y = np.array([1, -1] * (n // 2))
+        bits = rng.random((n, p)) < 0.4
+        bits[0] = True
+        m = FootprintMatrix(bits, y.tolist())
+        subsets = [rng.choice(p, d, replace=False).tolist() for _ in range(sets)]
+        monkeypatch.setattr(classify, "STACK_FLOATS", 5 * n * (d + 1))
+        f = performance_characteristic(m)
+        tracemalloc.start()
+        try:
+            got = f.many(subsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.counts["evaluations"] == sets
+        # 5 equal folds of 100 rows: one stack per chunk of one coalition
+        assert f.counts["fits"] == sets
+        assert peak < sets * n * d * 8 / 3
+        assert got[:3] == [performance_characteristic(m)(s) for s in subsets[:3]]
 
 
 class TestCharacteristic:
