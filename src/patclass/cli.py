@@ -15,7 +15,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -547,15 +547,8 @@ def stats(config, overrides, dataset, out):
     """Dataset summary statistics."""
     cfg = _build_config(config, overrides, dataset, out)
     st = _run(run_stats, cfg)
-    click.echo(json.dumps({
-        "n_graphs": st.n_graphs,
-        "avg_vertices": st.avg_vertices,
-        "avg_edges": st.avg_edges,
-        "mean_avg_degree": st.mean_avg_degree,
-        "avg_density": st.avg_density,
-        "avg_global_clustering": st.avg_global_clustering,
-        "density_convention": DENSITY_CONVENTION,
-    }, indent=2, sort_keys=True))
+    click.echo(json.dumps(asdict(st) | {"density_convention": DENSITY_CONVENTION},
+                          indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

@@ -81,38 +81,16 @@ def code_to_graph(code: DfsCode, graph_id: int = 0) -> AttributedGraph:
 
 
 # ---------------------------------------------------------------------------
-# DFS-code ordering (Yan & Han). Edges are compared first by their (i, j)
-# role (backward/forward position rules), then by labels.
+# DFS-code ordering (Yan & Han). The miner only ever orders the rightmost-
+# path extensions of one code, where backward edges share i = the rightmost
+# vertex and forward edges share j = n_vertices, or the single-edge seeds
+# (0, 1, ...). On such a set the order is: backward edges by j, then forward
+# edges from the deepest source up, each tie broken by labels.
 # ---------------------------------------------------------------------------
 
-def _edge_lt(e1: DfsEdge, e2: DfsEdge) -> bool:
-    i1, j1 = e1[0], e1[1]
-    i2, j2 = e2[0], e2[1]
-    f1, f2 = i1 < j1, i2 < j2
-    if (i1, j1) == (i2, j2):
-        return e1[2:] < e2[2:]
-    if f1 and f2:
-        return j1 < j2 or (j1 == j2 and i1 > i2)
-    if (not f1) and (not f2):
-        return i1 < i2 or (i1 == i2 and j1 < j2)
-    if (not f1) and f2:   # backward vs forward
-        return i1 < j2
-    return j1 <= i2       # forward vs backward
-
-
-class _EdgeKey:
-    """Sort key wrapper implementing the DFS-edge total order."""
-
-    __slots__ = ("e",)
-
-    def __init__(self, e: DfsEdge):
-        self.e = e
-
-    def __eq__(self, other):
-        return self.e == other.e
-
-    def __lt__(self, other):
-        return _edge_lt(self.e, other.e)
+def _edge_key(e: DfsEdge) -> tuple:
+    i, j = e[0], e[1]
+    return (i < j, j if i > j else -i, e[2:])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +192,7 @@ def _min_code_of_graph(graph: AttributedGraph) -> DfsCode:
                                              frozenset({(min(x, y), max(x, y))})))
     while len(code) < graph.n_edges:
         grouped = _extensions(tuple(code), embeddings, adj_cache, vlabel_cache)
-        tup = min(grouped, key=_EdgeKey)
+        tup = min(grouped, key=_edge_key)
         code.append(tup)
         new_embs = []
         for (emb, key, nbr) in grouped[tup]:
@@ -308,7 +286,7 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
             return
         embeddings = [e for embs in by_graph.values() for e in embs]
         grouped = _extensions(code, embeddings, adj_cache, vlabel_cache)
-        for tup in sorted(grouped, key=_EdgeKey):
+        for tup in sorted(grouped, key=_edge_key):
             ext_by_graph: dict[int, list[_Embedding]] = {}
             for (emb, key, nbr) in grouped[tup]:
                 ext_by_graph.setdefault(emb.gid, []).append(emb.extend(key, nbr))
@@ -318,7 +296,7 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
             if budget.exhausted(len(patterns)):
                 return
 
-    for tup in sorted(seeds, key=_EdgeKey):
+    for tup in sorted(seeds, key=_edge_key):
         by_graph = seeds[tup]
         if len(by_graph) < min_support:
             continue

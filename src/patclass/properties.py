@@ -5,23 +5,27 @@ class sizes n_pos = n_neg = n, so checks are exhaustive rather than sampled.
 Scores are compared as extended reals with strict inequalities: two patterns
 tied at +inf are a genuine strictness violation.
 
-Quantifier domains:
-  - every table must be realizable by a mined pattern, so a + b >= 1;
+A property is one row of `_PROPERTY_TABLE`: its kind and its domain for class
+size n. Every table must be realizable by a mined pattern, so a + b >= 1.
   - Contrastivity fixes the positive support a and is checked on the
-    non-degenerate slice 1 <= a <= n-1. At a = 0 almost every measure
-    collapses to a constant of b (zero numerators), and at a = n the
-    pattern-absent conditionals degenerate the same way; both slices produce
-    ties that the declared property columns ignore;
-  - Jumpiness fixes b = 0 and compares a > a' >= 1;
-  - Class Symmetry uses every table, Pattern Symmetry every table with
-    1 <= a + b <= 2n - 1 (so the complement pattern also occurs somewhere).
+    non-degenerate slice 1 <= a <= n-1: along b = 0..n the score must fall.
+    At a = 0 almost every measure collapses to a constant of b (zero
+    numerators), and at a = n the pattern-absent conditionals degenerate the
+    same way; both slices produce ties that the declared property columns
+    ignore;
+  - Jumpiness fixes b = 0: along a = 1..n the score must rise;
+  - PS2 fixes the overall support t = a + b for t = 1..2n: along
+    a = max(0, t-n)..min(n, t) the score must rise;
+  - Class Symmetry pairs every table (a, b) with (b, a), Pattern Symmetry
+    every table with 1 <= a + b <= 2n - 1 with (n-a, n-b), so the complement
+    pattern also occurs somewhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import measures as _measures  # prob_kit is looked up per call
 from .footprints import ContingencyCounts
@@ -42,118 +46,99 @@ class PropertyReport:
     domain: int  # class size n used
 
     def expected(self) -> bool:
-        info = measure_info(self.measure)
-        return {"Contrastivity": info.contrastivity,
-                "Jumpiness": info.jumpiness,
-                "ClassSymmetry": info.class_symmetry,
-                "PatternSymmetry": info.pattern_symmetry,
-                "PS2": False}.get(self.property, False)
+        """The declared flag; PS2 has none, so it is False."""
+        if self.property not in PROPERTIES:
+            return False
+        return measure_info(self.measure).flags[PROPERTIES.index(self.property)]
 
     def matches_declared(self) -> bool:
         return self.holds == self.expected()
 
 
-def _report(measure, prop, n, violation) -> PropertyReport:
-    if violation is None:
-        return PropertyReport(measure, prop, True, None, None, n)
-    c1, c2, s1, s2 = violation
-    return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
+def _at_least_two(n: int) -> int:
+    """n, checked: below 2, Contrastivity has no row and Jumpiness no pair."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
+    return n
 
+
+# name: (kind, domain of class size n). "falls" and "rises" domains yield rows
+# of (a, b) tables along which the effective score must strictly fall or
+# rise; "invariant" domains yield pairs of tables with equal raw scores.
+_PROPERTY_TABLE: dict[str, tuple[str, Callable[[int], Iterable]]] = {
+    "Contrastivity": ("falls", lambda n: (
+        [(a, b) for b in range(n + 1)] for a in range(1, _at_least_two(n)))),
+    "Jumpiness": ("rises", lambda n: (
+        [(a, 0) for a in range(1, _at_least_two(n) + 1)],)),
+    "ClassSymmetry": ("invariant", lambda n: (
+        ((a, b), (b, a)) for a in range(n + 1) for b in range(n + 1)
+        if a + b >= 1)),
+    "PatternSymmetry": ("invariant", lambda n: (
+        ((a, b), (n - a, n - b)) for a in range(n + 1) for b in range(n + 1)
+        if 1 <= a + b <= 2 * n - 1)),
+    "PS2": ("rises", lambda n: (
+        [(a, t - a) for a in range(max(0, t - n), min(n, t) + 1)]
+        for t in range(1, 2 * n + 1))),
+}
 
 Raw = Callable[[ContingencyCounts], float]  # a memoized `measures.scorer`
 
 
-def _contrastivity(raw: Raw, measure: str, n: int) -> PropertyReport:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    for a in range(1, n):
-        effs = [effective(measure, raw(ContingencyCounts(a, b, n, n)))
-                for b in range(n + 1)]
-        for b in range(n + 1):
-            for b2 in range(b + 1, n + 1):
-                if not effs[b] > effs[b2]:
-                    return _report(measure, "Contrastivity", n,
-                                   (ContingencyCounts(a, b, n, n),
-                                    ContingencyCounts(a, b2, n, n),
-                                    effs[b], effs[b2]))
-    return _report(measure, "Contrastivity", n, None)
-
-
-def _jumpiness(raw: Raw, measure: str, n: int) -> PropertyReport:
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    effs = {a: effective(measure, raw(ContingencyCounts(a, 0, n, n)))
-            for a in range(1, n + 1)}
-    for a2 in range(1, n + 1):
-        for a in range(a2 + 1, n + 1):
-            if not effs[a] > effs[a2]:
-                return _report(measure, "Jumpiness", n,
-                               (ContingencyCounts(a, 0, n, n),
-                                ContingencyCounts(a2, 0, n, n),
-                                effs[a], effs[a2]))
-    return _report(measure, "Jumpiness", n, None)
-
-
-def _class_symmetry(raw: Raw, measure: str, n: int) -> PropertyReport:
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if a + b == 0:
-                continue
-            s1 = raw(ContingencyCounts(a, b, n, n))
-            s2 = raw(ContingencyCounts(b, a, n, n))
+def _check(raw: Raw, measure: str, prop: str, n: int) -> PropertyReport:
+    """Walk the property's domain in order; the first violation is the
+    counterexample, the table expected to score higher first. Scoring stays
+    lazy: a check that exits early never scores the tables it did not reach."""
+    kind, domain = _PROPERTY_TABLE[prop]
+    for item in domain(n):
+        if kind == "invariant":
+            (a, b), (a2, b2) = item
+            c1 = ContingencyCounts(a, b, n, n)
+            c2 = ContingencyCounts(a2, b2, n, n)
+            s1, s2 = raw(c1), raw(c2)
             if s1 != s2:
-                return _report(measure, "ClassSymmetry", n,
-                               (ContingencyCounts(a, b, n, n),
-                                ContingencyCounts(b, a, n, n), s1, s2))
-    return _report(measure, "ClassSymmetry", n, None)
-
-
-def _pattern_symmetry(raw: Raw, measure: str, n: int) -> PropertyReport:
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if not (1 <= a + b <= 2 * n - 1):
-                continue
-            s1 = raw(ContingencyCounts(a, b, n, n))
-            s2 = raw(ContingencyCounts(n - a, n - b, n, n))
-            if s1 != s2:
-                return _report(measure, "PatternSymmetry", n,
-                               (ContingencyCounts(a, b, n, n),
-                                ContingencyCounts(n - a, n - b, n, n), s1, s2))
-    return _report(measure, "PatternSymmetry", n, None)
+                return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
+            continue
+        row = [ContingencyCounts(a, b, n, n) for a, b in item]
+        effs = [effective(measure, raw(c)) for c in row]
+        # Every pair i < j needs keys[i] > keys[j]. Negation turns a rising
+        # row into a falling one, exactly: the scores are never NaN.
+        keys = effs if kind == "falls" else [-e for e in effs]
+        for i in range(len(keys) - 1):
+            ki = keys[i]
+            for j in range(i + 1, len(keys)):
+                if not ki > keys[j]:
+                    hi, lo = (i, j) if kind == "falls" else (j, i)
+                    return PropertyReport(measure, prop, False, (row[hi], row[lo]),
+                                          (effs[hi], effs[lo]), n)
+    return PropertyReport(measure, prop, True, None, None, n)
 
 
 def check_contrastivity(measure: str, n: int) -> PropertyReport:
     """Equal positive support, lower negative support must score strictly
     higher (effective scale)."""
-    return _contrastivity(scorer(measure, _measures.prob_kit), measure, n)
+    return _check(scorer(measure, _measures.prob_kit), measure, "Contrastivity", n)
 
 
 def check_jumpiness(measure: str, n: int) -> PropertyReport:
     """Among patterns exclusive to the positive class, higher support must
     score strictly higher (effective scale)."""
-    return _jumpiness(scorer(measure, _measures.prob_kit), measure, n)
+    return _check(scorer(measure, _measures.prob_kit), measure, "Jumpiness", n)
 
 
 def check_class_symmetry(measure: str, n: int) -> PropertyReport:
     """Raw score invariant under swapping the two classes, exactly."""
-    return _class_symmetry(scorer(measure, _measures.prob_kit), measure, n)
+    return _check(scorer(measure, _measures.prob_kit), measure, "ClassSymmetry", n)
 
 
 def check_pattern_symmetry(measure: str, n: int) -> PropertyReport:
     """Raw score invariant under replacing presence with absence, exactly."""
-    return _pattern_symmetry(scorer(measure, _measures.prob_kit), measure, n)
+    return _check(scorer(measure, _measures.prob_kit), measure, "PatternSymmetry", n)
 
 
-# Each check takes the scorer its caller shares, so a property matrix scores
-# every (measure, table) once however many checks and operands reach it, and
-# builds one kit per table for all measures. Scoring stays lazy: a check
-# that exits early never scores the tables it did not reach.
-_CHECKS = {
-    "Contrastivity": _contrastivity,
-    "Jumpiness": _jumpiness,
-    "ClassSymmetry": _class_symmetry,
-    "PatternSymmetry": _pattern_symmetry,
-}
+def check_ps2(measure: str, n: int) -> PropertyReport:
+    """Monotone increase with the positive joint when overall support is
+    fixed: for a > a' with a + b = a' + b', the score must strictly grow."""
+    return _check(scorer(measure, _measures.prob_kit), measure, "PS2", n)
 
 
 def recheck_counterexample(report: PropertyReport) -> bool:
@@ -162,22 +147,30 @@ def recheck_counterexample(report: PropertyReport) -> bool:
     if report.holds or report.counterexample is None:
         return False
     c1, c2 = report.counterexample
-    if report.property in ("Contrastivity", "Jumpiness", "PS2"):
-        return not (effective_score(report.measure, c1)
-                    > effective_score(report.measure, c2))
-    return score(report.measure, c1) != score(report.measure, c2)
+    if _PROPERTY_TABLE[report.property][0] == "invariant":
+        return score(report.measure, c1) != score(report.measure, c2)
+    return not (effective_score(report.measure, c1)
+                > effective_score(report.measure, c2))
+
+
+def _verdicts(n: int, measures: Iterable[str],
+              props: Sequence[str]) -> list[list[PropertyReport]]:
+    """Per measure, its verdicts on `props`. One scorer per measure serves all
+    of its checks, and one kit per table serves all measures, so each
+    (measure, table) is scored once however many checks reach it."""
+    kit = cache(_measures.prob_kit)
+    out = []
+    for m in measures:
+        raw = scorer(m, kit)
+        out.append([_check(raw, m, prop, n) for prop in props])
+    return out
 
 
 def property_matrix(n: int = 10,
                     measures: Sequence[str] | None = None) -> list[PropertyReport]:
     """All (measure, property) verdicts over the balanced domain of size n."""
-    kit = cache(_measures.prob_kit)
-    out = []
-    for m in MEASURE_NAMES if measures is None else measures:
-        raw = scorer(m, kit)
-        for prop in PROPERTIES:
-            out.append(_CHECKS[prop](raw, m, n))
-    return out
+    reports = _verdicts(n, MEASURE_NAMES if measures is None else measures, PROPERTIES)
+    return [rep for reps in reports for rep in reps]
 
 
 def check_independence_equilibrium(n: int) -> bool:
@@ -195,39 +188,11 @@ def check_independence_equilibrium(n: int) -> bool:
     return True
 
 
-def _ps2(raw: Raw, measure: str, n: int) -> PropertyReport:
-    for t in range(1, 2 * n + 1):
-        lo = max(0, t - n)
-        hi = min(n, t)
-        effs = {a: effective(measure, raw(ContingencyCounts(a, t - a, n, n)))
-                for a in range(lo, hi + 1)}
-        for a2 in range(lo, hi + 1):
-            for a in range(a2 + 1, hi + 1):
-                if not effs[a] > effs[a2]:
-                    return _report(measure, "PS2", n,
-                                   (ContingencyCounts(a, t - a, n, n),
-                                    ContingencyCounts(a2, t - a2, n, n),
-                                    effs[a], effs[a2]))
-    return PropertyReport(measure, "PS2", True, None, None, n)
-
-
-def check_ps2(measure: str, n: int) -> PropertyReport:
-    """Monotone increase with the positive joint when overall support is
-    fixed: for a > a' with a + b = a' + b', the score must strictly grow."""
-    return _ps2(scorer(measure, _measures.prob_kit), measure, n)
-
-
 def check_ps2_exclusivity(n: int) -> list[tuple[str, bool, bool]]:
     """Per measure: (name, PS2 holds, Class Symmetry holds). No measure may
     have both."""
-    kit = cache(_measures.prob_kit)
-    out = []
-    for m in MEASURE_NAMES:
-        raw = scorer(m, kit)
-        ps2 = _ps2(raw, m, n).holds
-        cs = _class_symmetry(raw, m, n).holds
-        out.append((m, ps2, cs))
-    return out
+    return [(ps2.measure, ps2.holds, cs.holds)
+            for ps2, cs in _verdicts(n, MEASURE_NAMES, ("PS2", "ClassSymmetry"))]
 
 
 @dataclass(frozen=True)

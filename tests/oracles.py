@@ -2,12 +2,12 @@
 
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
-for rank correlation, an O(p^3) reference agglomerator, and the one-fold-
-at-a-time SVM trainer and cross-validation loop, the one-coalition-at-a-time
-permutation-sampling Shapley loop, and the property checks,
-ranking and score table that score every operand with a fresh call. The RBO
-checks used only by tests (un-normalized RBO, prefix monotonicity) and
-`RankingPair` live here too.
+for rank correlation, the pairwise DFS-edge comparison of Yan & Han, an
+O(p^3) reference agglomerator, and the one-fold-at-a-time SVM trainer and
+cross-validation loop, the one-coalition-at-a-time permutation-sampling
+Shapley loop, and the property checks, ranking and score table that score
+every operand with a fresh call. The RBO checks used only by tests
+(un-normalized RBO, prefix monotonicity) and `RankingPair` live here too.
 """
 
 from __future__ import annotations
@@ -126,6 +126,24 @@ def brute_force_contains(pattern: AttributedGraph, graph: AttributedGraph) -> bo
         if all(gset.get((combo[u], combo[v])) == el for (u, v, el) in pattern.edges):
             return True
     return False
+
+
+def reference_edge_lt(e1, e2) -> bool:
+    """The DFS-edge total order of Yan & Han on (i, j, label_i, edge_label,
+    label_j): edges are compared first by their (i, j) role (backward/forward
+    position rules), then by labels."""
+    i1, j1 = e1[0], e1[1]
+    i2, j2 = e2[0], e2[1]
+    f1, f2 = i1 < j1, i2 < j2
+    if (i1, j1) == (i2, j2):
+        return e1[2:] < e2[2:]
+    if f1 and f2:
+        return j1 < j2 or (j1 == j2 and i1 > i2)
+    if (not f1) and (not f2):
+        return i1 < i2 or (i1 == i2 and j1 < j2)
+    if (not f1) and f2:   # backward vs forward
+        return i1 < j2
+    return j1 <= i2       # forward vs backward
 
 
 def naive_kendall_tau(order_a, order_b):
@@ -410,6 +428,22 @@ def reference_pattern_symmetry(measure, n):
                                           ContingencyCounts(n - a, n - b, n, n),
                                           s1, s2))
     return _reference_report(measure, "PatternSymmetry", n, None)
+
+
+def reference_ps2(measure, n):
+    for t in range(1, 2 * n + 1):
+        lo = max(0, t - n)
+        hi = min(n, t)
+        effs = {a: effective_score(measure, ContingencyCounts(a, t - a, n, n))
+                for a in range(lo, hi + 1)}
+        for a2 in range(lo, hi + 1):
+            for a in range(a2 + 1, hi + 1):
+                if not effs[a] > effs[a2]:
+                    return _reference_report(measure, "PS2", n,
+                                             (ContingencyCounts(a, t - a, n, n),
+                                              ContingencyCounts(a2, t - a2, n, n),
+                                              effs[a], effs[a2]))
+    return _reference_report(measure, "PS2", n, None)
 
 
 def reference_property_matrix(n, measures=None):

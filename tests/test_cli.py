@@ -314,6 +314,9 @@ class TestCliCommands:
             "stats", "--dataset", str(dataset_file), "--out", str(tmp_path / "o")])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
+        assert list(payload) == [
+            "avg_density", "avg_edges", "avg_global_clustering", "avg_vertices",
+            "density_convention", "mean_avg_degree", "n_graphs"]
         assert payload["n_graphs"] == 16
         assert payload["avg_vertices"] == 5.0
         assert payload["density_convention"]  # stats flag their convention

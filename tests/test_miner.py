@@ -1,15 +1,20 @@
+import importlib.util
 import random
+from functools import cmp_to_key
+from pathlib import Path
 
 import pytest
 
-from patclass.graphdata import AttributedGraph, GraphDataset, StructuralError
+from patclass import miner
+from patclass.graphdata import (AttributedGraph, GraphDataset, StructuralError,
+                                parse_spmf)
 from patclass.miner import (MinerError, canonical_code, code_to_graph, contains,
                             export_patterns, graph_support, import_patterns,
                             mine_frequent)
 
 from oracles import (brute_force_contains, brute_force_isomorphic,
                      connected_subgraph_classes, graph_canonical_form,
-                     random_graph)
+                     random_graph, reference_edge_lt)
 
 
 def triangle(labels=(0, 0, 0), elabels=(0, 0, 0), gid=0, cls=None):
@@ -79,6 +84,43 @@ class TestCanonicalCode:
             g1, g2 = pool[i], pool[i + 1]
             assert (canonical_code(g1) == canonical_code(g2)) == \
                 brute_force_isomorphic(g1, g2)
+
+
+class TestEdgeOrder:
+    def test_tuple_key_matches_reference_order(self, monkeypatch):
+        """Every extension set that mining a molecule-like dataset orders, and
+        its seed set, sorts the same under the tuple key as under the pairwise
+        DFS-edge comparison."""
+        path = Path(__file__).parents[1] / "perfbench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        ds = parse_spmf(generate.molecule_like(1, 40))
+
+        seeds = set()
+        for g in ds:
+            for (u, v, el) in g.edges:
+                lu, lv = sorted((g.vertex_labels[u], g.vertex_labels[v]))
+                seeds.add((0, 1, lu, el, lv))
+        edge_sets = [list(seeds)]
+        real = miner._extensions
+
+        def recording(*args):
+            grouped = real(*args)
+            edge_sets.append(list(grouped))
+            return grouped
+
+        monkeypatch.setattr(miner, "_extensions", recording)
+        mine_frequent(ds, min_support=4, max_edges=4)
+        assert len(edge_sets) > 100
+        assert any(e[0] > e[1] for edges in edge_sets for e in edges)  # backward
+
+        def cmp(e1, e2):
+            return -1 if reference_edge_lt(e1, e2) else int(reference_edge_lt(e2, e1))
+
+        for edges in edge_sets:
+            assert (sorted(edges, key=miner._edge_key)
+                    == sorted(edges, key=cmp_to_key(cmp))), edges
 
 
 class TestContains:

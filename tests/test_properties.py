@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from patclass import measures
+from patclass import measures, properties
 from patclass.footprints import ContingencyCounts, FootprintMatrix
 from patclass.measures import MEASURE_NAMES, measure_info, rank
 from patclass.properties import (check_class_symmetry,
@@ -11,7 +11,8 @@ from patclass.properties import (check_class_symmetry,
                                  equivalence_blocks, min_tau_csv, properties_csv,
                                  property_matrix, recheck_counterexample)
 
-from oracles import reference_property_matrix
+from oracles import (reference_class_symmetry, reference_property_matrix,
+                     reference_ps2)
 
 # The one known gap between exhaustive verdicts and the declared flags:
 # ColStr's printed composite formula changes sign where its second denominator
@@ -162,6 +163,14 @@ class TestPS2:
         assert rep.holds
         assert not check_class_symmetry("Conf", 10).holds
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 10])
+    def test_matches_per_call_reference(self, n):
+        for m in MEASURE_NAMES:
+            assert check_ps2(m, n) == reference_ps2(m, n)  # counterexample scores too
+        assert check_ps2_exclusivity(n) == [
+            (m, reference_ps2(m, n).holds, reference_class_symmetry(m, n).holds)
+            for m in MEASURE_NAMES]
+
 
 class TestEquivalenceBlocks:
     # On balanced data Dep, Gini, Fisher and Entropy are all strictly
@@ -248,6 +257,22 @@ class TestSharedScorer:
         n = 10
         property_matrix(n)
         assert len(built) == len(set(built)) <= (n + 1) ** 2 - 1
+
+    def test_checks_stop_at_their_first_counterexample(self, monkeypatch):
+        # A check scores no table past its first violation, so the matrix
+        # scores 14,682 of the 38 * 440 (measure, table) pairs of the grid.
+        evaluated = []
+        real = properties.scorer
+
+        def counting(measure, kit):
+            def counted_kit(counts):
+                evaluated.append((measure, counts))
+                return kit(counts)
+            return real(measure, counted_kit)
+
+        monkeypatch.setattr(properties, "scorer", counting)
+        property_matrix(20)
+        assert len(evaluated) == len(set(evaluated)) == 14_682
 
     def test_n_below_two_rejected(self):
         for n in (1, 0, -3):
