@@ -178,53 +178,6 @@ def _medoid(rows: Sequence[int], distances: np.ndarray, weights: np.ndarray,
     return min(ids[r] for r, t in zip(rows, totals.tolist()) if t == best)
 
 
-def medoids(clusters: Sequence[Sequence[int]], distances: np.ndarray,
-            pattern_ids: Sequence[int]) -> tuple[int, ...]:
-    """Per cluster, the member minimizing the total distance to the others;
-    ties by ascending pattern id."""
-    pos = {pid: i for i, pid in enumerate(pattern_ids)}
-    weights = np.ones(len(pattern_ids), dtype=np.int64)
-    return tuple(_medoid([pos[pid] for pid in cluster], distances, weights,
-                         pattern_ids)
-                 for cluster in clusters)
-
-
-def _cut(dendrogram: Dendrogram, threshold_pct: float, distances: np.ndarray,
-         groups: Sequence[Sequence[int]]) -> ClusterCut:
-    """Apply every merge of height <= the threshold, with leaf i standing
-    for the pattern ids groups[i] (smallest first), weighted by their count
-    in the medoid choice."""
-    if not (0.0 <= threshold_pct <= 1.0):
-        raise ClusterError("threshold_pct must be in [0, 1]")
-    threshold = math.floor(threshold_pct * dendrogram.n_graphs)
-    members: dict[int, list[int]] = {i: [i] for i in range(dendrogram.n_leaves)}
-    for (x, y, h, new_id) in dendrogram.merges:
-        if h > threshold:
-            break
-        members[new_id] = members.pop(x) + members.pop(y)
-    weights = np.array([len(g) for g in groups], dtype=np.int64)
-    leaf_ids = [g[0] for g in groups]
-    found = []
-    for rows in members.values():
-        cluster = tuple(sorted(pid for r in rows for pid in groups[r]))
-        found.append((cluster, _medoid(rows, distances, weights, leaf_ids)))
-    found.sort(key=lambda cr: cr[0][0])
-    return ClusterCut(clusters=tuple(c for c, _r in found),
-                      threshold=threshold,
-                      representatives=tuple(r for _c, r in found))
-
-
-def cut(dendrogram: Dendrogram, threshold_pct: float,
-        distances: np.ndarray) -> ClusterCut:
-    """Apply all merges with height <= floor(threshold_pct * n_graphs).
-
-    threshold_pct is a fraction of the graph count (the maximal possible
-    Manhattan distance); threshold 0 groups exactly the identical footprints.
-    """
-    return _cut(dendrogram, threshold_pct, distances,
-                [(pid,) for pid in dendrogram.pattern_ids])
-
-
 @dataclass(frozen=True)
 class FootprintClustering:
     """Dedup-aware clustering workspace for one footprint matrix.
@@ -251,7 +204,33 @@ class FootprintClustering:
         return FootprintClustering(groups, reps, dist, dendro)
 
     def cut(self, threshold_pct: float) -> ClusterCut:
-        return _cut(self.dendrogram, threshold_pct, self.distances, self.groups)
+        """Apply every merge with height <= floor(threshold_pct * n_graphs),
+        with leaf i standing for the pattern ids groups[i] (smallest first),
+        weighted by their count in the medoid choice.
+
+        threshold_pct is a fraction of the graph count (the maximal possible
+        Manhattan distance); threshold 0 groups exactly the identical
+        footprints.
+        """
+        if not (0.0 <= threshold_pct <= 1.0):
+            raise ClusterError("threshold_pct must be in [0, 1]")
+        dendrogram, groups = self.dendrogram, self.groups
+        threshold = math.floor(threshold_pct * dendrogram.n_graphs)
+        members: dict[int, list[int]] = {i: [i] for i in range(dendrogram.n_leaves)}
+        for (x, y, h, new_id) in dendrogram.merges:
+            if h > threshold:
+                break
+            members[new_id] = members.pop(x) + members.pop(y)
+        weights = np.array([len(g) for g in groups], dtype=np.int64)
+        leaf_ids = [g[0] for g in groups]
+        found = []
+        for rows in members.values():
+            cluster = tuple(sorted(pid for r in rows for pid in groups[r]))
+            found.append((cluster, _medoid(rows, self.distances, weights, leaf_ids)))
+        found.sort(key=lambda cr: cr[0][0])
+        return ClusterCut(clusters=tuple(c for c, _r in found),
+                          threshold=threshold,
+                          representatives=tuple(r for _c, r in found))
 
 
 def clusters_csv(cut_result: ClusterCut) -> str:

@@ -94,111 +94,89 @@ def _edge_key(e: DfsEdge) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Embeddings. An embedding maps DFS indices to graph vertices and records
-# which graph edges are in use, so extensions never reuse an edge.
+# Embeddings. An embedding is a (graph id, vertex map) pair; the vertex map
+# takes DFS index k to the graph vertex vmap[k]. Hosts map a graph id to its
+# (adjacency, vertex labels).
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Embedding:
-    gid: int
-    vmap: tuple[int, ...]          # dfs index -> graph vertex
-    edges: frozenset[tuple[int, int]]  # normalized used edges
+Embedding = tuple[int, tuple[int, ...]]
+Hosts = dict[int, tuple[list[list[tuple[int, int]]], tuple[int, ...]]]
 
-    def extend(self, edge: tuple[int, int], vertex: Optional[int]) -> "_Embedding":
-        vmap = self.vmap + (vertex,) if vertex is not None else self.vmap
-        return _Embedding(self.gid, vmap, self.edges | {edge})
+
+def _hosts(graphs: Iterable[AttributedGraph]) -> Hosts:
+    return {g.graph_id: (g.adjacency(), g.vertex_labels) for g in graphs}
+
+
+def _seeds(graphs: Iterable[AttributedGraph]) -> dict[DfsEdge, list[Embedding]]:
+    """Single-edge codes (0, 1, la, el, lb) with la <= lb, the orientation
+    that can be minimal, with their embeddings."""
+    seeds: dict[DfsEdge, list[Embedding]] = {}
+    for g in graphs:
+        for (u, v, el) in g.edges:
+            for (x, y) in ((u, v), (v, u)):
+                lx, ly = g.vertex_labels[x], g.vertex_labels[y]
+                if lx <= ly:
+                    tup = (0, 1, lx, el, ly)
+                    seeds.setdefault(tup, []).append((g.graph_id, (x, y)))
+    return seeds
 
 
 def _rightmost_path(code: DfsCode) -> list[int]:
     """DFS indices from root to the rightmost vertex, derived from the code."""
-    path: list[int] = []
-    rightmost = -1
-    parent: dict[int, int] = {}
-    for (i, j, *_rest) in code:
-        if j > i:  # forward edge discovers j
-            parent[j] = i
-            if j > rightmost:
-                rightmost = j
-    node = rightmost
-    path = [node]
-    while node in parent:
-        node = parent[node]
-        path.append(node)
-    return list(reversed(path))  # root ... rightmost
+    parent = {j: i for (i, j, *_r) in code if i < j}  # forward edges discover j
+    path = [max(parent)]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
-def _extensions(code: DfsCode, embeddings: list[_Embedding],
-                adj_cache: dict[int, list[list[tuple[int, int]]]],
-                vlabel_cache: dict[int, tuple[int, ...]]):
-    """Candidate rightmost-path extensions grouped by DFS edge tuple."""
+def _extensions(code: DfsCode, embeddings: list[Embedding],
+                hosts: Hosts) -> dict[DfsEdge, list[Embedding]]:
+    """Rightmost-path extensions of every embedding, grouped by DFS edge: a
+    forward edge appends the new vertex to the vertex map, a backward edge
+    keeps it."""
     path = _rightmost_path(code)
     rm = path[-1]
-    n_vertices = rm + 1
-    on_path = set(path)
-    grouped: dict[DfsEdge, list[tuple[_Embedding, tuple[int, int], Optional[int]]]] = {}
-
+    # An embedding is injective, so the graph edge between vmap[rm] and
+    # vmap[di] is in use exactly when the code has an edge between rm and di.
+    # Backward edges may therefore go to the path vertices the code does not
+    # yet link to rm, whatever the embedding.
+    linked = {j if i == rm else i for (i, j, *_r) in code if rm in (i, j)}
+    back = set(path[:-1]) - linked
+    grouped: dict[DfsEdge, list[Embedding]] = {}
     for emb in embeddings:
-        adj = adj_cache[emb.gid]
-        vlabels = vlabel_cache[emb.gid]
-        mapped = set(emb.vmap)
-        rm_vertex = emb.vmap[rm]
-        # Backward: rightmost vertex to an earlier rightmost-path vertex.
-        for (nbr, el) in adj[rm_vertex]:
-            if nbr not in mapped:
-                continue
-            key = (min(rm_vertex, nbr), max(rm_vertex, nbr))
-            if key in emb.edges:
-                continue
-            di = emb.vmap.index(nbr)
-            if di not in on_path or di == rm:
-                continue
-            tup: DfsEdge = (rm, di, vlabels[rm_vertex], el, vlabels[nbr])
-            grouped.setdefault(tup, []).append((emb, key, None))
-        # Forward: any rightmost-path vertex to a new vertex.
+        gid, vmap = emb
+        adj, labels = hosts[gid]
+        u = vmap[rm]
+        for (nbr, el) in adj[u]:
+            if nbr in vmap:
+                di = vmap.index(nbr)
+                if di in back:
+                    tup = (rm, di, labels[u], el, labels[nbr])
+                    grouped.setdefault(tup, []).append(emb)
         for di in path:
-            src = emb.vmap[di]
+            src = vmap[di]
             for (nbr, el) in adj[src]:
-                if nbr in mapped:
-                    continue
-                key = (min(src, nbr), max(src, nbr))
-                tup = (di, n_vertices, vlabels[src], el, vlabels[nbr])
-                grouped.setdefault(tup, []).append((emb, key, nbr))
+                if nbr not in vmap:
+                    tup = (di, rm + 1, labels[src], el, labels[nbr])
+                    grouped.setdefault(tup, []).append((gid, vmap + (nbr,)))
     return grouped
 
 
-def _min_code_of_graph(graph: AttributedGraph) -> DfsCode:
-    """Minimal DFS code by greedy minimal extension over self-embeddings."""
-    if graph.n_edges == 0:
-        raise MinerError("patterns must have at least one edge")
-    if not _is_connected(graph):
-        raise StructuralError("canonical code requires a connected graph")
-    adj_cache = {graph.graph_id: graph.adjacency()}
-    vlabel_cache = {graph.graph_id: graph.vertex_labels}
-
-    # Minimal starting edge over both orientations of every edge.
-    best: Optional[DfsEdge] = None
-    for (u, v, el) in graph.edges:
-        for (x, y) in ((u, v), (v, u)):
-            tup: DfsEdge = (0, 1, graph.vertex_labels[x], el, graph.vertex_labels[y])
-            if best is None or tup < best:
-                best = tup
-    assert best is not None
-    code: list[DfsEdge] = [best]
-    embeddings = []
-    for (u, v, el) in graph.edges:
-        for (x, y) in ((u, v), (v, u)):
-            if (graph.vertex_labels[x], el, graph.vertex_labels[y]) == best[2:]:
-                embeddings.append(_Embedding(graph.graph_id, (x, y),
-                                             frozenset({(min(x, y), max(x, y))})))
-    while len(code) < graph.n_edges:
-        grouped = _extensions(tuple(code), embeddings, adj_cache, vlabel_cache)
-        tup = min(grouped, key=_edge_key)
-        code.append(tup)
-        new_embs = []
-        for (emb, key, nbr) in grouped[tup]:
-            new_embs.append(emb.extend(key, nbr))
-        embeddings = new_embs
-    return tuple(code)
+def _min_code(graph: AttributedGraph, stop: Optional[DfsCode] = None) -> DfsCode:
+    """Minimal DFS code of a connected graph, grown by the smallest extension
+    over all self-embeddings. With stop, return at the first edge where the
+    minimal code departs from stop."""
+    hosts = _hosts([graph])
+    code: DfsCode = ()
+    grouped = _seeds([graph])
+    while True:
+        edge = min(grouped, key=_edge_key)
+        code += (edge,)
+        departed = stop is not None and edge != stop[len(code) - 1]
+        if departed or len(code) == graph.n_edges:
+            return code
+        grouped = _extensions(code, grouped[edge], hosts)
 
 
 def _is_connected(graph: AttributedGraph) -> bool:
@@ -221,23 +199,17 @@ def canonical_code(graph: AttributedGraph) -> DfsCode:
 
     Equal for isomorphic inputs, distinct otherwise.
     """
-    return _min_code_of_graph(graph)
+    if graph.n_edges == 0:
+        raise MinerError("patterns must have at least one edge")
+    if not _is_connected(graph):
+        raise StructuralError("canonical code requires a connected graph")
+    return _min_code(graph)
 
 
 def _is_min(code: DfsCode) -> bool:
-    return code == _min_code_of_graph(code_to_graph(code))
-
-
-class _Budget:
-    def __init__(self, max_patterns: Optional[int]):
-        self.max_patterns = max_patterns
-        self.truncated = False
-
-    def exhausted(self, count: int) -> bool:
-        if self.max_patterns is not None and count >= self.max_patterns:
-            self.truncated = True
-            return True
-        return False
+    """Whether a code the miner grew (so connected) is its graph's minimal
+    code; stops at the first edge where the minimal code departs from it."""
+    return code == _min_code(code_to_graph(code), stop=code)
 
 
 def mine_frequent(dataset: GraphDataset, min_support: int,
@@ -247,66 +219,45 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
 
     Rightmost-path extension with minimal-DFS-code pruning; patterns are
     emitted in canonical (lexicographic DFS code) search order, so the output
-    is deterministic. When max_patterns cuts the search short, the truncated
-    flag is set and the first patterns in search order are kept.
+    is deterministic. When max_patterns patterns are kept, the search stops
+    there and the truncated flag is set. min_support, max_patterns and
+    max_edges below 1 raise MinerError.
     """
     if min_support < 1:
         raise MinerError("min_support must be >= 1")
+    if max_patterns is not None and max_patterns < 1:
+        raise MinerError("max_patterns must be >= 1")
+    if max_edges is not None and max_edges < 1:
+        raise MinerError("max_edges must be >= 1")
     if len(dataset) == 0:
         raise MinerError("dataset is empty")
-    adj_cache = {g.graph_id: g.adjacency() for g in dataset}
-    vlabel_cache = {g.graph_id: g.vertex_labels for g in dataset}
-
-    # Frequent single-edge seeds: minimal orientation (la <= lb).
-    seeds: dict[DfsEdge, dict[int, list[_Embedding]]] = {}
-    for g in dataset:
-        for (u, v, el) in g.edges:
-            for (x, y) in ((u, v), (v, u)):
-                lx, ly = g.vertex_labels[x], g.vertex_labels[y]
-                if lx > ly:
-                    continue
-                tup: DfsEdge = (0, 1, lx, el, ly)
-                emb = _Embedding(g.graph_id, (x, y), frozenset({(min(x, y), max(x, y))}))
-                seeds.setdefault(tup, {}).setdefault(g.graph_id, []).append(emb)
-
+    hosts = _hosts(dataset)
     patterns: list[Pattern] = []
-    budget = _Budget(max_patterns)
+    # Depth-first search on an explicit stack of (code, embeddings, graph
+    # ids). Frequent children are pushed last first, so they pop in DFS-code
+    # order and each subtree is finished before its next sibling.
+    stack: list[tuple[DfsCode, list[Embedding], set[int]]] = []
 
-    def recurse(code: DfsCode, by_graph: dict[int, list[_Embedding]]):
-        if budget.exhausted(len(patterns)):
-            return
+    def push(code: DfsCode, grouped: dict[DfsEdge, list[Embedding]]) -> None:
+        for edge in sorted(grouped, key=_edge_key, reverse=True):
+            gids = {gid for gid, _vmap in grouped[edge]}
+            if len(gids) >= min_support:
+                stack.append((code + (edge,), grouped[edge], gids))
+
+    push((), _seeds(dataset))
+    while stack and len(patterns) != max_patterns:
+        code, embeddings, gids = stack.pop()
         if not _is_min(code):
-            return
-        # _is_min validated the code: its DFS indices are 0..n-1, one edge each
+            continue
         patterns.append(Pattern(
             pattern_id=len(patterns), code=code,
             n_vertices=max(max(i, j) for i, j, *_ in code) + 1,
-            n_edges=len(code), graph_ids=tuple(sorted(by_graph))))
-        if max_edges is not None and len(code) >= max_edges:
-            return
-        embeddings = [e for embs in by_graph.values() for e in embs]
-        grouped = _extensions(code, embeddings, adj_cache, vlabel_cache)
-        for tup in sorted(grouped, key=_edge_key):
-            ext_by_graph: dict[int, list[_Embedding]] = {}
-            for (emb, key, nbr) in grouped[tup]:
-                ext_by_graph.setdefault(emb.gid, []).append(emb.extend(key, nbr))
-            if len(ext_by_graph) < min_support:
-                continue
-            recurse(code + (tup,), ext_by_graph)
-            if budget.exhausted(len(patterns)):
-                return
+            n_edges=len(code), graph_ids=tuple(sorted(gids))))
+        if max_edges is None or len(code) < max_edges:
+            push(code, _extensions(code, embeddings, hosts))
 
-    for tup in sorted(seeds, key=_edge_key):
-        by_graph = seeds[tup]
-        if len(by_graph) < min_support:
-            continue
-        if max_edges is not None and max_edges < 1:
-            break
-        recurse((tup,), by_graph)
-        if budget.exhausted(len(patterns)):
-            break
-
-    return PatternSet(tuple(patterns), min_support=min_support, truncated=budget.truncated)
+    return PatternSet(tuple(patterns), min_support=min_support,
+                      truncated=len(patterns) == max_patterns)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, the pairwise DFS-edge comparison of Yan & Han, an
-O(p^3) reference agglomerator, and the one-fold-at-a-time SVM trainer and
+O(p^3) reference agglomerator, the cut and medoids over one leaf per
+pattern that only tests call, and the one-fold-at-a-time SVM trainer and
 cross-validation loop, the one-coalition-at-a-time permutation-sampling
 Shapley loop, and the property checks, ranking and score table that score
 every operand with a fresh call. The RBO checks used only by tests
@@ -21,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from patclass.classify import EPOCHS, EvalReport, prf1, stratified_folds
+from patclass.clusterer import FootprintClustering, _medoid
 from patclass.footprints import ContingencyCounts, contingency
 from patclass.graphdata import AttributedGraph
 from patclass.measures import MEASURE_NAMES, Ranking, effective_score, score
@@ -204,6 +206,25 @@ def naive_complete_linkage(dist, ids=None):
         members[next_id] = members.pop(x) | members.pop(y)
         next_id += 1
     return merges
+
+
+def cut(dendrogram, threshold_pct, distances):
+    """Cut a dendrogram built over one leaf per pattern id: apply every merge
+    with height <= floor(threshold_pct * n_graphs), with unit medoid weights.
+    Threshold 0 groups exactly the identical footprints."""
+    ids = tuple(dendrogram.pattern_ids)
+    return FootprintClustering(tuple((pid,) for pid in ids), ids, distances,
+                               dendrogram).cut(threshold_pct)
+
+
+def medoids(clusters, distances, pattern_ids):
+    """Per cluster, the member minimizing the total distance to the others;
+    ties by ascending pattern id (the clusterer's medoid, unit weights)."""
+    pos = {pid: i for i, pid in enumerate(pattern_ids)}
+    weights = np.ones(len(pattern_ids), dtype=np.int64)
+    return tuple(_medoid([pos[pid] for pid in cluster], distances, weights,
+                         pattern_ids)
+                 for cluster in clusters)
 
 
 def random_graph(rng, n_vertices, edge_prob, n_vlabels, n_elabels, graph_id=0,

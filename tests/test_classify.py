@@ -272,7 +272,8 @@ class TestDuplicateColumnStability:
     def test_threshold0_reps_close_to_full_f1(self):
         # duplicate-heavy matrix: representatives at threshold 0 give F1
         # within 0.02 of the all-patterns F1
-        from patclass.clusterer import agglomerate_complete, cut, manhattan_matrix
+        from patclass.clusterer import agglomerate_complete, manhattan_matrix
+        from oracles import cut
         rng = np.random.default_rng(13)
         n, base_p = 60, 12
         base = rng.random((n, base_p)) < rng.uniform(0.2, 0.6, base_p)

@@ -3,12 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from patclass.clusterer import (ClusterError, agglomerate_complete, cut,
-                                clusters_csv, dendrogram_csv, manhattan_matrix,
-                                medoids)
+from patclass.clusterer import (ClusterError, agglomerate_complete,
+                                clusters_csv, dendrogram_csv, manhattan_matrix)
 from patclass.footprints import FootprintMatrix, distinct_footprint_groups
 
-from oracles import naive_complete_linkage
+from oracles import cut, medoids, naive_complete_linkage
 
 
 def matrix_from_columns(cols, labels=None):

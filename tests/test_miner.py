@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import random
 from functools import cmp_to_key
@@ -123,6 +124,31 @@ class TestEdgeOrder:
                     == sorted(edges, key=cmp_to_key(cmp))), edges
 
 
+class TestMinimality:
+    def test_early_exit_agrees_with_full_canonical_code(self):
+        """Every node of the rightmost-path extension tree of a few hosts, up
+        to 4 edges, is minimal under the early-exit check exactly when it
+        equals the canonical code of its graph."""
+        rng = random.Random(13)
+        outcomes = set()
+        early = 0
+        for gid in range(4):
+            host = random_graph(rng, 6, 0.5, 2, 2, graph_id=gid)
+            hosts = miner._hosts([host])
+            stack = [((edge,), embs) for edge, embs in miner._seeds([host]).items()]
+            while stack:
+                code, embs = stack.pop()
+                is_min = miner._is_min(code)
+                assert is_min == (code == canonical_code(code_to_graph(code))), code
+                outcomes.add(is_min)
+                early += len(miner._min_code(code_to_graph(code), stop=code)) < len(code)
+                if len(code) < 4:
+                    grouped = miner._extensions(code, embs, hosts)
+                    stack.extend((code + (edge,), e) for edge, e in grouped.items())
+        assert outcomes == {True, False}
+        assert early > 0
+
+
 class TestContains:
     def test_single_edge_present(self):
         pat = AttributedGraph(0, (1, 2), ((0, 1, 3),), None)
@@ -166,10 +192,17 @@ class TestMineFrequent:
         with pytest.raises(MinerError):
             mine_frequent(GraphDataset((triangle(),)), min_support=0)
 
+    @pytest.mark.parametrize("caps", [{"max_patterns": 0}, {"max_patterns": -1},
+                                      {"max_edges": 0}, {"max_edges": -2}])
+    def test_cap_validation(self, caps):
+        with pytest.raises(MinerError):
+            mine_frequent(GraphDataset((triangle(),)), min_support=1, **caps)
+
     def test_max_edges_cap(self):
         ds = GraphDataset((triangle(),))
-        ps = mine_frequent(ds, min_support=1, max_edges=2)
-        assert sorted(p.n_edges for p in ps) == [1, 2]
+        for max_edges in (1, 2):
+            ps = mine_frequent(ds, min_support=1, max_edges=max_edges)
+            assert sorted(p.n_edges for p in ps) == list(range(1, max_edges + 1))
 
     def test_max_patterns_truncates_deterministically(self):
         rng = random.Random(5)
@@ -179,6 +212,8 @@ class TestMineFrequent:
         cut = mine_frequent(ds, min_support=1, max_patterns=4)
         assert cut.truncated and not full.truncated
         assert [p.code for p in cut] == [p.code for p in full][:4]
+        # the flag means the cap was reached, even when nothing was left
+        assert mine_frequent(ds, min_support=1, max_patterns=len(full)).truncated
 
     def test_completeness_against_brute_force(self):
         rng = random.Random(17)
@@ -223,6 +258,37 @@ class TestMineFrequent:
                 sub_code = canonical_code(sub)
                 assert sub_code in by_code
                 assert by_code[sub_code].support >= p.support
+
+    # seed, graphs, vertex range, edge prob, min_support, max_patterns,
+    # max_edges, truncated, sha256 of the exported patterns and support texts
+    PINNED = [
+        (101, 30, (6, 10), 0.3, 2, None, None, False,
+         "65844de14f67d065b785a0d93df0d5abd5c68f6eea595495365ca3ea7404ddae",
+         "23a7022d3968304b57e061720e0ec4c269be185372b42eeff3a18d26002d3fb8"),
+        (202, 30, (5, 9), 0.45, 2, 150, 5, True,
+         "9e43d991c2974eacbd49a23399234f02e43218e999c5c098e6adadb5d67b3b0a",
+         "e281a86fd75687b2273c9293ad64d5f852b1722bbbddb4eefcd51432e1f5a442"),
+        (303, 40, (4, 8), 0.5, 4, None, 4, False,
+         "c48cdd0bdc034b0ee63a690b34b86a06f0e980d1406bceafb4b2aebcc5bad6b3",
+         "65b2f4e64b72ff7091c38d37808fb8ae63dbfb9223efc24b1dc5797c7db0dc8b"),
+    ]
+
+    @pytest.mark.parametrize("case", PINNED, ids=lambda c: f"seed{c[0]}")
+    def test_pinned_search_order(self, case):
+        """Exported bytes (codes in search order, supports) and the truncated
+        flag are pinned for an uncapped run, a run cut by max_patterns and an
+        edge-capped run."""
+        (seed, n, (lo, hi), p, min_support, max_patterns, max_edges,
+         truncated, text_sha, support_sha) = case
+        rng = random.Random(seed)
+        ds = GraphDataset(tuple(random_graph(rng, rng.randint(lo, hi), p, 3, 2, graph_id=i)
+                                for i in range(n)))
+        ps = mine_frequent(ds, min_support=min_support,
+                           max_patterns=max_patterns, max_edges=max_edges)
+        text, support = export_patterns(ps)
+        assert ps.truncated == truncated
+        assert hashlib.sha256(text.encode()).hexdigest() == text_sha
+        assert hashlib.sha256(support.encode()).hexdigest() == support_sha
 
     def test_mining_support_threshold_contract(self):
         rng = random.Random(31)
