@@ -10,11 +10,11 @@ cli (command line).
 from .footprints import ContingencyCounts, FootprintMatrix, build_matrix
 from .graphdata import AttributedGraph, GraphDataset, parse_spmf, parse_tudataset
 from .measures import MEASURE_NAMES, Ranking, effective_score, rank, score
-from .miner import Pattern, PatternSet, canonical_code, contains, mine_frequent
+from .miner import Pattern, PatternSet, canonical_code, mine_frequent
 
 __all__ = [
     "AttributedGraph", "GraphDataset", "parse_spmf", "parse_tudataset",
-    "Pattern", "PatternSet", "mine_frequent", "canonical_code", "contains",
+    "Pattern", "PatternSet", "mine_frequent", "canonical_code",
     "FootprintMatrix", "ContingencyCounts", "build_matrix",
     "MEASURE_NAMES", "Ranking", "score", "effective_score", "rank",
 ]

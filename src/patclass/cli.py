@@ -16,6 +16,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence, get_args, get_origin, get_type_hints
 
@@ -98,18 +99,24 @@ class RunConfig:
     def resolve_min_support(self, n_graphs: int) -> int:
         kind, value = _parse_count_or_pct(self.min_support, "min_support")
         if kind == "pct":
-            return max(1, math.ceil(value / 100.0 * n_graphs))
+            return max(1, math.ceil(_share(value) * n_graphs))
         return max(1, int(value))
 
     def resolve_s(self, n_representatives: int) -> int:
         kind, value = _parse_count_or_pct(self.s, "s")
         if kind == "pct":
-            resolved = math.ceil(value / 100.0 * n_representatives)
+            resolved = math.ceil(_share(value) * n_representatives)
         else:
             resolved = int(value)
         if resolved < 1:
             raise ConfigError("s must select at least one pattern")
         return min(resolved, n_representatives)
+
+
+def _share(pct: float) -> Fraction:
+    """pct percent as an exact fraction, read from the decimal pct prints as,
+    so a count taken from it by ceil or floor is not one off."""
+    return Fraction(str(pct)) / 100
 
 
 def _parse_count_or_pct(raw: str, key: str) -> tuple[str, float]:
@@ -243,7 +250,7 @@ def _mine_and_cluster(cfg: RunConfig, path: str, seconds: Optional[dict] = None,
         matrix = footprints.build_matrix(pattern_set, ds)
     with _stage("cluster", seconds):
         clustering = clusterer.FootprintClustering.build(matrix)
-        cut = clustering.cut(cfg.threshold_pct / 100.0)
+        cut = clustering.cut(_share(cfg.threshold_pct))
     return ds, pattern_set, matrix, clustering, cut
 
 
@@ -328,7 +335,7 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
     with _stage("sweep"):
         f1 = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
                                                 seed=cfg.seed)
-        cuts = [clustering.cut(pct / 100.0) for pct in thresholds]
+        cuts = [clustering.cut(_share(pct)) for pct in thresholds]
         scores = f1.many(cut.representatives for cut in cuts)
         lines = ["threshold_pct,abs_threshold,n_representatives,f1"]
         for pct, cut, score in zip(thresholds, cuts, scores):
@@ -387,7 +394,7 @@ def run_gold(cfg: RunConfig) -> dict:
         _write(out_dir, "gold.csv", shapley.shapley_csv(gold))
     with _stage("sweep"):
         rankings = measures.rank_all(matrix, reps, cfg.measures)
-        sizes = [max(1, math.ceil(pct / 100.0 * len(reps))) for pct in cfg.s_grid]
+        sizes = [max(1, math.ceil(_share(pct) * len(reps))) for pct in cfg.s_grid]
         # every swept set is cross-validated in one batch before the rows
         f = gold.characteristic
         f.many(ranking.top(s) for s in sizes

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -203,14 +204,14 @@ class FootprintClustering:
         dendro = agglomerate_complete(dist, reps, n_graphs=matrix.n_graphs)
         return FootprintClustering(groups, reps, dist, dendro)
 
-    def cut(self, threshold_pct: float) -> ClusterCut:
+    def cut(self, threshold_pct: float | Fraction) -> ClusterCut:
         """Apply every merge with height <= floor(threshold_pct * n_graphs),
         with leaf i standing for the pattern ids groups[i] (smallest first),
         weighted by their count in the medoid choice.
 
         threshold_pct is a fraction of the graph count (the maximal possible
         Manhattan distance); threshold 0 groups exactly the identical
-        footprints.
+        footprints. A Fraction, as the commands pass, floors an exact product.
         """
         if not (0.0 <= threshold_pct <= 1.0):
             raise ClusterError("threshold_pct must be in [0, 1]")

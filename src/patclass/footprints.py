@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graphdata import POSITIVE, GraphDataset
-from .miner import Pattern, PatternSet, contains
+from .miner import Pattern, PatternSet
 
 
 class FootprintError(ValueError):
@@ -96,33 +96,25 @@ class FootprintMatrix:
     def n_neg(self) -> int:
         return self.n_graphs - self._n_pos
 
-    def column(self, pattern_id: int) -> np.ndarray:
-        return self._bits[:, pattern_id]
-
 
 def build_matrix(pattern_set: PatternSet | Iterable[Pattern],
                  dataset: GraphDataset) -> FootprintMatrix:
     """H with column order = pattern id order.
 
-    Uses the miner's cached containing-graph ids when present, otherwise runs
-    the containment check per (pattern, graph). A pattern with zero support in
-    the dataset violates the footprint invariant and is rejected.
+    Column j is filled from pattern j's `graph_ids`, the containing graphs
+    the miner records. A pattern whose ids are empty, or name a graph the
+    dataset lacks, is rejected: zero support violates the footprint
+    invariant.
     """
     patterns = list(pattern_set)
     n = len(dataset)
     bits = np.zeros((n, len(patterns)), dtype=bool)
     for j, p in enumerate(patterns):
-        if p.graph_ids:
-            rows = [g for g in p.graph_ids if g < n]
-            if len(rows) != len(p.graph_ids):
-                raise FootprintError(f"pattern {p.pattern_id} references unknown graphs")
-            bits[rows, j] = True
-        else:
-            for g in dataset:
-                if contains(p, g):
-                    bits[g.graph_id, j] = True
-        if not bits[:, j].any():
+        if not p.graph_ids:
             raise FootprintError(f"pattern {p.pattern_id} has zero support in dataset")
+        if max(p.graph_ids) >= n:
+            raise FootprintError(f"pattern {p.pattern_id} references unknown graphs")
+        bits[list(p.graph_ids), j] = True
     return FootprintMatrix(bits, list(dataset.labels()))
 
 

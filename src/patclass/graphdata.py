@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -75,13 +75,6 @@ class AttributedGraph:
             adj[u].append((v, el))
             adj[v].append((u, el))
         return adj
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        deg = [0] * self.n_vertices
-        for (u, v, _el) in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(sorted(deg))
 
 
 @dataclass(frozen=True)
@@ -149,7 +142,9 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
     ``t # <gid>`` starts a graph (an optional trailing integer is its class),
     ``v <vid> <vlabel>`` and ``e <src> <dst> <elabel>`` add vertices and edges.
     Blank lines and '#'-prefixed lines are ignored. Class labels may instead
-    come from ``labels_text`` with one ``<gid> <class>`` pair per line.
+    come from ``labels_text`` with one ``<gid> <class>`` pair per line. A
+    repeated header gid raises ParseError; a label line for a gid the text
+    lacks, or for a gid labelled before, raises ConsistencyError.
     """
     lines = text.splitlines() if isinstance(text, str) else list(text)
     blocks: list[tuple[int, list[int], list[tuple[int, int, int]]]] = []
@@ -157,6 +152,7 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
     cur_vlabels: Optional[dict[int, int]] = None
     cur_edges: list[tuple[int, int, int]] = []
     cur_gid = -1
+    gids: set[int] = set()
 
     def flush():
         if cur_vlabels is None:
@@ -178,6 +174,9 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
                     raise ValueError
                 flush()
                 cur_gid = int(parts[2])
+                if cur_gid in gids:
+                    raise ParseError(f"line {lineno}: repeated graph id {cur_gid}")
+                gids.add(cur_gid)
                 cur_vlabels = {}
                 cur_edges = []
                 if len(parts) >= 4:
@@ -209,6 +208,7 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
     if labels_text is not None:
         llines = (labels_text.splitlines() if isinstance(labels_text, str)
                   else list(labels_text))
+        labelled: set[int] = set()
         for lineno, rawline in enumerate(llines, start=1):
             line = rawline.strip()
             if not line or line.startswith("#"):
@@ -218,6 +218,11 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
                 gid, cls = int(parts[0]), int(parts[1])
             except (ValueError, IndexError):
                 raise ParseError(f"label line {lineno}: malformed line {line!r}") from None
+            if gid not in gids:
+                raise ConsistencyError(f"label line {lineno}: no graph with id {gid}")
+            if gid in labelled:
+                raise ConsistencyError(f"label line {lineno}: graph {gid} labelled twice")
+            labelled.add(gid)
             raw_class[gid] = cls
 
     mapped: dict[int, int] = {}
@@ -259,6 +264,27 @@ def _read_lines(src: str | Iterable[str]) -> list[str]:
     return [ln.strip() for ln in lines if ln.strip()]
 
 
+def _rows(name: str, lines: list[str], row: Callable) -> list:
+    """`row` applied to every line; a line it rejects raises ParseError
+    naming the file and the line (numbered among the non-blank lines)."""
+    out = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            out.append(row(line))
+        except (ValueError, OverflowError):
+            raise ParseError(f"{name} line {lineno}: malformed line {line!r}") from None
+    return out
+
+
+def _label(text: str) -> int:
+    return int(float(text))
+
+
+def _pair(text: str) -> tuple[int, int]:
+    u, v = text.replace(",", " ").split()
+    return int(u), int(v)
+
+
 def parse_tudataset(adjacency: str | Iterable[str],
                     graph_indicator: str | Iterable[str],
                     graph_labels: str | Iterable[str],
@@ -270,18 +296,10 @@ def parse_tudataset(adjacency: str | Iterable[str],
     present; ``edge_labels`` has one value per direction row. Missing label
     files default every label to 0.
     """
-    ind_lines = _read_lines(graph_indicator)
-    try:
-        indicator = [int(x) for x in ind_lines]
-    except ValueError as exc:
-        raise ParseError(f"graph_indicator: {exc}") from None
+    indicator = _rows("graph_indicator", _read_lines(graph_indicator), int)
     n_nodes = len(indicator)
 
-    lab_lines = _read_lines(graph_labels)
-    try:
-        glabels_raw = [int(float(x)) for x in lab_lines]
-    except ValueError as exc:
-        raise ParseError(f"graph_labels: {exc}") from None
+    glabels_raw = _rows("graph_labels", _read_lines(graph_labels), _label)
     n_graphs = len(glabels_raw)
     if any(g < 1 or g > n_graphs for g in indicator):
         bad = next(g for g in indicator if g < 1 or g > n_graphs)
@@ -293,27 +311,21 @@ def parse_tudataset(adjacency: str | Iterable[str],
         if len(nl_lines) != n_nodes:
             raise ConsistencyError(
                 f"node_labels has {len(nl_lines)} rows, graph_indicator has {n_nodes}")
-        vlabels_raw = [int(float(x)) for x in nl_lines]
+        vlabels_raw = _rows("node_labels", nl_lines, _label)
     else:
         vlabels_raw = [0] * n_nodes
 
-    adj_lines = _read_lines(adjacency)
-    pairs = []
-    for lineno, line in enumerate(adj_lines, start=1):
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ParseError(f"adjacency line {lineno}: malformed line {line!r}")
-        u, v = int(parts[0]), int(parts[1])
+    pairs = _rows("adjacency", _read_lines(adjacency), _pair)
+    for lineno, (u, v) in enumerate(pairs, start=1):
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
             raise ConsistencyError(f"adjacency line {lineno}: node id out of range")
-        pairs.append((u, v))
 
     if edge_labels is not None:
         el_lines = _read_lines(edge_labels)
         if len(el_lines) != len(pairs):
             raise ConsistencyError(
                 f"edge_labels has {len(el_lines)} rows, adjacency has {len(pairs)}")
-        elabels_raw = [int(float(x)) for x in el_lines]
+        elabels_raw = _rows("edge_labels", el_lines, _label)
     else:
         elabels_raw = [0] * len(pairs)
 

@@ -409,16 +409,12 @@ KNOWN_BOUND_EXCEPTIONS: dict[str, str] = {
 
 
 def measure_info(name: str) -> MeasureInfo:
+    """Declared metadata of one of the MEASURE_NAMES (registry order)."""
     try:
         r = _REGISTRY[name]
     except KeyError:
         raise MeasureError(f"unknown measure {name!r}") from None
     return MeasureInfo(name, r[1], r[2], r[3], r[4], r[5], r[6], r[7])
-
-
-def measure_table() -> list[MeasureInfo]:
-    """Static metadata for all 38 measures, in registry order."""
-    return [measure_info(n) for n in MEASURE_NAMES]
 
 
 def scorer(measure: str, kit: Callable[[ContingencyCounts], ProbKit]

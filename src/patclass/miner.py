@@ -261,95 +261,7 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
 
 
 # ---------------------------------------------------------------------------
-# Subgraph isomorphism (pattern containment).
-# ---------------------------------------------------------------------------
-
-def contains(pattern: Pattern | AttributedGraph, graph: AttributedGraph) -> bool:
-    """True iff a label-preserving subgraph isomorphism maps pattern into graph.
-
-    Backtracking over pattern vertices in a connectivity-respecting order with
-    degree and label pruning. Non-induced: extra edges in the graph between
-    mapped vertices are allowed.
-    """
-    pg = pattern.to_graph() if isinstance(pattern, Pattern) else pattern
-    if pg.n_vertices > graph.n_vertices or pg.n_edges > graph.n_edges:
-        return False
-    gadj = {i: {} for i in range(graph.n_vertices)}
-    for (u, v, el) in graph.edges:
-        gadj[u][v] = el
-        gadj[v][u] = el
-    padj = pg.adjacency()
-    gdeg = [len(gadj[i]) for i in range(graph.n_vertices)]
-    pdeg = [len(padj[i]) for i in range(pg.n_vertices)]
-
-    glabel_counts: dict[int, int] = {}
-    for l in graph.vertex_labels:
-        glabel_counts[l] = glabel_counts.get(l, 0) + 1
-    plabel_counts: dict[int, int] = {}
-    for l in pg.vertex_labels:
-        plabel_counts[l] = plabel_counts.get(l, 0) + 1
-    for l, c in plabel_counts.items():
-        if glabel_counts.get(l, 0) < c:
-            return False
-
-    # Order pattern vertices so each one touches a mapped one where possible;
-    # disconnected patterns start a fresh component.
-    order = [0]
-    placed = {0}
-    while len(order) < pg.n_vertices:
-        nxt = next((i for i in range(pg.n_vertices)
-                    if i not in placed and any(j in placed for (j, _e) in padj[i])),
-                   None)
-        if nxt is None:
-            nxt = next(i for i in range(pg.n_vertices) if i not in placed)
-        order.append(nxt)
-        placed.add(nxt)
-
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-
-    def backtrack(k: int) -> bool:
-        if k == len(order):
-            return True
-        pv = order[k]
-        anchors = [(j, el) for (j, el) in padj[pv] if j in mapping]
-        if anchors:
-            j0, el0 = anchors[0]
-            candidates = [w for w, el in gadj[mapping[j0]].items() if el == el0]
-        else:
-            candidates = list(range(graph.n_vertices))
-        for w in candidates:
-            if w in used:
-                continue
-            if graph.vertex_labels[w] != pg.vertex_labels[pv]:
-                continue
-            if gdeg[w] < pdeg[pv]:
-                continue
-            ok = True
-            for (j, el) in anchors:
-                if gadj[mapping[j]].get(w) != el:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[pv] = w
-            used.add(w)
-            if backtrack(k + 1):
-                return True
-            del mapping[pv]
-            used.remove(w)
-        return False
-
-    return backtrack(0)
-
-
-def graph_support(pattern: Pattern | AttributedGraph, dataset: GraphDataset) -> int:
-    """Number of graphs containing the pattern at least once (presence-based)."""
-    return sum(1 for g in dataset if contains(pattern, g))
-
-
-# ---------------------------------------------------------------------------
-# Pattern set export / import (SPMF graph format + sidecar support file).
+# Pattern set export (SPMF graph format + sidecar support file).
 # ---------------------------------------------------------------------------
 
 def export_patterns(pattern_set: PatternSet) -> tuple[str, str]:
@@ -359,25 +271,3 @@ def export_patterns(pattern_set: PatternSet) -> tuple[str, str]:
     text = serialize_spmf(_DS(graphs))
     support = "".join(f"{p.pattern_id} {p.support}\n" for p in pattern_set)
     return text, support
-
-
-def import_patterns(text: str | Iterable[str],
-                    dataset: Optional[GraphDataset] = None,
-                    min_support: int = 1) -> PatternSet:
-    """Parse pre-mined patterns; recompute support against dataset if given."""
-    from .graphdata import parse_spmf
-    parsed = parse_spmf(text)
-    patterns = []
-    seen = set()
-    for g in parsed:
-        code = canonical_code(g)
-        if code in seen:
-            continue
-        seen.add(code)
-        gids: tuple[int, ...] = ()
-        if dataset is not None:
-            gids = tuple(h.graph_id for h in dataset if contains(g, h))
-        patterns.append(Pattern(
-            pattern_id=len(patterns), code=code,
-            n_vertices=g.n_vertices, n_edges=g.n_edges, graph_ids=gids))
-    return PatternSet(tuple(patterns), min_support=min_support)

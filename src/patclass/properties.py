@@ -29,8 +29,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import measures as _measures  # prob_kit is looked up per call
 from .footprints import ContingencyCounts
-from .measures import (MEASURE_NAMES, Ranking, effective, effective_score,
-                       measure_info, score, scorer)
+from .measures import MEASURE_NAMES, Ranking, effective, measure_info, scorer
+# score is not called here; it stays importable from this module because
+# perfbench/spans.py counts score calls under this name
+from .measures import score  # noqa: F401
 from .rankcmp import RankCmpError, kendall_tau
 
 PROPERTIES = ("Contrastivity", "Jumpiness", "ClassSymmetry", "PatternSymmetry")
@@ -113,86 +115,19 @@ def _check(raw: Raw, measure: str, prop: str, n: int) -> PropertyReport:
     return PropertyReport(measure, prop, True, None, None, n)
 
 
-def check_contrastivity(measure: str, n: int) -> PropertyReport:
-    """Equal positive support, lower negative support must score strictly
-    higher (effective scale)."""
-    return _check(scorer(measure, _measures.prob_kit), measure, "Contrastivity", n)
-
-
-def check_jumpiness(measure: str, n: int) -> PropertyReport:
-    """Among patterns exclusive to the positive class, higher support must
-    score strictly higher (effective scale)."""
-    return _check(scorer(measure, _measures.prob_kit), measure, "Jumpiness", n)
-
-
-def check_class_symmetry(measure: str, n: int) -> PropertyReport:
-    """Raw score invariant under swapping the two classes, exactly."""
-    return _check(scorer(measure, _measures.prob_kit), measure, "ClassSymmetry", n)
-
-
-def check_pattern_symmetry(measure: str, n: int) -> PropertyReport:
-    """Raw score invariant under replacing presence with absence, exactly."""
-    return _check(scorer(measure, _measures.prob_kit), measure, "PatternSymmetry", n)
-
-
-def check_ps2(measure: str, n: int) -> PropertyReport:
-    """Monotone increase with the positive joint when overall support is
-    fixed: for a > a' with a + b = a' + b', the score must strictly grow."""
-    return _check(scorer(measure, _measures.prob_kit), measure, "PS2", n)
-
-
-def recheck_counterexample(report: PropertyReport) -> bool:
-    """Re-evaluate a false verdict's counterexample; True iff it still
-    violates the property."""
-    if report.holds or report.counterexample is None:
-        return False
-    c1, c2 = report.counterexample
-    if _PROPERTY_TABLE[report.property][0] == "invariant":
-        return score(report.measure, c1) != score(report.measure, c2)
-    return not (effective_score(report.measure, c1)
-                > effective_score(report.measure, c2))
-
-
-def _verdicts(n: int, measures: Iterable[str],
-              props: Sequence[str]) -> list[list[PropertyReport]]:
-    """Per measure, its verdicts on `props`. One scorer per measure serves all
-    of its checks, and one kit per table serves all measures, so each
-    (measure, table) is scored once however many checks reach it."""
-    kit = cache(_measures.prob_kit)
-    out = []
-    for m in measures:
-        raw = scorer(m, kit)
-        out.append([_check(raw, m, prop, n) for prop in props])
-    return out
-
-
 def property_matrix(n: int = 10,
                     measures: Sequence[str] | None = None) -> list[PropertyReport]:
-    """All (measure, property) verdicts over the balanced domain of size n."""
-    reports = _verdicts(n, MEASURE_NAMES if measures is None else measures, PROPERTIES)
-    return [rep for reps in reports for rep in reps]
+    """All (measure, property) verdicts over the balanced domain of size n.
 
-
-def check_independence_equilibrium(n: int) -> bool:
-    """Independence (p(P, pos) = p(P) p(pos)) and equilibrium
-    (p(pos|P) = p(neg|P)) coincide on every balanced table."""
-    from fractions import Fraction
-    for a in range(n + 1):
-        for b in range(n + 1):
-            if a + b == 0:
-                continue
-            independent = Fraction(a, 2 * n) == Fraction(a + b, 2 * n) * Fraction(1, 2)
-            equilibrium = Fraction(a, a + b) == Fraction(b, a + b)
-            if independent != equilibrium:
-                return False
-    return True
-
-
-def check_ps2_exclusivity(n: int) -> list[tuple[str, bool, bool]]:
-    """Per measure: (name, PS2 holds, Class Symmetry holds). No measure may
-    have both."""
-    return [(ps2.measure, ps2.holds, cs.holds)
-            for ps2, cs in _verdicts(n, MEASURE_NAMES, ("PS2", "ClassSymmetry"))]
+    One scorer per measure serves all of its checks, and one kit per table
+    serves all measures, so each (measure, table) is scored once however
+    many checks reach it."""
+    kit = cache(_measures.prob_kit)
+    reports = []
+    for m in MEASURE_NAMES if measures is None else measures:
+        raw = scorer(m, kit)
+        reports.extend(_check(raw, m, prop, n) for prop in PROPERTIES)
+    return reports
 
 
 @dataclass(frozen=True)

@@ -45,17 +45,16 @@ class CachedCharacteristic:
     """Deterministic subset -> performance map with memoization.
 
     f({}) is 0 by convention; every other value is delegated to the wrapped
-    callable, which maps one subset to its value, or with `batch=True` a
-    list of subsets to their values. `many` hands all the distinct misses of
-    its subsets to the callable at once; a single call is its one-subset
-    case. The cache key is the subset's bitmask over a dense index of the ids
+    callable, which maps a list of subsets to their values. `many` hands all
+    the distinct misses of its subsets to the callable at once; a single
+    call is its one-subset case. The cache key is the subset's bitmask over a dense index of the ids
     seen so far: column order never matters because the classifier takes
     the columns in ascending id order. `counts["evaluations"]` counts the
     subsets evaluated.
     """
 
-    def __init__(self, fn: Callable, batch: bool = False):
-        self._fn = fn if batch else (lambda subsets: [fn(s) for s in subsets])
+    def __init__(self, fn: Callable[[list[frozenset[int]]], Iterable[float]]):
+        self._fn = fn
         self._bits: dict[int, int] = {}
         self._cache: dict[int, float] = {0: 0.0}
         self.counts: Counter = Counter()
@@ -80,14 +79,6 @@ class CachedCharacteristic:
         return [self._cache[key] for key in keys]
 
 
-def _worths(f: Callable[[frozenset[int]], float],
-            subsets: list[frozenset[int]]) -> list[float]:
-    """f on each subset; a CachedCharacteristic evaluates them as one batch."""
-    if isinstance(f, CachedCharacteristic):
-        return f.many(subsets)
-    return [float(f(s)) for s in subsets]
-
-
 def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
                                c: float = 1.0, seed: int = 0,
                                ) -> CachedCharacteristic:
@@ -103,18 +94,18 @@ def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
                                       counts=f.counts)
         return [r.f1 for r in reports]
 
-    f = CachedCharacteristic(evaluate, batch=True)
+    f = CachedCharacteristic(evaluate)
     return f
 
 
-def exact_shapley(pattern_ids: Sequence[int],
-                  f: Callable[[frozenset[int]], float],
+def exact_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
                   exact_limit: int = EXACT_LIMIT) -> dict[int, float]:
     """Exact Shapley values by full coalition enumeration.
 
     SV(p) = sum over coalitions S not containing p of
             |S|! (k - |S| - 1)! / k! * (f(S + p) - f(S)),
-    with f called once per coalition, 2^k calls in all, one size at a time.
+    with f evaluated once per coalition, 2^k in all, through `f.many` one
+    size at a time.
     """
     ids = list(pattern_ids)
     k = len(ids)
@@ -133,7 +124,7 @@ def exact_shapley(pattern_ids: Sequence[int],
     for masks in by_size:
         subsets = [frozenset(ids[i] for i in range(k) if mask >> i & 1)
                    for mask in masks]
-        for mask, w in zip(masks, _worths(f, subsets)):
+        for mask, w in zip(masks, f.many(subsets)):
             worth[mask] = w
     for mask in range(1 << k):
         size = mask.bit_count()
@@ -156,8 +147,7 @@ class GoldStandard:
     method: str  # "exact" | "sampled(n_permutations=..., seed=...)"
     # the f the values were computed from; gold_standard's keeps its cache, so
     # reading a coalition the Shapley run already evaluated costs no CV
-    characteristic: Callable[[frozenset[int]], float] = field(compare=False,
-                                                               repr=False)
+    characteristic: CachedCharacteristic = field(compare=False, repr=False)
 
 
 def _ranking_from_values(values: dict[int, float]) -> Ranking:
@@ -165,14 +155,13 @@ def _ranking_from_values(values: dict[int, float]) -> Ranking:
     return Ranking(tuple(order), tuple(values[pid] for pid in order))
 
 
-def sampled_shapley(pattern_ids: Sequence[int],
-                    f: Callable[[frozenset[int]], float],
+def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
                     n_permutations: int, seed: int) -> GoldStandard:
     """Monte-Carlo Shapley: mean marginal contribution over seeded uniform
     random permutations, with per-player sample standard errors.
 
     All permutations are drawn first; the position-t prefixes of all of them
-    are evaluated together, for t = 1..p; the marginals are then summed
+    are evaluated together through `f.many`, for t = 1..p; the marginals are then summed
     permutation by permutation. Besides what f caches and the one size of
     prefixes in flight, memory is one float per (permutation, position).
     """
@@ -187,11 +176,11 @@ def sampled_shapley(pattern_ids: Sequence[int],
         order = ids[:]
         rng.shuffle(order)
         orders.append(order)
-    empty = _worths(f, [frozenset()])[0]
+    empty = f.many([frozenset()])[0]
     worth = [[empty] for _ in orders]   # worth[r][t]: f of order r's t-prefix
     for t in range(1, len(ids) + 1):
         prefixes = [frozenset(order[:t]) for order in orders]
-        for row, w in zip(worth, _worths(f, prefixes)):
+        for row, w in zip(worth, f.many(prefixes)):
             row.append(w)
     sums = {pid: 0.0 for pid in ids}
     sqsums = {pid: 0.0 for pid in ids}

@@ -1,14 +1,22 @@
-"""Independent brute-force oracles used to validate the fast implementations.
+"""Independent brute-force oracles, and the helpers only tests call.
 
-Everything here is deliberately naive: permutation search for isomorphism,
+The oracles are deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, the pairwise DFS-edge comparison of Yan & Han, an
-O(p^3) reference agglomerator, the cut and medoids over one leaf per
-pattern that only tests call, and the one-fold-at-a-time SVM trainer and
+O(p^3) reference agglomerator, the one-fold-at-a-time SVM trainer and
 cross-validation loop, the one-coalition-at-a-time permutation-sampling
 Shapley loop, and the property checks, ranking and score table that score
-every operand with a fresh call. The RBO checks used only by tests
-(un-normalized RBO, prefix monotonicity) and `RankingPair` live here too.
+every operand with a fresh call.
+
+The helpers are what no command calls, kept here so `src/` holds only what
+a command, the benchmark or `patclass.__all__` reaches: the backtracking
+subgraph isomorphism `contains` (the fast support recount next to
+`brute_force_contains`), `graph_support`, `import_patterns`, sorted degree
+sequences, the cut and medoids over one leaf per pattern, one property check
+or appendix result at a time (`check`, `recheck_counterexample`,
+`check_independence_equilibrium`, `check_ps2_exclusivity`), the batch and
+uncached forms of a one-subset Shapley game, the RBO checks (un-normalized
+RBO, prefix monotonicity) and `RankingPair`.
 """
 
 from __future__ import annotations
@@ -16,17 +24,21 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
+from types import SimpleNamespace
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from patclass.classify import EPOCHS, EvalReport, prf1, stratified_folds
 from patclass.clusterer import FootprintClustering, _medoid
 from patclass.footprints import ContingencyCounts, contingency
-from patclass.graphdata import AttributedGraph
-from patclass.measures import MEASURE_NAMES, Ranking, effective_score, score
-from patclass.properties import PropertyReport
+from patclass.graphdata import AttributedGraph, GraphDataset, parse_spmf
+from patclass.measures import (MEASURE_NAMES, Ranking, effective_score, prob_kit,
+                               score, scorer)
+from patclass.miner import Pattern, PatternSet, canonical_code
+from patclass.properties import _PROPERTY_TABLE, PropertyReport, _check
 from patclass.rankcmp import RankCmpError, _ids, kendall_tau, rbo
 
 
@@ -128,6 +140,120 @@ def brute_force_contains(pattern: AttributedGraph, graph: AttributedGraph) -> bo
         if all(gset.get((combo[u], combo[v])) == el for (u, v, el) in pattern.edges):
             return True
     return False
+
+
+def contains(pattern: Pattern | AttributedGraph, graph: AttributedGraph) -> bool:
+    """True iff a label-preserving subgraph isomorphism maps pattern into graph.
+
+    Backtracking over pattern vertices in a connectivity-respecting order with
+    degree and label pruning. Non-induced: extra edges in the graph between
+    mapped vertices are allowed.
+    """
+    pg = pattern.to_graph() if isinstance(pattern, Pattern) else pattern
+    if pg.n_vertices > graph.n_vertices or pg.n_edges > graph.n_edges:
+        return False
+    gadj = {i: {} for i in range(graph.n_vertices)}
+    for (u, v, el) in graph.edges:
+        gadj[u][v] = el
+        gadj[v][u] = el
+    padj = pg.adjacency()
+    gdeg = [len(gadj[i]) for i in range(graph.n_vertices)]
+    pdeg = [len(padj[i]) for i in range(pg.n_vertices)]
+
+    glabel_counts: dict[int, int] = {}
+    for l in graph.vertex_labels:
+        glabel_counts[l] = glabel_counts.get(l, 0) + 1
+    plabel_counts: dict[int, int] = {}
+    for l in pg.vertex_labels:
+        plabel_counts[l] = plabel_counts.get(l, 0) + 1
+    for l, c in plabel_counts.items():
+        if glabel_counts.get(l, 0) < c:
+            return False
+
+    # Order pattern vertices so each one touches a mapped one where possible;
+    # disconnected patterns start a fresh component.
+    order = [0]
+    placed = {0}
+    while len(order) < pg.n_vertices:
+        nxt = next((i for i in range(pg.n_vertices)
+                    if i not in placed and any(j in placed for (j, _e) in padj[i])),
+                   None)
+        if nxt is None:
+            nxt = next(i for i in range(pg.n_vertices) if i not in placed)
+        order.append(nxt)
+        placed.add(nxt)
+
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+
+    def backtrack(k: int) -> bool:
+        if k == len(order):
+            return True
+        pv = order[k]
+        anchors = [(j, el) for (j, el) in padj[pv] if j in mapping]
+        if anchors:
+            j0, el0 = anchors[0]
+            candidates = [w for w, el in gadj[mapping[j0]].items() if el == el0]
+        else:
+            candidates = list(range(graph.n_vertices))
+        for w in candidates:
+            if w in used:
+                continue
+            if graph.vertex_labels[w] != pg.vertex_labels[pv]:
+                continue
+            if gdeg[w] < pdeg[pv]:
+                continue
+            ok = True
+            for (j, el) in anchors:
+                if gadj[mapping[j]].get(w) != el:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[pv] = w
+            used.add(w)
+            if backtrack(k + 1):
+                return True
+            del mapping[pv]
+            used.remove(w)
+        return False
+
+    return backtrack(0)
+
+
+def graph_support(pattern: Pattern | AttributedGraph, dataset: GraphDataset) -> int:
+    """Number of graphs containing the pattern at least once (presence-based)."""
+    return sum(1 for g in dataset if contains(pattern, g))
+
+
+def import_patterns(text: str | Iterable[str],
+                    dataset: Optional[GraphDataset] = None,
+                    min_support: int = 1) -> PatternSet:
+    """Parse pre-mined patterns; recompute support against dataset if given."""
+    parsed = parse_spmf(text)
+    patterns = []
+    seen = set()
+    for g in parsed:
+        code = canonical_code(g)
+        if code in seen:
+            continue
+        seen.add(code)
+        gids: tuple[int, ...] = ()
+        if dataset is not None:
+            gids = tuple(h.graph_id for h in dataset if contains(g, h))
+        patterns.append(Pattern(
+            pattern_id=len(patterns), code=code,
+            n_vertices=g.n_vertices, n_edges=g.n_edges, graph_ids=gids))
+    return PatternSet(tuple(patterns), min_support=min_support)
+
+
+def degree_sequence(g: AttributedGraph) -> tuple[int, ...]:
+    """The sorted vertex degrees of g, an isomorphism invariant."""
+    deg = [0] * g.n_vertices
+    for (u, v, _el) in g.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(sorted(deg))
 
 
 def reference_edge_lt(e1, e2) -> bool:
@@ -317,6 +443,17 @@ def reference_sampled_shapley(ids, f, n_permutations, seed):
     return values, std_error
 
 
+def batch(game):
+    """The batch form of a one-subset game, as CachedCharacteristic takes it."""
+    return lambda subsets: [game(s) for s in subsets]
+
+
+def uncached(game):
+    """A characteristic without a cache: `many` calls the game once per
+    subset it is given, the empty one included."""
+    return SimpleNamespace(many=batch(game))
+
+
 @dataclass(frozen=True)
 class RankingPair:
     """Two rankings under comparison. Tau requires a shared universe; RBO
@@ -474,6 +611,45 @@ def reference_property_matrix(n, measures=None):
               reference_class_symmetry, reference_pattern_symmetry)
     measures = list(measures) if measures is not None else list(MEASURE_NAMES)
     return [check(m, n) for m in measures for check in checks]
+
+
+def check(measure, prop, n):
+    """One property verdict of one measure, through the checker
+    `property_matrix` walks, with a scorer of its own."""
+    return _check(scorer(measure, prob_kit), measure, prop, n)
+
+
+def recheck_counterexample(report: PropertyReport) -> bool:
+    """Re-evaluate a false verdict's counterexample; True iff it still
+    violates the property."""
+    if report.holds or report.counterexample is None:
+        return False
+    c1, c2 = report.counterexample
+    if _PROPERTY_TABLE[report.property][0] == "invariant":
+        return score(report.measure, c1) != score(report.measure, c2)
+    return not (effective_score(report.measure, c1)
+                > effective_score(report.measure, c2))
+
+
+def check_independence_equilibrium(n: int) -> bool:
+    """Independence (p(P, pos) = p(P) p(pos)) and equilibrium
+    (p(pos|P) = p(neg|P)) coincide on every balanced table."""
+    for a in range(n + 1):
+        for b in range(n + 1):
+            if a + b == 0:
+                continue
+            independent = Fraction(a, 2 * n) == Fraction(a + b, 2 * n) * Fraction(1, 2)
+            equilibrium = Fraction(a, a + b) == Fraction(b, a + b)
+            if independent != equilibrium:
+                return False
+    return True
+
+
+def check_ps2_exclusivity(n: int) -> list[tuple[str, bool, bool]]:
+    """Per measure: (name, PS2 holds, Class Symmetry holds). No measure may
+    have both."""
+    return [(m, check(m, "PS2", n).holds, check(m, "ClassSymmetry", n).holds)
+            for m in MEASURE_NAMES]
 
 
 def reference_rank(measure, matrix, pattern_ids):

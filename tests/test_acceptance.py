@@ -32,8 +32,10 @@ from patclass import classify, clusterer, footprints, graphdata, measures
 from patclass import miner, properties, rankcmp, shapley
 from patclass.cli import RunConfig, run_pipeline
 
-from oracles import (connected_subgraph_classes, cut, graph_canonical_form,
-                     naive_rbo, random_graph, rbo_prefix_monotonicity_check)
+from oracles import (batch, check, check_independence_equilibrium,
+                     check_ps2_exclusivity, connected_subgraph_classes, cut,
+                     graph_canonical_form, graph_support, naive_rbo, random_graph,
+                     rbo_prefix_monotonicity_check, recheck_counterexample)
 
 COLSTR_JU = ("ColStr", "Jumpiness")
 ENTROPY_BLOCK_PAIRS = {("Dep", "Entropy"), ("Entropy", "Fisher"),
@@ -111,19 +113,19 @@ def test_c1_property_flags():
     "Ju flag is not reproducible (see README); the corrected formula would "
     "be Acc/(1-Acc), contradicting the Co flag and the ranking blocks"))
 def test_c1_colstr_jumpiness_flag():
-    rep = properties.check_jumpiness("ColStr", 10)
+    rep = check("ColStr", "Jumpiness", 10)
     assert rep.holds == measures.measure_info("ColStr").jumpiness
 
 
 def test_c1_colstr_deviation_shape_is_stable():
     # the deviation itself is pinned: finite interior counterexample
-    rep = properties.check_jumpiness("ColStr", 10)
+    rep = check("ColStr", "Jumpiness", 10)
     assert not rep.holds
     s1, s2 = rep.counterexample_scores
     assert math.isfinite(s1) and math.isfinite(s2)
     c1, c2 = rep.counterexample
     assert c1.b == 0 and c2.b == 0
-    assert properties.recheck_counterexample(rep)
+    assert recheck_counterexample(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +134,8 @@ def test_c1_colstr_deviation_shape_is_stable():
 
 def test_c2_appendix_theorems():
     t0 = time.perf_counter()
-    indep = all(properties.check_independence_equilibrium(n) for n in (5, 10, 20))
-    both = [(m, ps2, cs) for (m, ps2, cs) in properties.check_ps2_exclusivity(10)
+    indep = all(check_independence_equilibrium(n) for n in (5, 10, 20))
+    both = [(m, ps2, cs) for (m, ps2, cs) in check_ps2_exclusivity(10)
             if ps2 and cs]
     elapsed = time.perf_counter() - t0
     ok = indep and not both and elapsed < 10.0
@@ -229,7 +231,7 @@ def test_c4_miner_completeness():
             expected.setdefault(form, sub)
     got = {graph_canonical_form(p.to_graph()) for p in mined}
     sets_equal = got == set(expected)
-    supports_ok = all(p.support == miner.graph_support(p, ds) for p in mined)
+    supports_ok = all(p.support == graph_support(p, ds) for p in mined)
     elapsed = time.perf_counter() - t0
     ok = sets_equal and supports_ok and elapsed < 60.0
     assert report(
@@ -396,7 +398,7 @@ def test_c7_shapley_axioms_and_sampling():
             for s in list(table):
                 if k - 1 in s:
                     table[s] = table[s - {k - 1}]
-        f = shapley.CachedCharacteristic(lambda s, t=table: t[frozenset(s)])
+        f = shapley.CachedCharacteristic(batch(lambda s, t=table: t[frozenset(s)]))
         values = shapley.exact_shapley(ids, f)
         total = sum(values.values())
         full = table[frozenset(ids)]
@@ -410,7 +412,7 @@ def test_c7_shapley_axioms_and_sampling():
     # sampled accuracy on an 8-player game at 2000 permutations
     ids = list(range(8))
     table = _random_table_game(random.Random(4242), ids)
-    f = shapley.CachedCharacteristic(lambda s: table[frozenset(s)])
+    f = shapley.CachedCharacteristic(batch(lambda s: table[frozenset(s)]))
     exact = shapley.exact_shapley(ids, f)
     est = shapley.sampled_shapley(ids, f, 2000, seed=7)
     max_err = max(abs(est.values[pid] - exact[pid]) for pid in ids)

@@ -10,6 +10,9 @@ from click.testing import CliRunner
 from patclass.cli import (ConfigError, RunConfig, StageError, _stage,
                           load_config, main, run_gold, run_pairwise_tau,
                           run_pipeline)
+from patclass.graphdata import GraphDataset, serialize_spmf
+
+from oracles import random_graph
 
 
 def spmf_fixture(seed=0, n=16):
@@ -81,6 +84,14 @@ class TestConfig:
         assert cfg.resolve_min_support(44) == 1
         cfg.s = "20%"
         assert cfg.resolve_s(10) == 2
+
+    def test_whole_percent_counts_are_exact(self):
+        # in floats, 7 / 100 * 100 and 28 / 100 * 25 land just above 7
+        cfg = RunConfig(min_support="7%", s="28%")
+        assert cfg.resolve_min_support(100) == 7
+        assert cfg.resolve_s(25) == 7
+        cfg = RunConfig(min_support="0.1%")
+        assert cfg.resolve_min_support(1000) == 1
 
     @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
     def test_default_written_as_text_round_trips(self, field):
@@ -289,6 +300,17 @@ class TestCliCommands:
         mat = footprints.build_matrix(miner.mine_frequent(ds, 1, max_edges=3), ds)
         assert counts[0] == len(footprints.distinct_footprint_groups(mat))
 
+    def test_cluster_sweep_threshold_is_exact(self, tmp_path):
+        # 70% of 90 graphs is 63; in floats floor(0.7 * 90) is 62
+        p = tmp_path / "toy.spmf"
+        p.write_text(spmf_fixture(n=90))
+        result = CliRunner().invoke(main, [
+            "cluster-sweep", "--dataset", str(p), "--out", str(tmp_path / "out"),
+            "--set", "max_edges=2", "--set", "k_folds=3", "--thresholds", "70"])
+        assert result.exit_code == 0, result.output
+        rows = (tmp_path / "out" / "cluster_sweep.csv").read_text().splitlines()
+        assert rows[1].split(",")[:2] == ["70.0", "63"]
+
     def test_properties_command(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [
@@ -493,6 +515,21 @@ class TestGoldCommand:
         if command == "gold":
             assert info["evaluations"] == n_sets
             assert 0 < info["fits"] <= 2 * n_sets
+
+    def test_s_grid_sizes_are_exact(self, tmp_path):
+        # 28% of 25 representatives is 7; in floats ceil(0.28 * 25) is 8
+        rng = random.Random(1)
+        graphs = tuple(random_graph(rng, 6, 0.4, 4, 1, graph_id=i,
+                                    class_label=1 if i % 2 else -1)
+                       for i in range(12))
+        p = tmp_path / "random.spmf"
+        p.write_text(serialize_spmf(GraphDataset(graphs)))
+        cfg = base_config(p, tmp_path, max_edges=2, threshold_pct=10.0,
+                          measures=("Sup",), k_folds=2, s_grid=(28.0,),
+                          n_permutations=1)
+        assert run_gold(cfg)["n_representatives"] == 25
+        curve = (tmp_path / "out" / "gold_curve.csv").read_text().splitlines()
+        assert curve[1].split(",")[:2] == ["28.0", "7"]
 
     def test_gold_vs_itself_rbo_one(self, tmp_path):
         # the gold ranking compared with itself scores 1 at every depth

@@ -8,9 +8,9 @@ from patclass.footprints import (ContingencyCounts, FootprintError,
                                  contingency_csv, distinct_footprint_groups,
                                  matrix_csv)
 from patclass.graphdata import NEGATIVE, POSITIVE, GraphDataset
-from patclass.miner import graph_support, mine_frequent
+from patclass.miner import mine_frequent
 
-from oracles import random_graph
+from oracles import graph_support, random_graph
 
 
 def random_matrix(rng, n, p):
@@ -30,14 +30,14 @@ class TestBuildMatrix:
         return GraphDataset(graphs)
 
     def test_six_graph_example_column(self, six_graph_matrix):
-        assert list(six_graph_matrix.column(0).astype(int)) == [1, 1, 1, 0, 0, 0]
+        assert list(six_graph_matrix.bits[:, 0].astype(int)) == [1, 1, 1, 0, 0, 0]
 
     def test_columns_match_independent_recount(self):
         ds = self.make_dataset()
         mined = mine_frequent(ds, min_support=1, max_edges=3)
         mat = build_matrix(mined, ds)
         for p in mined:
-            popcount = int(mat.column(p.pattern_id).sum())
+            popcount = int(mat.bits[:, p.pattern_id].sum())
             assert popcount == graph_support(p, ds)
 
     def test_all_ones_column(self):
@@ -48,14 +48,14 @@ class TestBuildMatrix:
         with pytest.raises(FootprintError):
             FootprintMatrix(np.zeros((3, 1), dtype=bool), [1, 1, -1])
 
-    def test_cached_ids_and_scan_agree(self):
+    def test_pattern_without_graph_ids_rejected(self):
+        # columns come from graph_ids alone: empty ids are zero support
         ds = self.make_dataset(seed=29)
         mined = mine_frequent(ds, min_support=1, max_edges=3)
-        fast = build_matrix(mined, ds)
         stripped = [p.__class__(p.pattern_id, p.code, p.n_vertices, p.n_edges, ())
                     for p in mined]
-        slow = build_matrix(stripped, ds)
-        assert (fast.bits == slow.bits).all()
+        with pytest.raises(FootprintError, match="pattern 0 has zero support"):
+            build_matrix(stripped, ds)
 
 
 class TestContingency:
@@ -70,7 +70,7 @@ class TestContingency:
     def test_sum_is_popcount(self, six_graph_matrix):
         for j in range(4):
             c = contingency(six_graph_matrix, j)
-            assert c.a + c.b == int(six_graph_matrix.column(j).sum())
+            assert c.a + c.b == int(six_graph_matrix.bits[:, j].sum())
             assert (c.a + c.b + (c.n_pos - c.a) + (c.n_neg - c.b)
                     == six_graph_matrix.n_graphs)
 
@@ -85,7 +85,7 @@ class TestContingency:
         rng.shuffle(labels)
         mat = FootprintMatrix(mat.bits, labels)
         for j in range(mat.n_patterns):
-            col = mat.column(j).tolist()
+            col = mat.bits[:, j].tolist()
             a = sum(1 for v, lab in zip(col, labels) if v and lab == POSITIVE)
             b = sum(1 for v, lab in zip(col, labels) if v and lab == NEGATIVE)
             assert contingency(mat, j) == ContingencyCounts(a, b, 6, 6)

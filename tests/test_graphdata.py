@@ -8,7 +8,7 @@ from patclass.graphdata import (NEGATIVE, POSITIVE, AttributedGraph,
                                 dataset_stats, parse_spmf, parse_tudataset,
                                 serialize_spmf)
 
-from oracles import random_graph
+from oracles import degree_sequence, random_graph
 
 MINIMAL = "t # 0\nv 0 1\nv 1 1\ne 0 1 0"
 
@@ -59,6 +59,22 @@ class TestParseSpmf:
         with pytest.raises(ConsistencyError):
             parse_spmf(text, labels_text="0 1\n")
 
+    def test_repeated_header_is_error(self):
+        # a repeated gid used to relabel the earlier graph: here graph 0 to -1
+        text = "\n".join(f"t # {gid} {cls}\nv 0 0\nv 1 0\ne 0 1 0"
+                         for gid, cls in ((0, 1), (1, 0), (2, 1), (0, 0)))
+        with pytest.raises(ParseError, match="line 13: repeated graph id 0"):
+            parse_spmf(text)
+
+    @pytest.mark.parametrize("labels, message", [
+        ("0 1\n1 0\n7 1\n", "label line 3: no graph with id 7"),
+        ("0 1\n1 0\n0 0\n", "label line 3: graph 0 labelled twice")],
+        ids=["unknown", "repeated"])
+    def test_unknown_or_repeated_label_gid_is_error(self, labels, message):
+        text = "t # 0\nv 0 0\nv 1 0\ne 0 1 0\nt # 1\nv 0 0\nv 1 0\ne 0 1 0"
+        with pytest.raises(ConsistencyError, match=message):
+            parse_spmf(text, labels_text=labels)
+
     def test_duplicate_edge_rejected(self):
         text = "t # 0\nv 0 1\nv 1 1\ne 0 1 0\ne 1 0 0"
         with pytest.raises(StructuralError):
@@ -77,7 +93,7 @@ class TestParseSpmf:
         back = parse_spmf(serialize_spmf(ds))
         assert len(back) == len(ds)
         for g, h in zip(ds, back):
-            assert g.degree_sequence() == h.degree_sequence()
+            assert degree_sequence(g) == degree_sequence(h)
             assert sorted(g.vertex_labels) == sorted(h.vertex_labels)
             assert sorted(e[2] for e in g.edges) == sorted(e[2] for e in h.edges)
             assert g.class_label == h.class_label
@@ -106,7 +122,7 @@ class TestParseTU:
         assert len(ds) == 2
         g = ds.graphs[0]
         assert g.vertex_labels == (4, 5, 6)
-        assert g.degree_sequence() == (1, 1, 2)
+        assert degree_sequence(g) == (1, 1, 2)
         assert g.edges == ((0, 1, 7), (1, 2, 8))
         assert g.class_label == POSITIVE and ds.graphs[1].class_label == NEGATIVE
 
@@ -130,6 +146,16 @@ class TestParseTU:
         args = self.fixture(node_labels="4\n5\n")
         with pytest.raises(ConsistencyError):
             parse_tudataset(**args)
+
+    @pytest.mark.parametrize("key, text, bad", [
+        ("adjacency", "1, 2\n1, x\n2, 3\n3, 2\n", "line 2: malformed line '1, x'"),
+        ("node_labels", "4\nx\n6\n", "line 2: malformed line 'x'"),
+        ("edge_labels", "7\n7\n8\ninf\n", "line 4: malformed line 'inf'"),
+        ("graph_indicator", "1\n1\ny\n", "line 3: malformed line 'y'")],
+        ids=["adjacency", "node_labels", "edge_labels", "graph_indicator"])
+    def test_non_integer_row_is_parse_error(self, key, text, bad):
+        with pytest.raises(ParseError, match=f"{key} {bad}"):
+            parse_tudataset(**self.fixture(**{key: text}))
 
     def test_cross_graph_edge(self):
         args = self.fixture(

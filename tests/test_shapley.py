@@ -11,12 +11,12 @@ from patclass.shapley import (CachedCharacteristic, ShapleyError, exact_shapley,
                               gold_standard, performance_characteristic,
                               sampled_shapley, shapley_csv)
 
-from oracles import reference_sampled_shapley
+from oracles import batch, reference_sampled_shapley, uncached
 
 
 def table_game(table):
     """Characteristic function from an explicit subset table."""
-    return CachedCharacteristic(lambda s: table[frozenset(s)])
+    return CachedCharacteristic(batch(lambda s: table[frozenset(s)]))
 
 
 def random_game(rng, ids):
@@ -84,7 +84,7 @@ class TestExact:
             calls.append(subset)
             return table[subset]
 
-        assert exact_shapley(ids, f) == exact_shapley(ids, table_game(table))
+        assert exact_shapley(ids, uncached(f)) == exact_shapley(ids, table_game(table))
         assert len(calls) == 2 ** len(ids) == len(set(calls))
 
     def test_limit_enforced(self):
@@ -159,7 +159,7 @@ class TestBatchedAgainstOracle:
             return table[frozenset(subset)]
 
         want = reference_sampled_shapley(ids, plain, 9, seed=3)
-        for f in (table_game(table), plain):
+        for f in (table_game(table), uncached(plain)):
             got = sampled_shapley(ids, f, 9, seed=3)
             assert (got.values, got.std_error) == want
 
@@ -192,7 +192,7 @@ class TestBatchedAgainstOracle:
                     if subset else 0.0)
 
         f = performance_characteristic(m, k=3, seed=4)
-        assert exact_shapley(ids, f) == exact_shapley(ids, plain)
+        assert exact_shapley(ids, f) == exact_shapley(ids, uncached(plain))
         assert f.counts["evaluations"] == 2 ** len(ids) - 1
 
     def test_sampled_peak_memory_bounded(self):
@@ -200,7 +200,7 @@ class TestBatchedAgainstOracle:
         # above 80 MB here; bitmask keys and one float per (permutation,
         # position) stay near 2 MB
         p = 600
-        f = CachedCharacteristic(lambda s: len(s) / p)
+        f = CachedCharacteristic(batch(lambda s: len(s) / p))
         tracemalloc.start()
         try:
             sampled_shapley(list(range(p)), f, 10, seed=0)
