@@ -8,8 +8,8 @@ regularized vector as an always-one feature, which is what keeps the 1/(lambda t
 schedule stable). Subgradient steps are not descent steps individually, so the
 model returned is the best iterate seen (standard best-point rule); the
 exposed objective trace is the objective of that running best model and is
-therefore non-increasing. The seed fixes cross-validation fold assignment;
-training itself is order-free.
+therefore non-increasing. Training is order-free and takes no seed; the
+seed of cross-validation fixes only its fold assignment.
 
 Cross-validation trains many folds as one stack: each epoch of `_fit` is
 one set of numpy calls over every stacked training set, and one stacked
@@ -90,8 +90,6 @@ class FeatureView:
 class LinearModel:
     weights: np.ndarray
     bias: float
-    c: float
-    seed: int
     objective_trace: tuple[float, ...]
 
     def decision(self, x: np.ndarray) -> np.ndarray:
@@ -144,16 +142,16 @@ def _fit(z: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray
     return best_v, np.array(trace)
 
 
-def train(features: FeatureView, c: float = 1.0, seed: int = 0) -> LinearModel:
-    """Fit the soft-margin linear SVM; deterministic given (data, c, seed)."""
+def train(features: FeatureView, c: float = 1.0) -> LinearModel:
+    """Fit the soft-margin linear SVM; deterministic given (data, c)."""
     x, y = features.x, features.y
     if len(set(y.tolist())) < 2:
         raise ClassifyError("training data must contain both classes")
     n, d = x.shape
     z = np.hstack([x, np.ones((n, 1))])
     best_v, trace = _fit(z[None], y[None].astype(np.float64), c)
-    return LinearModel(weights=best_v[0, :d], bias=float(best_v[0, d]), c=c,
-                       seed=seed, objective_trace=tuple(trace[:, 0].tolist()))
+    return LinearModel(weights=best_v[0, :d], bias=float(best_v[0, d]),
+                       objective_trace=tuple(trace[:, 0].tolist()))
 
 
 def predict(model: LinearModel, features: FeatureView | np.ndarray) -> np.ndarray:
@@ -242,7 +240,7 @@ def cross_validate_many(features: FeatureView,
             for j, zj, set_vectors in zip(chunk, z, vectors):
                 ps, rs, fs = [], [], []
                 for fold, v in zip(folds, set_vectors):
-                    model = LinearModel(v[:d], float(v[d]), c, seed, ())
+                    model = LinearModel(v[:d], float(v[d]), ())
                     p, r, f = prf1(predict(model, zj[fold, :d]), y[fold])
                     ps.append(p)
                     rs.append(r)

@@ -291,7 +291,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         evaluated: dict[frozenset[int], tuple] = {}
         for top, report in zip(distinct, reports):
             view = classify.FeatureView.from_matrix(matrix, top)
-            model = classify.train(view, c=cfg.c, seed=cfg.seed)
+            model = classify.train(view, c=cfg.c)
             evaluated[top] = (report, classify.eval_csv(report),
                               classify.model_csv(model, sorted(top)))
         for m in cfg.measures:
@@ -346,7 +346,7 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
     return text
 
 
-def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
+def run_pairwise_tau(cfg: RunConfig) -> rankcmp.EquivalenceBlocks:
     if not cfg.dataset:
         raise ConfigError("at least one dataset path is required")
     if len({Path(path).stem for path in cfg.dataset}) < len(cfg.dataset):
@@ -358,25 +358,14 @@ def run_pairwise_tau(cfg: RunConfig) -> props.EquivalenceBlocks:
         _ds, _ps, matrix, _clustering, cut = \
             _mine_and_cluster(cfg, path, load=f"load {path}")
         with _stage(f"rank {path}"):
-            reps = list(cut.representatives)
-            per = measures.rank_all(matrix, reps, cfg.measures)
-            name = Path(path).stem
-            rankings[name] = per
-            lines = ["measure_a,measure_b,dataset,tau"]
-            ms = sorted(cfg.measures)
-            for i, m1 in enumerate(ms):
-                for m2 in ms[i + 1:]:
-                    tau = rankcmp.kendall_tau(per[m1], per[m2])
-                    lines.append(f"{m1},{m2},{name},{tau!r}")
-            _write(out_dir, f"tau_{name}.csv", "\n".join(lines) + "\n")
+            rankings[Path(path).stem] = measures.rank_all(
+                matrix, list(cut.representatives), cfg.measures)
     with _stage("blocks"):
-        blocks = props.equivalence_blocks(rankings)
-        _write(out_dir, "min_tau.csv", props.min_tau_csv(blocks))
-        block_lines = ["block_id,measure"]
-        for bid, block in enumerate(blocks.blocks):
-            for m in block:
-                block_lines.append(f"{bid},{m}")
-        _write(out_dir, "blocks.csv", "\n".join(block_lines) + "\n")
+        blocks = rankcmp.equivalence_blocks(rankings)
+        for name in rankings:
+            _write(out_dir, f"tau_{name}.csv", rankcmp.tau_csv(blocks, name))
+        _write(out_dir, "min_tau.csv", rankcmp.min_tau_csv(blocks))
+        _write(out_dir, "blocks.csv", rankcmp.blocks_csv(blocks))
     return blocks
 
 

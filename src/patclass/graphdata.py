@@ -142,9 +142,11 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
     ``t # <gid>`` starts a graph (an optional trailing integer is its class),
     ``v <vid> <vlabel>`` and ``e <src> <dst> <elabel>`` add vertices and edges.
     Blank lines and '#'-prefixed lines are ignored. Class labels may instead
-    come from ``labels_text`` with one ``<gid> <class>`` pair per line. A
-    repeated header gid raises ParseError; a label line for a gid the text
-    lacks, or for a gid labelled before, raises ConsistencyError.
+    come from ``labels_text`` with one ``<gid> <class>`` pair per line; each
+    graph takes its class from one source. A repeated header gid raises
+    ParseError; a label line for a gid the text lacks, or for a gid labelled
+    before (on its header or on an earlier label line), raises
+    ConsistencyError.
     """
     lines = text.splitlines() if isinstance(text, str) else list(text)
     blocks: list[tuple[int, list[int], list[tuple[int, int, int]]]] = []
@@ -208,7 +210,6 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
     if labels_text is not None:
         llines = (labels_text.splitlines() if isinstance(labels_text, str)
                   else list(labels_text))
-        labelled: set[int] = set()
         for lineno, rawline in enumerate(llines, start=1):
             line = rawline.strip()
             if not line or line.startswith("#"):
@@ -220,9 +221,8 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
                 raise ParseError(f"label line {lineno}: malformed line {line!r}") from None
             if gid not in gids:
                 raise ConsistencyError(f"label line {lineno}: no graph with id {gid}")
-            if gid in labelled:
+            if gid in raw_class:  # on its header or on an earlier label line
                 raise ConsistencyError(f"label line {lineno}: graph {gid} labelled twice")
-            labelled.add(gid)
             raw_class[gid] = cls
 
     mapped: dict[int, int] = {}
@@ -277,7 +277,11 @@ def _rows(name: str, lines: list[str], row: Callable) -> list:
 
 
 def _label(text: str) -> int:
-    return int(float(text))
+    """A whole number, written as an integer or a float (`1`, `-1`, `1.0`)."""
+    value = float(text)
+    if not value.is_integer():
+        raise ValueError(text)
+    return int(value)
 
 
 def _pair(text: str) -> tuple[int, int]:
@@ -294,7 +298,8 @@ def parse_tudataset(adjacency: str | Iterable[str],
 
     ``adjacency`` holds comma-separated edge pairs with both directions
     present; ``edge_labels`` has one value per direction row. Missing label
-    files default every label to 0.
+    files default every label to 0. A label is a whole number, written as an
+    integer or a float; `1.5` is a ParseError, not label 1.
     """
     indicator = _rows("graph_indicator", _read_lines(graph_indicator), int)
     n_nodes = len(indicator)

@@ -465,6 +465,12 @@ class Ranking:
         if len(self.pattern_ids) != len(self.scores):
             raise MeasureError("ids and scores must align")
 
+    @classmethod
+    def of(cls, scores: dict[int, float]) -> Ranking:
+        """The ids of `scores` by score descending, ties by ascending id."""
+        order = sorted(scores, key=lambda pid: (-scores[pid], pid))
+        return cls(tuple(order), tuple(scores[pid] for pid in order))
+
     def __len__(self) -> int:
         return len(self.pattern_ids)
 
@@ -476,15 +482,12 @@ def _scored(matrix: FootprintMatrix, pattern_ids: Sequence[int],
             measures: Sequence[str]):
     """Per measure: (measure, raw score by pattern id, Ranking). Every
     measure reads one kit memo, and each (measure, table) is scored once."""
-    ids = list(pattern_ids)
-    counts = {pid: contingency(matrix, pid) for pid in ids}
+    counts = {pid: contingency(matrix, pid) for pid in pattern_ids}
     kit = functools.cache(prob_kit)
     for m in measures:
         raw = scorer(m, kit)
         raws = {pid: raw(c) for pid, c in counts.items()}
-        effs = {pid: effective(m, r) for pid, r in raws.items()}
-        order = sorted(ids, key=lambda pid: (-effs[pid], pid))
-        yield m, raws, Ranking(tuple(order), tuple(effs[pid] for pid in order))
+        yield m, raws, Ranking.of({pid: effective(m, r) for pid, r in raws.items()})
 
 
 def rank_all(matrix: FootprintMatrix, pattern_ids: Sequence[int],
@@ -503,14 +506,6 @@ def rank(measure: str, matrix: FootprintMatrix,
     return rank_all(matrix, pattern_ids, [measure])[measure]
 
 
-def _fmt(x: float) -> str:
-    if x == INF:
-        return "inf"
-    if x == -INF:
-        return "-inf"
-    return repr(x)
-
-
 def scores_csv(matrix: FootprintMatrix, pattern_ids: Sequence[int],
                measures: Sequence[str] | None = None) -> str:
     """`pattern_id, measure, raw_score, effective_score, rank` rows."""
@@ -520,5 +515,5 @@ def scores_csv(matrix: FootprintMatrix, pattern_ids: Sequence[int],
         pos = {pid: r for r, pid in enumerate(ranking.pattern_ids, start=1)}
         for pid in pattern_ids:
             raw = raws[pid]
-            lines.append(f"{pid},{m},{_fmt(raw)},{_fmt(effective(m, raw))},{pos[pid]}")
+            lines.append(f"{pid},{m},{raw!r},{effective(m, raw)!r},{pos[pid]}")
     return "\n".join(lines) + "\n"

@@ -19,6 +19,9 @@ size n. Every table must be realizable by a mined pattern, so a + b >= 1.
   - Class Symmetry pairs every table (a, b) with (b, a), Pattern Symmetry
     every table with 1 <= a + b <= 2n - 1 with (n-a, n-b), so the complement
     pattern also occurs somewhere.
+
+The identical-ranking blocks of measures on datasets are a ranking
+comparison, not a property, and live in `rankcmp`.
 """
 
 from __future__ import annotations
@@ -29,11 +32,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import measures as _measures  # prob_kit is looked up per call
 from .footprints import ContingencyCounts
-from .measures import MEASURE_NAMES, Ranking, effective, measure_info, scorer
+from .measures import MEASURE_NAMES, effective, measure_info, scorer
 # score is not called here; it stays importable from this module because
 # perfbench/spans.py counts score calls under this name
 from .measures import score  # noqa: F401
-from .rankcmp import RankCmpError, kendall_tau
 
 PROPERTIES = ("Contrastivity", "Jumpiness", "ClassSymmetry", "PatternSymmetry")
 
@@ -128,62 +130,6 @@ def property_matrix(n: int = 10,
         raw = scorer(m, kit)
         reports.extend(_check(raw, m, prop, n) for prop in PROPERTIES)
     return reports
-
-
-@dataclass(frozen=True)
-class EquivalenceBlocks:
-    """Partition of measures into identical-ranking blocks, witnessed by the
-    minimum pairwise tau over all datasets."""
-
-    blocks: tuple[tuple[str, ...], ...]
-    measures: tuple[str, ...]
-    min_tau: dict[tuple[str, str], float]
-
-
-def equivalence_blocks(rankings: dict[str, dict[str, Ranking]]) -> EquivalenceBlocks:
-    """rankings: dataset name -> measure name -> Ranking over that dataset's
-    representative set. Blocks join measures whose rankings are identical
-    (min tau == 1 exactly) on every dataset."""
-    if not rankings:
-        raise ValueError("at least one dataset required")
-    datasets = sorted(rankings)
-    measures = sorted(rankings[datasets[0]])
-    for d in datasets:
-        if sorted(rankings[d]) != measures:
-            raise ValueError(f"dataset {d} has a different measure set")
-        id_sets = {frozenset(rankings[d][m].pattern_ids) for m in measures}
-        if len(id_sets) != 1:
-            raise RankCmpError(f"dataset {d}: rankings cover different pattern sets")
-
-    min_tau: dict[tuple[str, str], float] = {}
-    parent = {m: m for m in measures}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, m1 in enumerate(measures):
-        for m2 in measures[i + 1:]:
-            t = min(kendall_tau(rankings[d][m1], rankings[d][m2]) for d in datasets)
-            min_tau[(m1, m2)] = t
-            if t == 1.0:
-                parent[find(m1)] = find(m2)
-
-    groups: dict[str, list[str]] = {}
-    for m in measures:
-        groups.setdefault(find(m), []).append(m)
-    blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values()),
-                          key=lambda blk: blk[0]))
-    return EquivalenceBlocks(blocks=blocks, measures=tuple(measures), min_tau=min_tau)
-
-
-def min_tau_csv(blocks: EquivalenceBlocks) -> str:
-    lines = ["measure_a,measure_b,min_tau"]
-    for (m1, m2), t in sorted(blocks.min_tau.items()):
-        lines.append(f"{m1},{m2},{t!r}")
-    return "\n".join(lines) + "\n"
 
 
 def _fmt_counts(c: Optional[ContingencyCounts]) -> str:

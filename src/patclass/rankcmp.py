@@ -1,12 +1,21 @@
-"""Ranking comparators: Kendall's tau and Rank-Biased Overlap.
+"""Ranking comparators: Kendall's tau, Rank-Biased Overlap, and the
+identical-ranking blocks of a set of measures.
 
 Tau applies to two strict rankings of the same id set; every pair of ids is
 concordant (+1) or discordant (-1), and tau is their mean. RBO compares
 possibly different id sets with exponentially decaying weight on deeper
 ranks, normalized so identical prefixes score exactly 1.
+
+`equivalence_blocks` computes the tau of each (dataset, measure pair) once
+and keeps it. A block is the set of measures whose orders are identical on
+every dataset; for strict rankings that is exactly "min tau == 1", since tau
+is 1.0 only at zero inversions.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import combinations
 
 
 class RankCmpError(ValueError):
@@ -104,3 +113,62 @@ def rbo(ranking_a, ranking_b, p: float = 0.9, depth: int | None = None) -> float
         norm += weight
         weight *= p
     return raw / norm
+
+
+@dataclass(frozen=True)
+class EquivalenceBlocks:
+    """Partition of measures into identical-ranking blocks, with the tau of
+    every (dataset, sorted measure pair) and its minimum over the datasets."""
+
+    blocks: tuple[tuple[str, ...], ...]
+    measures: tuple[str, ...]
+    tau: dict[str, dict[tuple[str, str], float]]
+    min_tau: dict[tuple[str, str], float]
+
+
+def equivalence_blocks(rankings: dict[str, dict]) -> EquivalenceBlocks:
+    """rankings: dataset name -> measure name -> Ranking over that dataset's
+    representative set. Blocks join measures whose `pattern_ids` are equal
+    on every dataset; blocks and their members are in ascending name."""
+    if not rankings:
+        raise ValueError("at least one dataset required")
+    datasets = sorted(rankings)
+    measures = sorted(rankings[datasets[0]])
+    pairs = list(combinations(measures, 2))
+    tau: dict[str, dict[tuple[str, str], float]] = {}
+    for d in datasets:
+        per = rankings[d]
+        if sorted(per) != measures:
+            raise ValueError(f"dataset {d} has a different measure set")
+        try:
+            tau[d] = {(m1, m2): kendall_tau(per[m1], per[m2]) for m1, m2 in pairs}
+        except RankCmpError as err:
+            raise RankCmpError(f"dataset {d}: {err}") from None
+    min_tau = {pair: min(tau[d][pair] for d in datasets) for pair in pairs}
+    groups: dict[tuple, list[str]] = {}
+    for m in measures:
+        orders = tuple(tuple(rankings[d][m].pattern_ids) for d in datasets)
+        groups.setdefault(orders, []).append(m)
+    return EquivalenceBlocks(blocks=tuple(map(tuple, groups.values())),
+                             measures=tuple(measures), tau=tau, min_tau=min_tau)
+
+
+def tau_csv(blocks: EquivalenceBlocks, dataset: str) -> str:
+    lines = ["measure_a,measure_b,dataset,tau"]
+    for (m1, m2), t in blocks.tau[dataset].items():
+        lines.append(f"{m1},{m2},{dataset},{t!r}")
+    return "\n".join(lines) + "\n"
+
+
+def min_tau_csv(blocks: EquivalenceBlocks) -> str:
+    lines = ["measure_a,measure_b,min_tau"]
+    for (m1, m2), t in sorted(blocks.min_tau.items()):
+        lines.append(f"{m1},{m2},{t!r}")
+    return "\n".join(lines) + "\n"
+
+
+def blocks_csv(blocks: EquivalenceBlocks) -> str:
+    lines = ["block_id,measure"]
+    for bid, block in enumerate(blocks.blocks):
+        lines.extend(f"{bid},{m}" for m in block)
+    return "\n".join(lines) + "\n"

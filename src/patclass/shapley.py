@@ -150,11 +150,6 @@ class GoldStandard:
     characteristic: CachedCharacteristic = field(compare=False, repr=False)
 
 
-def _ranking_from_values(values: dict[int, float]) -> Ranking:
-    order = sorted(values, key=lambda pid: (-values[pid], pid))
-    return Ranking(tuple(order), tuple(values[pid] for pid in order))
-
-
 def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
                     n_permutations: int, seed: int) -> GoldStandard:
     """Monte-Carlo Shapley: mean marginal contribution over seeded uniform
@@ -199,7 +194,7 @@ def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
             std_error[pid] = float("inf")
     return GoldStandard(
         values=values, std_error=std_error,
-        ranking=_ranking_from_values(values),
+        ranking=Ranking.of(values),
         method=f"sampled(n_permutations={n_permutations}, seed={seed})",
         characteristic=f)
 
@@ -218,7 +213,7 @@ def gold_standard(matrix: FootprintMatrix, pattern_ids: Sequence[int],
         return sampled_shapley(ids, f, n_permutations=n_permutations, seed=seed)
     values = exact_shapley(ids, f, exact_limit=exact_limit)
     return GoldStandard(values=values, std_error=None,
-                        ranking=_ranking_from_values(values), method="exact",
+                        ranking=Ranking.of(values), method="exact",
                         characteristic=f)
 
 

@@ -289,6 +289,36 @@ def naive_kendall_tau(order_a, order_b):
     return total / (s * (s - 1) / 2)
 
 
+def reference_equivalence_blocks(rankings):
+    """(blocks, min_tau) by a union-find over the pairwise min tau: measures
+    m1 < m2 join when their tau is 1.0 on every dataset. Blocks and their
+    members are in ascending name, as `rankcmp.equivalence_blocks` gives."""
+    datasets = sorted(rankings)
+    measures = sorted(rankings[datasets[0]])
+    min_tau = {}
+    parent = {m: m for m in measures}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, m1 in enumerate(measures):
+        for m2 in measures[i + 1:]:
+            t = min(kendall_tau(rankings[d][m1], rankings[d][m2]) for d in datasets)
+            min_tau[(m1, m2)] = t
+            if t == 1.0:
+                parent[find(m1)] = find(m2)
+
+    groups = {}
+    for m in measures:
+        groups.setdefault(find(m), []).append(m)
+    blocks = tuple(sorted((tuple(sorted(g)) for g in groups.values()),
+                          key=lambda blk: blk[0]))
+    return blocks, min_tau
+
+
 def naive_rbo(list_a, list_b, p, depth):
     """Term-by-term truncated RBO, normalized by the identical-prefix value."""
     raw = 0.0

@@ -169,7 +169,7 @@ def _synthetic_rankings(n_datasets=3, n_patterns=200, n_graphs=40):
 @pytest.fixture(scope="module")
 def synthetic_blocks():
     t0 = time.perf_counter()
-    blocks = properties.equivalence_blocks(_synthetic_rankings())
+    blocks = rankcmp.equivalence_blocks(_synthetic_rankings())
     return blocks, time.perf_counter() - t0
 
 

@@ -80,12 +80,12 @@ class TestTrain:
 
 class TestPredict:
     def test_zero_model_all_positive(self):
-        model = LinearModel(np.zeros(2), 0.0, 1.0, 0, (0.0,))
+        model = LinearModel(np.zeros(2), 0.0, (0.0,))
         x = np.array([[0.0, 1.0], [1.0, 1.0]])
         assert predict(model, x).tolist() == [1, 1]
 
     def test_dimension_mismatch(self):
-        model = LinearModel(np.zeros(2), 0.0, 1.0, 0, (0.0,))
+        model = LinearModel(np.zeros(2), 0.0, (0.0,))
         with pytest.raises(ClassifyError):
             predict(model, np.zeros((3, 5)))
 
@@ -93,7 +93,7 @@ class TestPredict:
         rng = np.random.default_rng(1)
         w = rng.normal(size=6)
         b = float(rng.normal())
-        model = LinearModel(w, b, 1.0, 0, (0.0,))
+        model = LinearModel(w, b, (0.0,))
         x = (rng.random((40, 6)) < 0.5).astype(float)
         expected = [1 if sum(w[j] * x[i, j] for j in range(6)) + b >= 0 else -1
                     for i in range(40)]
@@ -295,6 +295,6 @@ class TestCsv:
     def test_schemas(self):
         rep = EvalReport(1.0, 1.0, 1.0, 2, (1.0, 1.0), (1.0, 1.0), (1.0, 1.0))
         assert eval_csv(rep).startswith("fold,precision,recall,f1")
-        model = LinearModel(np.array([0.5, -0.25]), 0.125, 1.0, 0, (0.0,))
+        model = LinearModel(np.array([0.5, -0.25]), 0.125, (0.0,))
         text = model_csv(model, [3, 8])
         assert "3,0.5" in text and text.strip().endswith("bias,0.125")

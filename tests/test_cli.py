@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
@@ -383,6 +384,33 @@ class TestPairwiseTau:
         assert (out / "tau_d1.csv").exists() and (out / "tau_d2.csv").exists()
         for (m1, m2), t in blocks.min_tau.items():
             assert blocks.min_tau[(m1, m2)] == t  # stored once per sorted pair
+
+    def test_each_tau_computed_once(self, tmp_path, monkeypatch):
+        # every module's reference to kendall_tau is counted, so a second
+        # computation of the same tau anywhere in the package shows
+        from patclass import rankcmp
+        real = rankcmp.kendall_tau
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "patclass"
+                    and getattr(module, "kendall_tau", None) is real):
+                monkeypatch.setattr(module, "kendall_tau", counting)
+        paths = []
+        for seed in (1, 2, 3):
+            p = tmp_path / f"d{seed}.spmf"
+            p.write_text(spmf_fixture(seed=seed, n=12))
+            paths.append(str(p))
+        cfg = base_config(paths[0], tmp_path, measures=(
+            "Cover", "Sup", "Spec", "FPR", "Conf", "AbsSupDif"))
+        cfg.dataset = tuple(paths)
+        blocks = run_pairwise_tau(cfg)
+        assert len(calls) == 15 * 3
+        assert sum(len(taus) for taus in blocks.tau.values()) == 15 * 3
 
     def test_datasets_with_one_file_stem_exit_two(self, tmp_path):
         # both would be keyed "x", so one dataset's rankings would be dropped

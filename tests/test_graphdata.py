@@ -75,6 +75,16 @@ class TestParseSpmf:
         with pytest.raises(ConsistencyError, match=message):
             parse_spmf(text, labels_text=labels)
 
+    def test_header_class_and_label_line_is_error(self):
+        # the label lines used to override both headers, flipping both graphs
+        text = "t # 0 1\nv 0 0\nv 1 0\ne 0 1 0\nt # 1 0\nv 0 0\nv 1 0\ne 0 1 0"
+        with pytest.raises(ConsistencyError, match="label line 1: graph 0 labelled twice"):
+            parse_spmf(text, labels_text="0 0\n1 1\n")
+        # one source per graph: a header-less graph may take a label line
+        text = "t # 0\nv 0 0\nv 1 0\ne 0 1 0\nt # 1 0\nv 0 0\nv 1 0\ne 0 1 0"
+        ds = parse_spmf(text, labels_text="0 1\n")
+        assert [g.class_label for g in ds] == [POSITIVE, NEGATIVE]
+
     def test_duplicate_edge_rejected(self):
         text = "t # 0\nv 0 1\nv 1 1\ne 0 1 0\ne 1 0 0"
         with pytest.raises(StructuralError):
@@ -151,11 +161,27 @@ class TestParseTU:
         ("adjacency", "1, 2\n1, x\n2, 3\n3, 2\n", "line 2: malformed line '1, x'"),
         ("node_labels", "4\nx\n6\n", "line 2: malformed line 'x'"),
         ("edge_labels", "7\n7\n8\ninf\n", "line 4: malformed line 'inf'"),
-        ("graph_indicator", "1\n1\ny\n", "line 3: malformed line 'y'")],
-        ids=["adjacency", "node_labels", "edge_labels", "graph_indicator"])
+        ("graph_indicator", "1\n1\ny\n", "line 3: malformed line 'y'"),
+        # labels are whole numbers: 1.9 used to be read as 1, and graph
+        # labels 1.7/0.2 as classes +1/-1
+        ("node_labels", "4\n1.9\n6\n", "line 2: malformed line '1.9'"),
+        ("edge_labels", "7\n7\n8\n8.5\n", "line 4: malformed line '8.5'"),
+        ("graph_labels", "0.2\n", "line 1: malformed line '0.2'")],
+        ids=["adjacency", "node_labels", "edge_labels", "graph_indicator",
+             "node_labels_fraction", "edge_labels_fraction",
+             "graph_labels_fraction"])
     def test_non_integer_row_is_parse_error(self, key, text, bad):
         with pytest.raises(ParseError, match=f"{key} {bad}"):
             parse_tudataset(**self.fixture(**{key: text}))
+
+    def test_whole_float_labels_accepted(self):
+        ds = parse_tudataset(
+            adjacency="1, 2\n2, 1\n3, 4\n4, 3\n", graph_indicator="1\n1\n2\n2\n",
+            graph_labels="1.0\n-1\n", node_labels="4.0\n5\n-6.0\n1\n",
+            edge_labels="7.0\n7.0\n8\n8\n")
+        assert [g.class_label for g in ds] == [POSITIVE, NEGATIVE]
+        assert [g.vertex_labels for g in ds] == [(4, 5), (-6, 1)]
+        assert [g.edges for g in ds] == [((0, 1, 7),), ((0, 1, 8),)]
 
     def test_cross_graph_edge(self):
         args = self.fixture(

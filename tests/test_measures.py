@@ -9,7 +9,7 @@ import pytest
 
 from patclass.footprints import ContingencyCounts, FootprintMatrix, contingency
 from patclass.measures import (KNOWN_BOUND_EXCEPTIONS, MEASURE_NAMES,
-                               REVERSED_MEASURES, MeasureError, effective,
+                               REVERSED_MEASURES, MeasureError, Ranking, effective,
                                effective_score, measure_info, prob_kit, rank,
                                rank_all, score, scorer, scores_csv)
 
@@ -244,6 +244,12 @@ class TestRanking:
     def test_empty_ids_rejected(self, six_graph_matrix):
         with pytest.raises(MeasureError):
             rank("Sup", six_graph_matrix, [])
+
+    def test_of_orders_by_score_then_id(self):
+        # insertion order does not matter; -inf and inf sort like any score
+        r = Ranking.of({5: 0.5, 3: math.inf, 9: 0.5, 1: -math.inf, 2: 0.5})
+        assert r.pattern_ids == (3, 2, 5, 9, 1)
+        assert r.scores == (math.inf, 0.5, 0.5, 0.5, -math.inf)
 
 
 class TestTableMetadata:

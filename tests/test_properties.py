@@ -4,8 +4,8 @@ import pytest
 from patclass import measures, properties
 from patclass.footprints import ContingencyCounts, FootprintMatrix
 from patclass.measures import MEASURE_NAMES, measure_info, rank
-from patclass.properties import (equivalence_blocks, min_tau_csv, properties_csv,
-                                 property_matrix)
+from patclass.properties import properties_csv, property_matrix
+from patclass.rankcmp import equivalence_blocks, min_tau_csv
 
 from oracles import (check, check_independence_equilibrium, check_ps2_exclusivity,
                      recheck_counterexample, reference_class_symmetry,

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from patclass.rankcmp import RankCmpError, kendall_tau, rbo
+from patclass.measures import Ranking
+from patclass.rankcmp import RankCmpError, equivalence_blocks, kendall_tau, rbo
 
 from oracles import (RankingPair, naive_kendall_tau, naive_rbo,
-                     rbo_prefix_monotonicity_check, rbo_raw)
+                     rbo_prefix_monotonicity_check, rbo_raw,
+                     reference_equivalence_blocks)
 
 
 class TestRankingPair:
@@ -63,6 +65,65 @@ class TestKendallTau:
     def test_too_short_error(self):
         with pytest.raises(RankCmpError):
             kendall_tau([1], [1])
+
+
+def random_rankings(seed, n_datasets=3, n_ids=10):
+    """Eight measures' rankings per dataset, scores in 0..3 so ties are
+    common. m1 orders like m0 everywhere (by other scores), m2 like m0 on the
+    first dataset only, m3 and m4 score every id alike (ascending id), m5
+    copies a random earlier measure's order on each dataset, m6 and m7 are
+    random."""
+    rng = random.Random(seed)
+    rankings = {}
+    for d in range(n_datasets):
+        ids = rng.sample(range(50), n_ids)
+        per = {"m0": Ranking.of({pid: rng.randrange(4) for pid in ids})}
+        per["m1"] = Ranking.of({pid: 2 * s + 1 for pid, s in
+                                zip(per["m0"].pattern_ids, per["m0"].scores)})
+        per["m2"] = per["m0"] if d == 0 else Ranking.of(
+            {pid: rng.randrange(4) for pid in ids})
+        per["m3"] = Ranking.of(dict.fromkeys(ids, 1.0))
+        per["m4"] = Ranking.of(dict.fromkeys(ids, -2.0))
+        per["m5"] = per[f"m{rng.randrange(5)}"]
+        for m in ("m6", "m7"):
+            per[m] = Ranking.of({pid: rng.randrange(4) for pid in ids})
+        rankings[f"d{d}"] = per
+    return rankings
+
+
+class TestEquivalenceBlocks:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_union_find_over_min_tau(self, seed):
+        rankings = random_rankings(seed)
+        got = equivalence_blocks(rankings)
+        blocks, min_tau = reference_equivalence_blocks(rankings)
+        assert got.blocks == blocks
+        assert got.min_tau == min_tau
+        for pair in ({"m0", "m1"}, {"m3", "m4"}):
+            assert any(pair <= set(blk) for blk in got.blocks)
+        for d, per in rankings.items():
+            assert got.tau[d] == {
+                (m1, m2): kendall_tau(per[m1], per[m2]) for (m1, m2) in min_tau}
+
+    def test_identical_on_one_dataset_only_is_no_block(self):
+        rankings = random_rankings(0)
+        got = equivalence_blocks(rankings)
+        assert got.tau["d0"][("m0", "m2")] == 1.0
+        assert got.min_tau[("m0", "m2")] < 1.0
+        assert not any({"m0", "m2"} <= set(blk) for blk in got.blocks)
+
+    def test_input_errors(self):
+        rankings = random_rankings(1)
+        with pytest.raises(ValueError, match="at least one dataset"):
+            equivalence_blocks({})
+        del rankings["d1"]["m7"]
+        with pytest.raises(ValueError, match="dataset d1 has a different measure set"):
+            equivalence_blocks(rankings)
+        rankings = random_rankings(1)
+        rankings["d2"]["m6"] = Ranking.of({pid + 100: 0.0 for pid in
+                                           rankings["d2"]["m6"].pattern_ids})
+        with pytest.raises(RankCmpError, match="dataset d2: tau requires identical id sets"):
+            equivalence_blocks(rankings)
 
 
 class TestRbo:
