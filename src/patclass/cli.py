@@ -178,7 +178,11 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
         setattr(cfg, key, _coerce(key, value))
 
     if path is not None:
-        text = Path(path).read_text()
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                              ) from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -135,91 +135,71 @@ def _map_class_labels(raw: dict[int, int]) -> dict[int, int]:
     return {gid: (NEGATIVE if v == lo else POSITIVE) for gid, v in raw.items()}
 
 
-def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[str]] = None,
-               ) -> GraphDataset:
+def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """(file line number, line, fields) of every line that is neither blank
+    nor a '#' comment."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, line, fields
+
+
+def parse_spmf(text: str, labels_text: Optional[str] = None) -> GraphDataset:
     """Parse the gSpan/SPMF transaction format.
 
     ``t # <gid>`` starts a graph (an optional trailing integer is its class),
-    ``v <vid> <vlabel>`` and ``e <src> <dst> <elabel>`` add vertices and edges.
-    Blank lines and '#'-prefixed lines are ignored. Class labels may instead
-    come from ``labels_text`` with one ``<gid> <class>`` pair per line; each
-    graph takes its class from one source. A repeated header gid raises
-    ParseError; a label line for a gid the text lacks, or for a gid labelled
-    before (on its header or on an earlier label line), raises
-    ConsistencyError.
+    ``v <vid> <vlabel>`` and ``e <src> <dst> <elabel>`` add vertices and edges;
+    each line kind takes exactly these fields. Blank lines and '#'-prefixed
+    lines are ignored. Class labels may instead come from ``labels_text``
+    with one ``<gid> <class>`` pair per line; each graph takes its class from
+    one source. A repeated header gid raises ParseError; a label line for a
+    gid the text lacks, or for a gid labelled before (on its header or on an
+    earlier label line), raises ConsistencyError. Structural errors (vertex
+    ids other than 0..n-1, and those `AttributedGraph` raises) name the
+    graph's ``t #`` gid.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-    blocks: list[tuple[int, list[int], list[tuple[int, int, int]]]] = []
+    graphs: dict[int, tuple[dict[int, int], list[tuple[int, int, int]]]] = {}
     raw_class: dict[int, int] = {}
-    cur_vlabels: Optional[dict[int, int]] = None
-    cur_edges: list[tuple[int, int, int]] = []
-    cur_gid = -1
-    gids: set[int] = set()
-
-    def flush():
-        if cur_vlabels is None:
-            return
-        n = len(cur_vlabels)
-        if sorted(cur_vlabels) != list(range(n)):
-            raise StructuralError(f"graph {cur_gid}: vertex ids must be 0..n-1")
-        vlabels = [cur_vlabels[i] for i in range(n)]
-        blocks.append((cur_gid, vlabels, list(cur_edges)))
-
-    for lineno, rawline in enumerate(lines, start=1):
-        line = rawline.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
+    vlabels: Optional[dict[int, int]] = None
+    edges: list[tuple[int, int, int]] = []
+    for lineno, line, fields in _lines(text):
+        kind = fields[0]
+        if vlabels is None and kind in ("v", "e"):
+            what = "vertex" if kind == "v" else "edge"
+            raise ParseError(f"line {lineno}: {what} before any 't #' header")
         try:
-            if parts[0] == "t":
-                if parts[1] != "#":
+            if kind == "e" and len(fields) == 4:
+                u, v, el = int(fields[1]), int(fields[2]), int(fields[3])
+                edges.append((u, v, el) if u < v else (v, u, el))
+            elif kind == "v" and len(fields) == 3:
+                vid = int(fields[1])
+                if vid in vlabels:
                     raise ValueError
-                flush()
-                cur_gid = int(parts[2])
-                if cur_gid in gids:
-                    raise ParseError(f"line {lineno}: repeated graph id {cur_gid}")
-                gids.add(cur_gid)
-                cur_vlabels = {}
-                cur_edges = []
-                if len(parts) >= 4:
-                    raw_class[cur_gid] = int(parts[3])
-                elif len(parts) != 3:
-                    raise ValueError
-            elif parts[0] == "v":
-                if cur_vlabels is None:
-                    raise ParseError(f"line {lineno}: vertex before any 't #' header")
-                vid, vlabel = int(parts[1]), int(parts[2])
-                if len(parts) != 3 or vid in cur_vlabels:
-                    raise ValueError
-                cur_vlabels[vid] = vlabel
-            elif parts[0] == "e":
-                if cur_vlabels is None:
-                    raise ParseError(f"line {lineno}: edge before any 't #' header")
-                if len(parts) != 4:
-                    raise ValueError
-                u, v, el = int(parts[1]), int(parts[2]), int(parts[3])
-                cur_edges.append((min(u, v), max(u, v), el))
+                vlabels[vid] = int(fields[2])
+            elif kind == "t" and len(fields) in (3, 4) and fields[1] == "#":
+                gid = int(fields[2])
+                if gid in graphs:
+                    raise ParseError(f"line {lineno}: repeated graph id {gid}")
+                vlabels, edges = graphs[gid] = ({}, [])
+                if len(fields) == 4:
+                    raw_class[gid] = int(fields[3])
             else:
                 raise ValueError
         except ParseError:
             raise
-        except (ValueError, IndexError):
-            raise ParseError(f"line {lineno}: malformed line {line!r}") from None
-    flush()
+        except ValueError:
+            raise ParseError(f"line {lineno}: malformed line {line.strip()!r}") from None
 
     if labels_text is not None:
-        llines = (labels_text.splitlines() if isinstance(labels_text, str)
-                  else list(labels_text))
-        for lineno, rawline in enumerate(llines, start=1):
-            line = rawline.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
+        for lineno, line, fields in _lines(labels_text):
             try:
-                gid, cls = int(parts[0]), int(parts[1])
-            except (ValueError, IndexError):
-                raise ParseError(f"label line {lineno}: malformed line {line!r}") from None
-            if gid not in gids:
+                if len(fields) != 2:
+                    raise ValueError
+                gid, cls = int(fields[0]), int(fields[1])
+            except ValueError:
+                raise ParseError(
+                    f"label line {lineno}: malformed line {line.strip()!r}") from None
+            if gid not in graphs:
                 raise ConsistencyError(f"label line {lineno}: no graph with id {gid}")
             if gid in raw_class:  # on its header or on an earlier label line
                 raise ConsistencyError(f"label line {lineno}: graph {gid} labelled twice")
@@ -227,21 +207,24 @@ def parse_spmf(text: str | Iterable[str], labels_text: Optional[str | Iterable[s
 
     mapped: dict[int, int] = {}
     if raw_class:
-        missing = [gid for gid, _, _ in blocks if gid not in raw_class]
+        missing = [gid for gid in graphs if gid not in raw_class]
         if missing:
             raise ConsistencyError(f"graphs without class label: {missing}")
         mapped = _map_class_labels(raw_class)
 
-    graphs = []
-    for pos, (gid, vlabels, edges) in enumerate(blocks):
-        if len({(u, v) for (u, v, _el) in edges}) != len(edges):
-            raise StructuralError(f"graph {pos}: duplicate edges in input")
-        graphs.append(AttributedGraph(
-            graph_id=pos,
-            vertex_labels=tuple(vlabels),
-            edges=tuple(sorted(edges)),
-            class_label=mapped.get(gid)))
-    return GraphDataset(tuple(graphs))
+    out = []
+    for pos, (gid, (vlabels, edges)) in enumerate(graphs.items()):
+        try:
+            if sorted(vlabels) != list(range(len(vlabels))):
+                raise StructuralError("vertex ids must be 0..n-1")
+            out.append(AttributedGraph(
+                graph_id=pos,
+                vertex_labels=tuple(vlabels[i] for i in range(len(vlabels))),
+                edges=tuple(sorted(edges)),
+                class_label=mapped.get(gid)))
+        except StructuralError as exc:
+            raise StructuralError(f"t # {gid}: {exc}") from None
+    return GraphDataset(tuple(out))
 
 
 def serialize_spmf(dataset: GraphDataset) -> str:
@@ -259,9 +242,8 @@ def serialize_spmf(dataset: GraphDataset) -> str:
     return "\n".join(out) + "\n"
 
 
-def _read_lines(src: str | Iterable[str]) -> list[str]:
-    lines = src.splitlines() if isinstance(src, str) else list(src)
-    return [ln.strip() for ln in lines if ln.strip()]
+def _read_lines(text: str) -> list[str]:
+    return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
 def _rows(name: str, lines: list[str], row: Callable) -> list:
@@ -289,11 +271,20 @@ def _pair(text: str) -> tuple[int, int]:
     return int(u), int(v)
 
 
-def parse_tudataset(adjacency: str | Iterable[str],
-                    graph_indicator: str | Iterable[str],
-                    graph_labels: str | Iterable[str],
-                    node_labels: Optional[str | Iterable[str]] = None,
-                    edge_labels: Optional[str | Iterable[str]] = None) -> GraphDataset:
+def _optional_labels(name: str, text: Optional[str], rows: int, source: str) -> list[int]:
+    """One label per row of `source` from an optional file; 0 for every row
+    when the file is absent."""
+    if text is None:
+        return [0] * rows
+    lines = _read_lines(text)
+    if len(lines) != rows:
+        raise ConsistencyError(f"{name} has {len(lines)} rows, {source} has {rows}")
+    return _rows(name, lines, _label)
+
+
+def parse_tudataset(adjacency: str, graph_indicator: str, graph_labels: str,
+                    node_labels: Optional[str] = None,
+                    edge_labels: Optional[str] = None) -> GraphDataset:
     """Parse the TUDataset multi-file convention (1-based ids in all files).
 
     ``adjacency`` holds comma-separated edge pairs with both directions
@@ -311,28 +302,14 @@ def parse_tudataset(adjacency: str | Iterable[str],
         raise ConsistencyError(
             f"graph_indicator references graph {bad}, valid range is 1..{n_graphs}")
 
-    if node_labels is not None:
-        nl_lines = _read_lines(node_labels)
-        if len(nl_lines) != n_nodes:
-            raise ConsistencyError(
-                f"node_labels has {len(nl_lines)} rows, graph_indicator has {n_nodes}")
-        vlabels_raw = _rows("node_labels", nl_lines, _label)
-    else:
-        vlabels_raw = [0] * n_nodes
+    vlabels_raw = _optional_labels("node_labels", node_labels, n_nodes, "graph_indicator")
 
     pairs = _rows("adjacency", _read_lines(adjacency), _pair)
     for lineno, (u, v) in enumerate(pairs, start=1):
         if not (1 <= u <= n_nodes and 1 <= v <= n_nodes):
             raise ConsistencyError(f"adjacency line {lineno}: node id out of range")
 
-    if edge_labels is not None:
-        el_lines = _read_lines(edge_labels)
-        if len(el_lines) != len(pairs):
-            raise ConsistencyError(
-                f"edge_labels has {len(el_lines)} rows, adjacency has {len(pairs)}")
-        elabels_raw = _rows("edge_labels", el_lines, _label)
-    else:
-        elabels_raw = [0] * len(pairs)
+    elabels_raw = _optional_labels("edge_labels", edge_labels, len(pairs), "adjacency")
 
     # Normalize directions; a pair seen with two different labels is rejected.
     norm: dict[tuple[int, int], int] = {}
@@ -344,35 +321,26 @@ def parse_tudataset(adjacency: str | Iterable[str],
             raise ConsistencyError(f"edge {key} has conflicting labels")
         norm[key] = el
 
-    # Group nodes per graph, remap to local 0-based ids.
-    node_of_graph: dict[int, list[int]] = {}
-    for node, gid in enumerate(indicator, start=1):
-        node_of_graph.setdefault(gid, []).append(node)
-    local: dict[int, tuple[int, int]] = {}
-    for gid, nodes in node_of_graph.items():
-        for li, node in enumerate(nodes):
-            local[node] = (gid, li)
+    # Group nodes per graph: (graph, 0-based id within it) of every node.
+    graphs = {g: ([], []) for g in range(1, n_graphs + 1)}  # vertex labels, edges
+    local: list[tuple[int, int]] = []
+    for g, label in zip(indicator, vlabels_raw):
+        vlabels = graphs[g][0]
+        local.append((g, len(vlabels)))
+        vlabels.append(label)
 
-    edges_of_graph: dict[int, list[tuple[int, int, int]]] = {g: [] for g in range(1, n_graphs + 1)}
+    # Local ids keep the global node order, so the edges stay sorted with u < v.
     for (u, v), el in sorted(norm.items()):
-        gu, lu = local[u]
-        gv, lv = local[v]
+        gu, lu = local[u - 1]
+        gv, lv = local[v - 1]
         if gu != gv:
             raise ConsistencyError(f"edge ({u},{v}) crosses graphs {gu} and {gv}")
-        a, b = min(lu, lv), max(lu, lv)
-        edges_of_graph[gu].append((a, b, el))
+        graphs[gu][1].append((lu, lv, el))
 
-    mapped = _map_class_labels({g: glabels_raw[g - 1] for g in range(1, n_graphs + 1)})
-    graphs = []
-    for gid in range(1, n_graphs + 1):
-        nodes = node_of_graph.get(gid, [])
-        vlabels = tuple(vlabels_raw[node - 1] for node in nodes)
-        graphs.append(AttributedGraph(
-            graph_id=gid - 1,
-            vertex_labels=vlabels,
-            edges=tuple(sorted(edges_of_graph[gid])),
-            class_label=mapped[gid]))
-    return GraphDataset(tuple(graphs))
+    mapped = _map_class_labels({g: glabels_raw[g - 1] for g in graphs})
+    return GraphDataset(tuple(
+        AttributedGraph(g - 1, tuple(vlabels), tuple(edges), mapped[g])
+        for g, (vlabels, edges) in graphs.items()))
 
 
 def load_tudataset(directory, name: str) -> GraphDataset:

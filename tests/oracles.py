@@ -16,7 +16,8 @@ sequences, the cut and medoids over one leaf per pattern, one property check
 or appendix result at a time (`check`, `recheck_counterexample`,
 `check_independence_equilibrium`, `check_ps2_exclusivity`), the batch and
 uncached forms of a one-subset Shapley game, the RBO checks (un-normalized
-RBO, prefix monotonicity) and `RankingPair`.
+RBO, prefix monotonicity), `RankingPair` and `write_tudataset`, the
+TUDataset writer that lets a test read one dataset in both input formats.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Iterable, Optional, Sequence
 
@@ -34,7 +36,7 @@ import numpy as np
 from patclass.classify import EPOCHS, EvalReport, prf1, stratified_folds
 from patclass.clusterer import FootprintClustering, _medoid
 from patclass.footprints import ContingencyCounts, contingency
-from patclass.graphdata import AttributedGraph, GraphDataset, parse_spmf
+from patclass.graphdata import POSITIVE, AttributedGraph, GraphDataset, parse_spmf
 from patclass.measures import (MEASURE_NAMES, Ranking, effective_score, prob_kit,
                                score, scorer)
 from patclass.miner import Pattern, PatternSet, canonical_code
@@ -392,6 +394,26 @@ def random_graph(rng, n_vertices, edge_prob, n_vlabels, n_elabels, graph_id=0,
             if rng.random() < edge_prob:
                 edges.append((u, v, rng.randrange(n_elabels)))
     return AttributedGraph(graph_id, vlabels, tuple(edges), class_label)
+
+
+def write_tudataset(dataset: GraphDataset, directory: Path, name: str) -> None:
+    """Write `dataset` as `<name>_A.txt`, `_graph_indicator`, `_graph_labels`
+    (1 = positive, 0 = negative), `_node_labels` and `_edge_labels`: 1-based
+    node ids, both directions of every edge, one edge label per direction."""
+    adjacency, edge_labels, indicator, node_labels = [], [], [], []
+    for g in dataset:
+        first = len(indicator) + 1  # global id of the graph's vertex 0
+        indicator += [g.graph_id + 1] * g.n_vertices
+        node_labels += g.vertex_labels
+        for (u, v, el) in g.edges:
+            adjacency += [f"{first + u}, {first + v}", f"{first + v}, {first + u}"]
+            edge_labels += [el, el]
+    files = {"A": adjacency, "graph_indicator": indicator,
+             "graph_labels": [1 if g.class_label == POSITIVE else 0 for g in dataset],
+             "node_labels": node_labels, "edge_labels": edge_labels}
+    directory.mkdir(parents=True, exist_ok=True)
+    for suffix, rows in files.items():
+        (directory / f"{name}_{suffix}.txt").write_text("".join(f"{r}\n" for r in rows))
 
 
 def _reference_objective(z, y, v, lam):

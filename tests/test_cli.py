@@ -237,6 +237,16 @@ class TestCliCommands:
         result = runner.invoke(main, ["pipeline", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path):
+        # the UnicodeDecodeError used to escape click: exit 1 with a traceback
+        cfile = tmp_path / "run.cfg"
+        cfile.write_bytes("property_n = 2\n# caf\xe9\n".encode("latin-1"))
+        result = CliRunner().invoke(main, ["properties", "--config", str(cfile),
+                                           "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"{cfile}: not UTF-8 text" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_unreadable_dataset_exits_one(self, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [

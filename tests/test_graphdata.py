@@ -1,14 +1,17 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 
+from patclass.cli import RunConfig, run_pipeline
 from patclass.graphdata import (NEGATIVE, POSITIVE, AttributedGraph,
                                 ConsistencyError, GraphDataError, GraphDataset,
                                 ParseError, StructuralError, balance_undersample,
-                                dataset_stats, parse_spmf, parse_tudataset,
-                                serialize_spmf)
+                                dataset_stats, load_tudataset, parse_spmf,
+                                parse_tudataset, serialize_spmf)
 
-from oracles import degree_sequence, random_graph
+from oracles import degree_sequence, random_graph, write_tudataset
 
 MINIMAL = "t # 0\nv 0 1\nv 1 1\ne 0 1 0"
 
@@ -84,6 +87,37 @@ class TestParseSpmf:
         text = "t # 0\nv 0 0\nv 1 0\ne 0 1 0\nt # 1 0\nv 0 0\nv 1 0\ne 0 1 0"
         ds = parse_spmf(text, labels_text="0 1\n")
         assert [g.class_label for g in ds] == [POSITIVE, NEGATIVE]
+
+    @pytest.mark.parametrize("text, labels, bad", [
+        ("t # 0 1 junk\nv 0 0\nt # 1 0\nv 0 0", None, "line 1: malformed line 't # 0 1 junk'"),
+        ("t # 0 1\nv 0 0\nt # 1 0 2\nv 0 0", None, "line 3: malformed line 't # 1 0 2'"),
+        ("t # 0\nv 0 0\nt # 1\nv 0 0", "0 1\n1 0 junk\n",
+         "label line 2: malformed line '1 0 junk'"),
+        ("t # 0\nv 0 0\nt # 1\nv 0 0", "0 1\n1\n", "label line 2: malformed line '1'")],
+        ids=["header_junk", "header_five_fields", "label_junk", "label_one_field"])
+    def test_header_and_label_lines_take_exact_fields(self, text, labels, bad):
+        # a t line takes 3 or 4 fields and a label line 2; the extra token
+        # used to be dropped
+        with pytest.raises(ParseError, match=f"^{bad}$"):
+            parse_spmf(text, labels)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("v 1 0\nv 2 0", "vertex ids must be 0..n-1"),
+        ("v 0 0\nv 1 0\ne 0 1 0\ne 1 0 0", "graph {pos}: duplicate edge (0,1)"),
+        ("v 0 0\ne 0 0 0", "graph {pos}: self-loop on vertex 0"),
+        ("v 0 0\ne 0 3 0", "graph {pos}: edge (0,3) references a missing vertex (n=1)")],
+        ids=["vertex_ids", "duplicate_edge", "self_loop", "missing_vertex"])
+    @pytest.mark.parametrize("pos", [0, 1], ids=["first", "last"])
+    def test_structural_error_names_header_gid(self, fault, message, pos):
+        # a bad vertex-id set in a graph other than the last used to be
+        # reported as "malformed line" on the next 't #' header
+        blocks = ["v 0 0\nv 1 0\ne 0 1 0"] * 2
+        blocks[pos] = fault
+        text = "\n".join(f"t # {gid}\n{block}" for gid, block in zip((5, 7), blocks))
+        gid = (5, 7)[pos]
+        with pytest.raises(StructuralError) as info:
+            parse_spmf(text)
+        assert str(info.value) == f"t # {gid}: " + message.format(pos=pos)
 
     def test_duplicate_edge_rejected(self):
         text = "t # 0\nv 0 1\nv 1 1\ne 0 1 0\ne 1 0 0"
@@ -191,6 +225,56 @@ class TestParseTU:
             node_labels="1\n1\n1\n", edge_labels=None)
         with pytest.raises(ConsistencyError):
             parse_tudataset(**args)
+
+
+class TestReadersAgree:
+    """One molecule-like dataset, written as SPMF with classes on its
+    headers, as SPMF with a sidecar label file, and as TUDataset files."""
+
+    @pytest.fixture
+    def forms(self, tmp_path):
+        path = Path(__file__).parents[1] / "perfbench" / "generate.py"
+        spec = importlib.util.spec_from_file_location("generate", path)
+        generate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generate)
+        text = generate.molecule_like(3, 40)
+        (tmp_path / "mol.spmf").write_text(text)
+
+        bare, labels = ["# classes are in the sidecar file", ""], []
+        for line in text.splitlines():
+            if line.startswith("t #"):
+                _t, _hash, gid, cls = line.split()
+                bare += ["", f"t # {gid}", "  # vertices, then edges"]
+                labels += [f"{gid} {cls}", "", f"# graph {gid} done"]
+            else:
+                bare.append(line)
+        sidecar = ("\n".join(bare), "\n".join(["# gid class", ""] + labels[::-1]))
+
+        write_tudataset(parse_spmf(text), tmp_path / "tu", "MOL")
+        return tmp_path, text, sidecar
+
+    def test_all_three_parse_equal(self, forms):
+        tmp_path, text, (bare, labels) = forms
+        headers = parse_spmf(text)
+        assert len(headers) == 40 and headers.n_pos == headers.n_neg == 20
+        assert parse_spmf(bare, labels) == headers
+        assert load_tudataset(tmp_path / "tu", "MOL") == headers
+
+    def test_pipeline_writes_the_same_bytes(self, forms):
+        tmp_path = forms[0]
+        outputs = []
+        for dataset, settings in ((tmp_path / "mol.spmf", {}),
+                                  (tmp_path / "tu", {"format": "tudataset",
+                                                     "tu_name": "MOL"})):
+            cfg = RunConfig(dataset=(str(dataset),), out=str(tmp_path / f"out{len(outputs)}"),
+                            min_support="6", max_edges=3, threshold_pct=20.0,
+                            measures=("Sup", "GR", "WRACC"), k_folds=4, **settings)
+            cfg.validate()
+            run_pipeline(cfg)
+            outputs.append({p.name: p.read_bytes() for p in Path(cfg.out).iterdir()
+                            if p.name != "summary.json"})
+        assert "footprints.csv" in outputs[0] and "pipeline_f1.csv" in outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestBalance:
