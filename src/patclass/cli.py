@@ -6,10 +6,15 @@ command line with --set key=value. All randomness flows from explicit seeds
 in the config (no wall-clock defaults), so identical config + seeds produce
 byte-identical CSV outputs. Exit codes: 0 success, 2 configuration error,
 1 runtime error.
+
+pipeline, cluster-sweep, gold and stats read exactly one dataset (more is a
+configuration error), pairwise-tau one or more, properties none. `balance`
+under-samples for the mining commands only: stats describes the file as read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -98,16 +103,11 @@ class RunConfig:
 
     def resolve_min_support(self, n_graphs: int) -> int:
         kind, value = _parse_count_or_pct(self.min_support, "min_support")
-        if kind == "pct":
-            return max(1, math.ceil(_share(value) * n_graphs))
-        return max(1, int(value))
+        return max(1, _ceil_pct(value, n_graphs) if kind == "pct" else int(value))
 
     def resolve_s(self, n_representatives: int) -> int:
         kind, value = _parse_count_or_pct(self.s, "s")
-        if kind == "pct":
-            resolved = math.ceil(_share(value) * n_representatives)
-        else:
-            resolved = int(value)
+        resolved = _ceil_pct(value, n_representatives) if kind == "pct" else int(value)
         if resolved < 1:
             raise ConfigError("s must select at least one pattern")
         return min(resolved, n_representatives)
@@ -117,6 +117,11 @@ def _share(pct: float) -> Fraction:
     """pct percent as an exact fraction, read from the decimal pct prints as,
     so a count taken from it by ceil or floor is not one off."""
     return Fraction(str(pct)) / 100
+
+
+def _ceil_pct(pct: float, n: int) -> int:
+    """The ceiling of pct percent of n, exactly."""
+    return math.ceil(_share(pct) * n)
 
 
 def _parse_count_or_pct(raw: str, key: str) -> tuple[str, float]:
@@ -171,7 +176,10 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
     cfg = RunConfig()
     valid = {f.name for f in fields(RunConfig)}
 
-    def apply(key: str, value: str, where: str):
+    def apply(item: str, where: str, malformed: str):
+        key, eq, value = item.partition("=")
+        if not eq:
+            raise ConfigError(malformed)
         key = key.strip()
         if key not in valid:
             raise ConfigError(f"unknown config key {key!r} ({where})")
@@ -185,17 +193,10 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
                               ) from None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            apply(key, value, f"{path}:{lineno}")
+            if line and not line.startswith("#"):
+                apply(line, f"{path}:{lineno}", f"{path}:{lineno}: expected key=value")
     for item in overrides:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        apply(key, value, "--set")
+        apply(item, "--set", f"--set expects key=value, got {item!r}")
     cfg.validate()
     return cfg
 
@@ -203,13 +204,15 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
 def _load_dataset(cfg: RunConfig, path: str) -> graphdata.GraphDataset:
     if cfg.format == "spmf":
         labels_text = Path(cfg.labels).read_text() if cfg.labels else None
-        ds = graphdata.parse_spmf(Path(path).read_text(), labels_text)
-    else:
-        name = cfg.tu_name or Path(path).name
-        ds = graphdata.load_tudataset(path, name)
-    if cfg.balance and ds.n_pos != ds.n_neg:
-        ds = graphdata.balance_undersample(ds, seed=cfg.seed)
-    return ds
+        return graphdata.parse_spmf(Path(path).read_text(), labels_text)
+    return graphdata.load_tudataset(path, cfg.tu_name or Path(path).name)
+
+
+def _one_dataset(cfg: RunConfig) -> str:
+    """The path of a command that reads exactly one dataset."""
+    if len(cfg.dataset) != 1:
+        raise ConfigError(f"exactly one dataset path is required, got {len(cfg.dataset)}")
+    return cfg.dataset[0]
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -243,6 +246,8 @@ def _mine_and_cluster(cfg: RunConfig, path: str, seconds: Optional[dict] = None,
                       load: str = "load"):
     with _stage(load, seconds):
         ds = _load_dataset(cfg, path)
+        if cfg.balance and ds.n_pos != ds.n_neg:
+            ds = graphdata.balance_undersample(ds, seed=cfg.seed)
     with _stage("mine", seconds):
         min_sup = cfg.resolve_min_support(len(ds))
         pattern_set = miner.mine_frequent(ds, min_support=min_sup,
@@ -260,13 +265,11 @@ def _mine_and_cluster(cfg: RunConfig, path: str, seconds: Optional[dict] = None,
 
 def run_pipeline(cfg: RunConfig) -> dict:
     """mine -> cluster -> rank -> select top-s -> vectorize -> cross-validate."""
-    if not cfg.dataset:
-        raise ConfigError("a dataset path is required")
+    path = _one_dataset(cfg)
     out_dir = Path(cfg.out)
     t_start = time.perf_counter()
     timings: dict[str, float] = {}
-    ds, pattern_set, matrix, clustering, cut = \
-        _mine_and_cluster(cfg, cfg.dataset[0], timings)
+    ds, pattern_set, matrix, clustering, cut = _mine_and_cluster(cfg, path, timings)
     reps = list(cut.representatives)
     with _stage("export", timings):
         pat_text, sup_text = miner.export_patterns(pattern_set)
@@ -309,7 +312,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         _write(out_dir, "pipeline_f1.csv", "\n".join(lines) + "\n")
     timings["total_s"] = time.perf_counter() - t_start
     summary = {
-        "dataset": cfg.dataset[0],
+        "dataset": path,
         "n_graphs": len(ds),
         "n_pos": ds.n_pos,
         "n_neg": ds.n_neg,
@@ -333,9 +336,7 @@ def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
     for t in thresholds:
         if not (0.0 <= t <= 100.0):
             raise ConfigError("thresholds are percentages in [0, 100]")
-    if not cfg.dataset:
-        raise ConfigError("a dataset path is required")
-    _ds, _ps, matrix, clustering, _cut = _mine_and_cluster(cfg, cfg.dataset[0])
+    _ds, _ps, matrix, clustering, _cut = _mine_and_cluster(cfg, _one_dataset(cfg))
     with _stage("sweep"):
         f1 = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
                                                 seed=cfg.seed)
@@ -374,10 +375,8 @@ def run_pairwise_tau(cfg: RunConfig) -> rankcmp.EquivalenceBlocks:
 
 
 def run_gold(cfg: RunConfig) -> dict:
-    if not cfg.dataset:
-        raise ConfigError("a dataset path is required")
     out_dir = Path(cfg.out)
-    _ds, _ps, matrix, _clustering, cut = _mine_and_cluster(cfg, cfg.dataset[0])
+    _ds, _ps, matrix, _clustering, cut = _mine_and_cluster(cfg, _one_dataset(cfg))
     reps = list(cut.representatives)
     with _stage("gold standard"):
         gold = shapley.gold_standard(matrix, reps, k=cfg.k_folds, c=cfg.c,
@@ -387,7 +386,7 @@ def run_gold(cfg: RunConfig) -> dict:
         _write(out_dir, "gold.csv", shapley.shapley_csv(gold))
     with _stage("sweep"):
         rankings = measures.rank_all(matrix, reps, cfg.measures)
-        sizes = [max(1, math.ceil(_share(pct) * len(reps))) for pct in cfg.s_grid]
+        sizes = [max(1, _ceil_pct(pct, len(reps))) for pct in cfg.s_grid]
         # every swept set is cross-validated in one batch before the rows
         f = gold.characteristic
         f.many(ranking.top(s) for s in sizes
@@ -425,17 +424,11 @@ DENSITY_CONVENTION = "2m/(n(n-1))"  # plain density, even for bipartite graphs
 
 
 def run_stats(cfg: RunConfig) -> graphdata.DatasetStats:
-    if not cfg.dataset:
-        raise ConfigError("a dataset path is required")
-    ds = _load_dataset(cfg, cfg.dataset[0])
-    st = graphdata.dataset_stats(ds)
-    clustering = "" if st.avg_global_clustering is None else repr(st.avg_global_clustering)
-    lines = ["n_graphs,avg_vertices,avg_edges,mean_avg_degree,avg_density,"
-             "avg_global_clustering,density_convention",
-             f"{st.n_graphs},{st.avg_vertices!r},{st.avg_edges!r},"
-             f"{st.mean_avg_degree!r},{st.avg_density!r},{clustering},"
-             f"{DENSITY_CONVENTION}"]
-    _write(Path(cfg.out), "stats.csv", "\n".join(lines) + "\n")
+    """Statistics of the dataset as read, not under-sampled."""
+    st = graphdata.dataset_stats(_load_dataset(cfg, _one_dataset(cfg)))
+    row = asdict(st) | {"density_convention": DENSITY_CONVENTION}
+    _write(Path(cfg.out), "stats.csv", ",".join(row) + "\n" + ",".join(
+        "" if value is None else str(value) for value in row.values()) + "\n")
     return st
 
 
@@ -443,110 +436,89 @@ def run_stats(cfg: RunConfig) -> graphdata.DatasetStats:
 # click wiring
 # ---------------------------------------------------------------------------
 
-def _common(fn):
-    fn = click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                      default=None, help="key=value config file")(fn)
-    fn = click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
-                      help="override a config key")(fn)
-    fn = click.option("--dataset", multiple=True,
-                      help="dataset path (repeatable for pairwise-tau)")(fn)
-    fn = click.option("--out", default=None, help="output directory")(fn)
-    return fn
-
-
-def _build_config(config, overrides, dataset, out) -> RunConfig:
-    try:
-        cfg = load_config(config, overrides)
-        # the flags win over --set; a bad value in either exits 2
-        if dataset:
-            cfg.dataset = tuple(dataset)
-        if out is not None:
-            cfg.out = out
-        cfg.validate()
-        return cfg
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-
-
-def _run(action, *args):
-    try:
-        return action(*args)
-    except ConfigError as exc:
-        raise click.UsageError(str(exc)) from exc
-    except Exception as exc:  # runtime failures, StageError included, exit 1
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-
-
 @click.group()
 def main():
     """Pattern-based graph classification workbench."""
 
 
-@main.command()
-@_common
-def pipeline(config, overrides, dataset, out):
+def _command(body):
+    """Register `body(cfg, **own_options)` as a subcommand of `main` that
+    builds the config from --config, --set and the flags, and exits 2 on a
+    ConfigError and 1, printing `error: ...`, on any other failure. `wraps`
+    carries the name, help text and own options of `body` over."""
+    @main.command()
+    @click.option("--out", default=None, help="output directory")
+    @click.option("--dataset", multiple=True,
+                  help="dataset path (repeatable for pairwise-tau)")
+    @click.option("--set", "overrides", multiple=True, metavar="KEY=VALUE",
+                  help="override a config key")
+    @click.option("--config", type=click.Path(exists=True, dir_okay=False),
+                  default=None, help="key=value config file")
+    @functools.wraps(body)
+    def command(config, overrides, dataset, out, **own_options):
+        try:
+            cfg = load_config(config, overrides)
+            # the flags win over --set; a bad value in either exits 2
+            if dataset:
+                cfg.dataset = tuple(dataset)
+            if out is not None:
+                cfg.out = out
+            cfg.validate()
+            body(cfg, **own_options)
+        except ConfigError as exc:
+            raise click.UsageError(str(exc)) from exc
+        except Exception as exc:  # runtime failures, StageError included, exit 1
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+    return command
+
+
+@_command
+def pipeline(cfg):
     """Mine, cluster, rank, select, and cross-validate one dataset."""
-    cfg = _build_config(config, overrides, dataset, out)
-    summary = _run(run_pipeline, cfg)
-    click.echo(json.dumps(summary, indent=2, sort_keys=True))
+    click.echo(json.dumps(run_pipeline(cfg), indent=2, sort_keys=True))
 
 
-@main.command("cluster-sweep")
-@_common
+@_command
 @click.option("--thresholds", default="0,5,10,20,40,60,80,100",
               help="comma list of threshold percentages")
-def cluster_sweep(config, overrides, dataset, out, thresholds):
+def cluster_sweep(cfg, thresholds):
     """Representative count and F1 across clustering thresholds."""
-    cfg = _build_config(config, overrides, dataset, out)
     try:
         values = [float(x) for x in thresholds.split(",") if x.strip()]
     except ValueError:
-        raise click.UsageError(f"bad threshold list {thresholds!r}")
-    text = _run(run_cluster_sweep, cfg, values)
-    click.echo(text, nl=False)
+        raise ConfigError(f"bad threshold list {thresholds!r}") from None
+    click.echo(run_cluster_sweep(cfg, values), nl=False)
 
 
-@main.command("pairwise-tau")
-@_common
-def pairwise_tau(config, overrides, dataset, out):
+@_command
+def pairwise_tau(cfg):
     """All-pairs ranking correlation and equivalence blocks."""
-    cfg = _build_config(config, overrides, dataset, out)
-    blocks = _run(run_pairwise_tau, cfg)
-    for bid, block in enumerate(blocks.blocks):
+    for bid, block in enumerate(run_pairwise_tau(cfg).blocks):
         if len(block) > 1:
             click.echo(f"block {bid}: {', '.join(block)}")
 
 
-@main.command()
-@_common
-def gold(config, overrides, dataset, out):
+@_command
+def gold(cfg):
     """Shapley gold standard and per-measure RBO/F1 curves."""
-    cfg = _build_config(config, overrides, dataset, out)
-    info = _run(run_gold, cfg)
-    click.echo(json.dumps(info, sort_keys=True))
+    click.echo(json.dumps(run_gold(cfg), sort_keys=True))
 
 
-@main.command()
-@_common
-def properties(config, overrides, dataset, out):
+@_command
+def properties(cfg):
     """Exhaustive property checks against the declared flags."""
-    cfg = _build_config(config, overrides, dataset, out)
-    text = _run(run_properties, cfg)
-    bad = [line for line in text.strip().splitlines()[1:]
-           if line.rsplit(",", 1)[-1] == "0"]
-    click.echo(f"checked {len(text.strip().splitlines()) - 1} cells, "
-               f"{len(bad)} deviations from the declared flags")
-    for line in bad:
-        click.echo(f"  deviation: {line}")
+    rows = run_properties(cfg).strip().splitlines()[1:]
+    bad = [row for row in rows if row.rsplit(",", 1)[-1] == "0"]
+    click.echo(f"checked {len(rows)} cells, {len(bad)} deviations from the declared flags")
+    for row in bad:
+        click.echo(f"  deviation: {row}")
 
 
-@main.command()
-@_common
-def stats(config, overrides, dataset, out):
+@_command
+def stats(cfg):
     """Dataset summary statistics."""
-    cfg = _build_config(config, overrides, dataset, out)
-    st = _run(run_stats, cfg)
+    st = run_stats(cfg)
     click.echo(json.dumps(asdict(st) | {"density_convention": DENSITY_CONVENTION},
                           indent=2, sort_keys=True))
 

@@ -2,16 +2,17 @@ import json
 import random
 import sys
 from collections import Counter
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from patclass.cli import (ConfigError, RunConfig, StageError, _stage,
-                          load_config, main, run_gold, run_pairwise_tau,
-                          run_pipeline)
-from patclass.graphdata import GraphDataset, serialize_spmf
+from patclass.cli import (DENSITY_CONVENTION, ConfigError, RunConfig,
+                          StageError, _stage, load_config, main, run_gold,
+                          run_pairwise_tau, run_pipeline)
+from patclass.graphdata import (NEGATIVE, POSITIVE, GraphDataset, dataset_stats,
+                                parse_spmf, serialize_spmf)
 
 from oracles import random_graph
 
@@ -237,6 +238,34 @@ class TestCliCommands:
         result = runner.invoke(main, ["pipeline", "--out", str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("n_paths", [0, 2])
+    @pytest.mark.parametrize("command", ["pipeline", "cluster-sweep", "gold",
+                                         "stats"])
+    def test_one_dataset_commands_exit_two_on_another_count(
+            self, dataset_file, tmp_path, command, n_paths):
+        # a second --dataset used to be ignored: exit 0 on the first file
+        other = tmp_path / "other.spmf"
+        other.write_text(spmf_fixture(seed=1))
+        args = [command, "--out", str(tmp_path / "out"), "--set", "max_edges=2"]
+        for path in (dataset_file, other)[:n_paths]:
+            args += ["--dataset", str(path)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"exactly one dataset path is required, got {n_paths}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", sorted(main.commands))
+    def test_help_lists_the_shared_options_and_the_docstring(self, name):
+        command = main.commands[name]
+        result = CliRunner().invoke(main, [name, "--help"])
+        assert result.exit_code == 0, result.output
+        doc = command.callback.__doc__
+        assert doc and doc.strip() in result.output
+        listed = [line.split()[0] for line in result.output.splitlines()
+                  if line.startswith("  --")]
+        own = ["--thresholds"] if name == "cluster-sweep" else []
+        assert listed == ["--out", "--dataset", "--set", "--config", *own, "--help"]
+
     def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path):
         # the UnicodeDecodeError used to escape click: exit 1 with a traceback
         cfile = tmp_path / "run.cfg"
@@ -353,6 +382,35 @@ class TestCliCommands:
         assert payload["n_graphs"] == 16
         assert payload["avg_vertices"] == 5.0
         assert payload["density_convention"]  # stats flag their convention
+
+    def test_stats_describe_the_file_as_read(self, tmp_path):
+        # 10 graphs, 7 positive: the mining commands under-sample to 3 + 3,
+        # stats used to describe that sample too
+        rng = random.Random(4)
+        ds = GraphDataset(tuple(
+            random_graph(rng, rng.randint(4, 9), 0.5, 2, 1, graph_id=i,
+                         class_label=POSITIVE if i < 7 else NEGATIVE)
+            for i in range(10)))
+        path = tmp_path / "unbalanced.spmf"
+        path.write_text(serialize_spmf(ds))
+        expected = asdict(dataset_stats(parse_spmf(path.read_text())))
+        assert expected["n_graphs"] == 10
+        result = CliRunner().invoke(main, ["stats", "--dataset", str(path),
+                                           "--out", str(tmp_path / "o")])
+        assert result.exit_code == 0, result.output
+        expected["density_convention"] = DENSITY_CONVENTION
+        assert json.loads(result.output) == expected
+        header, row = (tmp_path / "o" / "stats.csv").read_text().splitlines()
+        written = dict(zip(header.split(","), row.split(",")))
+        assert list(written) == list(expected)
+        for key, value in expected.items():
+            assert written[key] == ("" if value is None else str(value)), key
+        result = CliRunner().invoke(main, [
+            "pipeline", "--dataset", str(path), "--out", str(tmp_path / "p"),
+            "--set", "max_edges=2", "--set", "k_folds=3", "--set", "measures=Sup"])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((tmp_path / "p" / "summary.json").read_text())
+        assert summary["n_pos"] == summary["n_neg"] == 3
 
     def test_stats_on_tudataset_dir(self, tmp_path):
         d = tmp_path / "TOY"
