@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -633,3 +634,54 @@ class TestGoldCommand:
         ranking = list(range(17))
         for s in (1, 5, 17):
             assert rbo(ranking, ranking, p=0.9, depth=s) == pytest.approx(1.0)
+
+
+class TestGoldPins:
+    """sha256 of the four gold CSVs on one generated dataset, in sampled and
+    in exact mode. The CSVs hold ratios of prediction counts and sums of
+    them, so a change to how the SVMs are stacked or chunked must keep every
+    digest."""
+
+    DIGESTS = {
+        "sampled": {
+            "gold.csv": "14ba438e77264d35a1ffcdc12f78d88fadbccf5cb6fa54239273fc12fe1ce27d",
+            "gold_f1.csv": "c24c822bdd46100a0d15284d21f1878efc7e997bdc96ad0f653debeb83933e46",
+            "gold_rbo.csv": "89da8a39db39befb21f3b19787d17065399856017cc9eab6725d89637d1fef67",
+            "gold_curve.csv": "ec22bfc76c9fdb39ee10f1ffd32293fc9d1c1640528914fbc988e55e5b19bdbe",
+        },
+        "exact": {
+            "gold.csv": "ec74df46c5bbfaa042d5c59a7e11210f9e15661ba9e7142d53f76ea30c95b825",
+            "gold_f1.csv": "04888e2c40f9cc3622cfdf8390af7d0b4a6e228a7fa095e27b8a3ef1a2039e0d",
+            "gold_rbo.csv": "2f4f5da7c270057094d9e9c2f92c36d3b83ca3c5c9e07e45e5a50ccd5b8a7938",
+            "gold_curve.csv": "b9807b3877fc52cce464cca28878b9a4ff3a180ef873dde5804cc480f6525b48",
+        },
+    }
+
+    @staticmethod
+    def dataset():
+        # 42 graphs, balanced: 5 folds of 8 or 9 rows give two training-set
+        # sizes; the positives are denser, so the classes differ
+        rng = random.Random(5)
+        return GraphDataset(tuple(
+            random_graph(rng, rng.randint(5, 8), 0.45 if i % 2 else 0.3, 3, 2,
+                         graph_id=i, class_label=POSITIVE if i % 2 else NEGATIVE)
+            for i in range(42)))
+
+    @pytest.mark.parametrize("mode, threshold_pct, n_representatives", [
+        ("sampled", 10.0, 20), ("exact", 40.0, 8)])
+    def test_gold_csv_digests(self, tmp_path, mode, threshold_pct,
+                              n_representatives):
+        path = tmp_path / "gold.spmf"
+        path.write_text(serialize_spmf(self.dataset()))
+        cfg = base_config(path, tmp_path, max_edges=3, min_support="8",
+                          threshold_pct=threshold_pct, k_folds=5,
+                          measures=("Sup", "GR", "WRACC"), n_permutations=3,
+                          exact_limit=15 if mode == "exact" else 2)
+        info = run_gold(cfg)
+        assert info["method"].startswith(mode)
+        assert info["n_representatives"] == n_representatives
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()
+                                        ).hexdigest()
+                   for name in ("gold.csv", "gold_f1.csv", "gold_rbo.csv",
+                                "gold_curve.csv")}
+        assert digests == self.DIGESTS[mode]
