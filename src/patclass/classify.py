@@ -12,18 +12,20 @@ therefore non-increasing. Training is order-free and takes no seed; the
 seed of cross-validation fixes only its fold assignment.
 
 Cross-validation trains many folds as one stack: each epoch of `_fit` is
-one set of numpy calls over every stacked training set, and one stacked
-z @ v per epoch gives the margins for both the objective and the next
-subgradient. `cross_validate_many` stacks across column sets too: it takes
-one labelled feature matrix and many sets of its columns, and the folds of
-every set of the same size share one stack per training-set size (the
-round-robin folds have at most two sizes). The stacks are cut into chunks of
-at most STACK_FLOATS floats, and a chunk's features are copied out of the
-matrix only when it trains, so memory stays bounded however many sets one
-call trains; `cross_validate` is its one-set case. Each fold still gets the bits it would get trained alone:
-numpy's stacked matmul issues the same per-slice BLAS gemv as the 2-D call,
-the per-slice sums reduce the same rows in the same order, and the y.z part
-of the gradient sums -1/0/+1 terms, which is exact in any order.
+one set of numpy calls over every stacked training set, whose examples are
+stored as y_i z_i in one zero-padded array. `cross_validate_many` takes one
+labelled feature matrix and many sets of its columns, sorts the sets by size
+and cuts them into chunks of at most STACK_FLOATS padded floats; a chunk's
+features are copied out of the matrix only when it trains, and its folds,
+whatever the sizes of its sets, train as one stack per training-set size
+(the round-robin folds have at most two sizes). `cross_validate` is its
+one-set case. Each fold still gets the bits it would get trained alone:
+z @ v and v.v are stacked matmuls on each set size's own columns, which
+make the same per-slice BLAS calls as the 2-D products (a padded sum may
+round differently); y (z.v) is (y z).v exactly; the per-slice sums reduce
+the same rows in the same order; and the gradient term sums -1/0/+1 terms,
+which is exact in any order, so it is one padded call. The test folds are
+scored with one decision matmul per (set size, fold).
 
 Feature columns are in ascending pattern id, so a model and its F1 depend on
 the set of patterns, not on the order they are listed in.
@@ -33,6 +35,7 @@ Prediction is sign(w.x + b) with sign(0) -> positive.
 
 from __future__ import annotations
 
+import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -44,11 +47,14 @@ from .footprints import FootprintMatrix
 
 EPOCHS = 200
 # Memory cap of `cross_validate_many`: the floats of one chunk of column
-# sets, counted as k * n * (d + 1) per set (2**18 floats, 2 MB). A chunk's
-# features, its `_fit` stack and the stack's temporaries are a small
-# multiple of that, however many sets one call trains; a set larger than the
-# cap trains alone.
-STACK_FLOATS = 1 << 18
+# sets, counted on the zero-padded layout as k * n * (D + 1) per set, D the
+# chunk's widest set (2**16 floats, 0.5 MB). A chunk's features and its
+# `_fit` stack take about that much, however many sets one call trains; a set
+# larger than the cap trains alone. On the gold-sampled benchmark (2-vCPU
+# Xeon) 2**17 was no faster and peaked 0.7 MB higher (tracemalloc), and
+# 2**15 was a third slower: fewer, larger chunks pay numpy's per-call cost
+# fewer times.
+STACK_FLOATS = 1 << 16
 
 
 class ClassifyError(ValueError):
@@ -109,37 +115,61 @@ class EvalReport:
     fold_f1: tuple[float, ...]
 
 
-def _fit(z: np.ndarray, y: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Train one SVM per leading slice of z (sets, n, d+1) with labels y
-    (sets, n) of +-1.0; returns the best vectors (sets, d+1) and the running
-    best objectives (EPOCHS + 1, sets)."""
+def _fit(yz: np.ndarray, widths: Sequence[int],
+         c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Train one SVM per leading slice of yz (sets, n, D + 1): slice s holds
+    the labelled examples y_i z_i of its training set in its first widths[s]
+    columns and zeros after them. Returns the best vectors (sets, D + 1),
+    zero past each slice's width, and the running best objectives
+    (EPOCHS + 1, sets)."""
     if c <= 0:
         raise ClassifyError("C must be positive")
-    n = z.shape[1]
+    n = yz.shape[1]
     lam = 1.0 / (c * n)
-    yz_t = (y[:, :, None] * z).transpose(0, 2, 1)
+    v = np.zeros((yz.shape[0], yz.shape[2]))    # updated in place
+    margins = np.empty(yz.shape[:2])
+    norms = np.empty(yz.shape[0])
+    # z @ v and v.v are stacked matmuls on each run's own width, since a
+    # padded BLAS sum may round differently; y (z.v) is (y z).v exactly
+    products = []
+    for a, b, w in _runs(widths):
+        products.append((yz[a:b, :, :w], v[a:b, :w, None], margins[a:b, :, None]))
+        products.append((v[a:b, None, :w], v[a:b, :w, None], norms[a:b, None, None]))
 
-    def evaluate(v):
+    def evaluate():
         # the margins at v give both its objective and the next epoch's
         # violators; sum / n has the bits of the 1-D mean()
-        margins = y * (z @ v[:, :, None])[:, :, 0]
+        for left, right, out in products:
+            np.matmul(left, right, out=out)
         hinge = np.maximum(0.0, 1.0 - margins).sum(axis=1) / n
-        return margins, 0.5 * lam * (v[:, None, :] @ v[:, :, None])[:, 0, 0] + hinge
+        return 0.5 * lam * norms + hinge
 
-    v = best_v = np.zeros((z.shape[0], z.shape[2]))
-    margins, best_obj = evaluate(v)
-    trace = [best_obj]
+    viol = np.empty((yz.shape[0], 1, n))
+    best_v = v.copy()
+    trace = np.empty((EPOCHS + 1, yz.shape[0]))
+    trace[0] = best_obj = evaluate()
     for t in range(1, EPOCHS + 1):
         eta = 1.0 / (lam * t)
-        viol = (margins < 1.0).astype(np.float64)
-        grad = lam * v - (yz_t @ viol[:, :, None])[:, :, 0] / n
-        v = v - eta * grad
-        margins, obj = evaluate(v)
+        np.less(margins, 1.0, out=viol[:, 0])
+        # a sum of -1/0/+1 terms, exact in any order, so one padded call
+        grad = lam * v - (viol @ yz)[:, 0] / n
+        v -= eta * grad
+        obj = evaluate()
         better = obj < best_obj
         best_obj = np.where(better, obj, best_obj)
         best_v = np.where(better[:, None], v, best_v)
-        trace.append(best_obj)
-    return best_v, np.array(trace)
+        trace[t] = best_obj
+    return best_v, trace
+
+
+def _runs(widths: Sequence[int]) -> list[tuple[int, int, int]]:
+    """(start, stop, width) of each run of equal widths."""
+    runs, start = [], 0
+    for width, run in itertools.groupby(widths):
+        stop = start + len(list(run))
+        runs.append((start, stop, width))
+        start = stop
+    return runs
 
 
 def train(features: FeatureView, c: float = 1.0) -> LinearModel:
@@ -148,28 +178,15 @@ def train(features: FeatureView, c: float = 1.0) -> LinearModel:
     if len(set(y.tolist())) < 2:
         raise ClassifyError("training data must contain both classes")
     n, d = x.shape
-    z = np.hstack([x, np.ones((n, 1))])
-    best_v, trace = _fit(z[None], y[None].astype(np.float64), c)
+    yz = np.hstack([x, np.ones((n, 1))]) * y[:, None]
+    best_v, trace = _fit(yz[None], [d + 1], c)
     return LinearModel(weights=best_v[0, :d], bias=float(best_v[0, d]),
                        objective_trace=tuple(trace[:, 0].tolist()))
 
 
-def predict(model: LinearModel, features: FeatureView | np.ndarray) -> np.ndarray:
-    """Labels sign(w.x + b); the sign of 0 is positive by convention."""
-    x = features.x if isinstance(features, FeatureView) else features
-    scores = model.decision(x)
-    return np.where(scores >= 0.0, 1, -1)
-
-
-def prf1(predicted: Sequence[int], truth: Sequence[int]) -> tuple[float, float, float]:
-    """Precision/recall/F1 on the positive class; 0/0 cases yield 0."""
-    pred = np.asarray(predicted)
-    true = np.asarray(truth)
-    if pred.shape != true.shape:
-        raise ClassifyError("prediction/truth length mismatch")
-    tp = int(((pred == 1) & (true == 1)).sum())
-    fp = int(((pred == 1) & (true == -1)).sum())
-    fn = int(((pred == -1) & (true == 1)).sum())
+def _prf1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
+    """Precision/recall/F1 on the positive class from its counts; 0/0 cases
+    yield 0."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
@@ -203,52 +220,73 @@ def cross_validate_many(features: FeatureView,
     """Stratified k-fold CV on each set of columns of `features`, one report
     per set in order; a set's columns are taken in ascending index.
 
-    All sets share the folds. Sets of equal size train as one `_fit` stack
-    per training-set size, in chunks of at most STACK_FLOATS stacked floats,
-    and a chunk's features are copied out of `features` only when it trains;
-    `counts["fits"]` (when given) counts the stacked `_fit` calls.
+    All sets share the folds. The sets are sorted by size and cut into
+    chunks of at most STACK_FLOATS floats on the padded layout; a chunk
+    trains as one `_fit` stack per training-set size, and its features are
+    copied out of `features` only when it trains. `counts["fits"]` (when
+    given) counts the stacked `_fit` calls.
     """
     x, y = features.x, features.y
     columns = [sorted(cols) for cols in column_sets]
     folds = stratified_folds(y.tolist(), k, seed)
     n = len(y)
-    yf = y.astype(np.float64)
-    train_rows = [np.setdiff1d(np.arange(n), fold) for fold in folds]
+    # rows in fold order, so each test fold is one block of rows; training
+    # rows keep ascending row order, as a training set read alone has them
+    order = np.concatenate(folds)
+    position = np.empty(n, dtype=np.intp)
+    position[order] = np.arange(n)
+    x, y = x[order], y[order]
+    starts = np.cumsum([0] + [len(fold) for fold in folds])
+    train_rows = [position[np.setdiff1d(np.arange(n), fold)] for fold in folds]
     # the round-robin folds have at most two sizes; each size is one stack
     by_size: dict[int, list[int]] = {}
     for i, rows in enumerate(train_rows):
         by_size.setdefault(len(rows), []).append(i)
-    by_width: dict[int, list[int]] = {}
-    for j, cols in enumerate(columns):
-        by_width.setdefault(len(cols), []).append(j)
+    # sorted by size, a chunk's widest set is its last; a set larger than the
+    # cap is a chunk of its own
+    chunks: list[list[int]] = []
+    for j in sorted(range(len(columns)), key=lambda j: len(columns[j])):
+        if not chunks or (len(chunks[-1]) + 1) * k * n * (len(columns[j]) + 1) > STACK_FLOATS:
+            chunks.append([])
+        chunks[-1].append(j)
     reports = [None] * len(columns)    # filled chunk by chunk
-    for d, members in by_width.items():
-        step = max(1, STACK_FLOATS // (k * n * (d + 1)))
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            z = np.ones((len(chunk), n, d + 1))
-            for a, j in enumerate(chunk):
-                z[a, :, :d] = x[:, columns[j]]
-            vectors = np.empty((len(chunk), k, d + 1))   # (w, b) per set, fold
-            for size, fold_ids in by_size.items():
-                rows = np.stack([train_rows[i] for i in fold_ids])
-                best_v = _fit(z[:, rows].reshape(-1, size, d + 1),
-                              np.tile(yf[rows], (len(chunk), 1)), c)[0]
-                vectors[:, fold_ids] = best_v.reshape(len(chunk), len(fold_ids), d + 1)
-                if counts is not None:
-                    counts["fits"] += 1
-            for j, zj, set_vectors in zip(chunk, z, vectors):
-                ps, rs, fs = [], [], []
-                for fold, v in zip(folds, set_vectors):
-                    model = LinearModel(v[:d], float(v[d]), ())
-                    p, r, f = prf1(predict(model, zj[fold, :d]), y[fold])
-                    ps.append(p)
-                    rs.append(r)
-                    fs.append(f)
-                reports[j] = EvalReport(
-                    precision=float(np.mean(ps)), recall=float(np.mean(rs)),
-                    f1=float(np.mean(fs)), k=k, fold_precision=tuple(ps),
-                    fold_recall=tuple(rs), fold_f1=tuple(fs))
+    for chunk in chunks:
+        d_max = len(columns[chunk[-1]])
+        z = np.zeros((len(chunk), n, d_max + 1))
+        for a, j in enumerate(chunk):
+            z[a, :, :len(columns[j])] = x[:, columns[j]]
+            z[a, :, len(columns[j])] = 1.0
+        widths = [len(columns[j]) + 1 for j in chunk]
+        vectors = np.empty((len(chunk), k, d_max + 1))   # (w, b) per set, fold
+        for size, fold_ids in by_size.items():
+            rows = np.stack([train_rows[i] for i in fold_ids])
+            yz = np.take(z, rows, axis=1)   # C order: reshape copies nothing
+            yz *= y[rows][None, :, :, None]
+            best_v = _fit(yz.reshape(-1, size, d_max + 1),
+                          [w for w in widths for _ in fold_ids], c)[0]
+            vectors[:, fold_ids] = best_v.reshape(len(chunk), len(fold_ids), -1)
+            if counts is not None:
+                counts["fits"] += 1
+        del yz   # the next chunk's stacks are built without this one
+        # one decision matmul per (set size, test fold), as each fold's
+        # 2-D x @ w + b
+        scores = np.empty((len(chunk), n))
+        for a, b, w in _runs(widths):
+            for f, (lo, hi) in enumerate(zip(starts, starts[1:])):
+                np.matmul(z[a:b, lo:hi, :w - 1], vectors[a:b, f, :w - 1, None],
+                          out=scores[a:b, lo:hi, None])
+                scores[a:b, lo:hi] += vectors[a:b, f, w - 1, None]
+        positive = scores >= 0.0
+        tp = np.add.reduceat(positive & (y == 1), starts[:-1], axis=1).tolist()
+        pp = np.add.reduceat(positive, starts[:-1], axis=1).tolist()
+        pos = np.add.reduceat(y == 1, starts[:-1]).tolist()
+        for j, set_tp, set_pp in zip(chunk, tp, pp):
+            ps, rs, fs = zip(*(_prf1(t, p - t, q - t)
+                               for t, p, q in zip(set_tp, set_pp, pos)))
+            reports[j] = EvalReport(
+                precision=float(np.mean(ps)), recall=float(np.mean(rs)),
+                f1=float(np.mean(fs)), k=k, fold_precision=ps,
+                fold_recall=rs, fold_f1=fs)
     return reports
 
 

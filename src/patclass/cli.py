@@ -8,8 +8,9 @@ byte-identical CSV outputs. Exit codes: 0 success, 2 configuration error,
 1 runtime error.
 
 pipeline, cluster-sweep, gold and stats read exactly one dataset (more is a
-configuration error), pairwise-tau one or more, properties none. `balance`
-under-samples for the mining commands only: stats describes the file as read.
+configuration error), pairwise-tau one or more, properties none (one is a
+configuration error too). `balance` under-samples for the mining commands
+only: stats describes the file as read.
 """
 
 from __future__ import annotations
@@ -414,6 +415,8 @@ def run_gold(cfg: RunConfig) -> dict:
 
 
 def run_properties(cfg: RunConfig) -> str:
+    if cfg.dataset:
+        raise ConfigError("properties reads no dataset: drop --dataset and dataset=")
     reports = props.property_matrix(cfg.property_n, cfg.measures)
     text = props.properties_csv(reports)
     _write(Path(cfg.out), "properties.csv", text)
@@ -425,7 +428,9 @@ DENSITY_CONVENTION = "2m/(n(n-1))"  # plain density, even for bipartite graphs
 
 def run_stats(cfg: RunConfig) -> graphdata.DatasetStats:
     """Statistics of the dataset as read, not under-sampled."""
-    st = graphdata.dataset_stats(_load_dataset(cfg, _one_dataset(cfg)))
+    with _stage("load"):   # a ConfigError passes through
+        ds = _load_dataset(cfg, _one_dataset(cfg))
+    st = graphdata.dataset_stats(ds)
     row = asdict(st) | {"density_convention": DENSITY_CONVENTION}
     _write(Path(cfg.out), "stats.csv", ",".join(row) + "\n" + ",".join(
         "" if value is None else str(value) for value in row.values()) + "\n")

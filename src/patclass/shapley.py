@@ -7,14 +7,16 @@ computation enumerates all coalitions and is reserved for small player sets;
 above the limit, values are estimated by averaging marginal contributions
 over seeded uniform random permutations (Castro et al. 2009).
 
-Both modes evaluate coalitions one size at a time: the 2^k coalitions of
-exact mode grouped by size, and the position-t prefixes of all sampled
-permutations together. A `CachedCharacteristic` hands each group's misses
-to `classify.cross_validate_many` as one batch, which trains equal-size
-coalitions in one stack and copies their columns out of the footprint
-matrix one bounded chunk at a time (`classify.STACK_FLOATS`), so a batch
-never holds more than one chunk's features. The marginals are then summed
-in permutation order, so the values have the bits of a
+Both modes evaluate coalitions in batches of consecutive sizes: the 2^k
+coalitions of exact mode grouped by size, and the position-t prefixes of all
+sampled permutations, several t at a time. A batch stops at BATCH_MEMBERS
+members, so the frozensets in flight stay bounded however many players and
+permutations a run has. A `CachedCharacteristic` hands each batch's misses
+to `classify.cross_validate_many` at once, which trains coalitions of any
+sizes together and copies their columns out of the footprint matrix one
+bounded chunk at a time (`classify.STACK_FLOATS`), so a batch never holds
+more than one chunk's features. The marginals are then summed in
+permutation order, so the values have the bits of a
 one-coalition-at-a-time loop. The cache keys a coalition by an int
 bitmask over a dense index of the ids it has seen: at most one bit per
 player, where a frozenset key took tens of bytes per member.
@@ -35,10 +37,30 @@ from .footprints import FootprintMatrix
 from .measures import Ranking
 
 EXACT_LIMIT = 15
+# Members (players, summed over coalitions) of one batch handed to `f.many`.
+# With a cheap f on 600 players and 10 permutations, sampled_shapley peaks
+# (tracemalloc) at 1.9 MB with a budget of 1 (one length per batch), 2.1 MB
+# with 2**13, 3.8 MB with 2**14, 7.0 MB with 2**15 and 114 MB unbounded.
+BATCH_MEMBERS = 1 << 13
 
 
 class ShapleyError(ValueError):
     pass
+
+
+def _batches(sizes: Sequence[int], members: Callable[[int], int]) -> list[list[int]]:
+    """Consecutive runs of `sizes` whose `members` sum to at most
+    BATCH_MEMBERS; a size over the budget is a batch of its own."""
+    batches: list[list[int]] = []
+    total = 0
+    for size in sizes:
+        if batches and total + members(size) <= BATCH_MEMBERS:
+            batches[-1].append(size)
+            total += members(size)
+        else:
+            batches.append([size])
+            total = members(size)
+    return batches
 
 
 class CachedCharacteristic:
@@ -104,8 +126,8 @@ def exact_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
 
     SV(p) = sum over coalitions S not containing p of
             |S|! (k - |S| - 1)! / k! * (f(S + p) - f(S)),
-    with f evaluated once per coalition, 2^k in all, through `f.many` one
-    size at a time.
+    with f evaluated once per coalition, 2^k in all, through `f.many` in
+    batches of consecutive sizes.
     """
     ids = list(pattern_ids)
     k = len(ids)
@@ -121,7 +143,8 @@ def exact_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
     by_size: list[list[int]] = [[] for _ in range(k + 1)]
     for mask in range(1 << k):
         by_size[mask.bit_count()].append(mask)
-    for masks in by_size:
+    for sizes in _batches(range(k + 1), lambda s: s * len(by_size[s])):
+        masks = [mask for s in sizes for mask in by_size[s]]
         subsets = [frozenset(ids[i] for i in range(k) if mask >> i & 1)
                    for mask in masks]
         for mask, w in zip(masks, f.many(subsets)):
@@ -155,10 +178,11 @@ def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
     """Monte-Carlo Shapley: mean marginal contribution over seeded uniform
     random permutations, with per-player sample standard errors.
 
-    All permutations are drawn first; the position-t prefixes of all of them
-    are evaluated together through `f.many`, for t = 1..p; the marginals are then summed
-    permutation by permutation. Besides what f caches and the one size of
-    prefixes in flight, memory is one float per (permutation, position).
+    All permutations are drawn first; their prefixes are evaluated through
+    `f.many` in batches of consecutive lengths t, each batch at most
+    BATCH_MEMBERS members; the marginals are then summed permutation by
+    permutation. Besides what f caches and the one batch in flight, memory
+    is one float per (permutation, position).
     """
     ids = list(pattern_ids)
     if not ids:
@@ -173,10 +197,10 @@ def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
         orders.append(order)
     empty = f.many([frozenset()])[0]
     worth = [[empty] for _ in orders]   # worth[r][t]: f of order r's t-prefix
-    for t in range(1, len(ids) + 1):
-        prefixes = [frozenset(order[:t]) for order in orders]
-        for row, w in zip(worth, f.many(prefixes)):
-            row.append(w)
+    for lengths in _batches(range(1, len(ids) + 1), lambda t: t * len(orders)):
+        batch = f.many([frozenset(order[:t]) for t in lengths for order in orders])
+        for r, row in enumerate(worth):
+            row.extend(batch[r::len(orders)])
     sums = {pid: 0.0 for pid in ids}
     sqsums = {pid: 0.0 for pid in ids}
     for order, row in zip(orders, worth):

@@ -12,7 +12,9 @@ The helpers are what no command calls, kept here so `src/` holds only what
 a command, the benchmark or `patclass.__all__` reaches: the backtracking
 subgraph isomorphism `contains` (the fast support recount next to
 `brute_force_contains`), `graph_support`, `import_patterns`, sorted degree
-sequences, the cut and medoids over one leaf per pattern, one property check
+sequences, the cut and medoids over one leaf per pattern, one model's
+`predict` and the label-based `prf1` (cross-validation scores its folds from
+stacked decisions and counts), one property check
 or appendix result at a time (`check`, `recheck_counterexample`,
 `check_independence_equilibrium`, `check_ps2_exclusivity`), the batch and
 uncached forms of a one-subset Shapley game, the RBO checks (un-normalized
@@ -33,7 +35,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from patclass.classify import EPOCHS, EvalReport, prf1, stratified_folds
+from patclass.classify import (EPOCHS, ClassifyError, EvalReport, LinearModel,
+                                stratified_folds)
 from patclass.clusterer import FootprintClustering, _medoid
 from patclass.footprints import ContingencyCounts, contingency
 from patclass.graphdata import POSITIVE, AttributedGraph, GraphDataset, parse_spmf
@@ -445,6 +448,26 @@ def reference_train(x, y, c=1.0):
             best_v = v.copy()
         trace.append(best_obj)
     return best_v[:d], float(best_v[d]), tuple(trace)
+
+
+def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
+    """Labels sign(w.x + b); the sign of 0 is positive by convention."""
+    return np.where(model.decision(x) >= 0.0, 1, -1)
+
+
+def prf1(predicted, truth) -> tuple[float, float, float]:
+    """Precision/recall/F1 on the positive class; 0/0 cases yield 0."""
+    pred = np.asarray(predicted)
+    true = np.asarray(truth)
+    if pred.shape != true.shape:
+        raise ClassifyError("prediction/truth length mismatch")
+    tp = int(((pred == 1) & (true == 1)).sum())
+    fp = int(((pred == 1) & (true == -1)).sum())
+    fn = int(((pred == -1) & (true == 1)).sum())
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = (2 * precision * recall / (precision + recall)) if precision + recall else 0.0
+    return precision, recall, f1
 
 
 def reference_cross_validate(x, y, k=5, c=1.0, seed=0):

@@ -7,11 +7,10 @@ import pytest
 from patclass import classify
 from patclass.classify import (ClassifyError, EvalReport, FeatureView,
                                LinearModel, cross_validate, cross_validate_many,
-                               eval_csv, model_csv, predict, prf1,
-                               stratified_folds, train)
+                               eval_csv, model_csv, stratified_folds, train)
 from patclass.footprints import FootprintMatrix
 
-from oracles import reference_cross_validate, reference_train
+from oracles import predict, prf1, reference_cross_validate, reference_train
 
 
 def balanced_labels(n):
@@ -196,12 +195,11 @@ class TestAgainstReference:
                           "precision", "recall", "f1"):
                 assert getattr(got, field) == getattr(want, field), field
 
-    @pytest.mark.parametrize("stack_floats", [1 << 40, 1])
-    @pytest.mark.parametrize("k", [3, 5])
-    def test_cross_validate_many_bit_identical(self, monkeypatch, k, stack_floats):
-        # mixed set sizes and repeated sets in one call: every set gets the
-        # bits of its own CV, whatever stack and chunk it trains in;
-        # 1 << 40 makes one chunk per set size, 1 one chunk per set
+    def check_many(self, monkeypatch, k, stack_floats):
+        """Mixed set sizes and repeated sets in one call: every set gets the
+        bits of its own CV, whatever stack and chunk it trains in. Sorted by
+        size the sets have 1, 1, 13 x 5 and 240 x 3 columns; returns the
+        number of stacked fits."""
         monkeypatch.setattr(classify, "STACK_FLOATS", stack_floats)
         x, y = self.random_case(k + 17, k, 240)
         rng = np.random.default_rng(k)
@@ -217,9 +215,47 @@ class TestAgainstReference:
             for field in ("fold_precision", "fold_recall", "fold_f1",
                           "precision", "recall", "f1"):
                 assert getattr(report, field) == getattr(want, field), field
-        # two training-set sizes: two stacks per set size, or per set
-        chunks = 3 if stack_floats > 1 else len(sets)
-        assert counts["fits"] == 2 * chunks
+        return counts["fits"]
+
+    @pytest.mark.parametrize("stack_floats", [1 << 40, 1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cross_validate_many_bit_identical(self, monkeypatch, k, stack_floats):
+        # 1 << 40 trains all ten sets, of three sizes, as one chunk; 1 makes
+        # one chunk per set. Two training-set sizes: one stack per size in
+        # every chunk
+        chunks = 1 if stack_floats > 1 else 10
+        assert self.check_many(monkeypatch, k, stack_floats) == 2 * chunks
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_cross_validate_many_splits_a_size_across_chunks(self, monkeypatch, k):
+        # room for three sets of 14 floats a row: chunks 1, 1, 13 | 13 x 3 |
+        # 13 | then each 240-column set alone
+        n = len(self.random_case(k + 17, k, 240)[1])
+        assert self.check_many(monkeypatch, k, 3 * k * n * 14) == 2 * 6
+
+    def test_mixed_width_fit_matches_per_width_fits(self):
+        # one _fit over a zero-padded stack of widths 1, 14 and 241 gives
+        # every slice the vector and objective trace of a _fit over its own
+        # width, and keeps the padding at zero
+        rng = np.random.default_rng(11)
+        n = 37
+        widths = [1, 1, 14, 14, 14, 241, 241]
+        stacks = []
+        for w in widths:
+            z = (rng.random((n, w)) < rng.uniform(0.1, 0.5)).astype(float)
+            z[:, -1] = 1.0
+            stacks.append(z * rng.choice([-1.0, 1.0], n)[:, None])
+        padded = np.zeros((len(widths), n, max(widths)))
+        for s, (w, z) in enumerate(zip(widths, stacks)):
+            padded[s, :, :w] = z
+        best_v, trace = classify._fit(padded, widths, 0.7)
+        for w in sorted(set(widths)):
+            members = [s for s in range(len(widths)) if widths[s] == w]
+            want_v, want_trace = classify._fit(
+                np.stack([stacks[s] for s in members]), [w] * len(members), 0.7)
+            assert best_v[members, :w].tobytes() == want_v.tobytes()
+            assert not best_v[members, w:].any()
+            assert trace[:, members].tobytes() == want_trace.tobytes()
 
     def test_cross_validate_many_no_sets(self):
         x, y = self.random_case(2, 3, 4)

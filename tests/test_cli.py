@@ -371,6 +371,27 @@ class TestCliCommands:
         assert "property_n must be >= 2" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("spelling", ["flag", "set"])
+    def test_properties_with_a_dataset_exits_two(self, dataset_file, tmp_path,
+                                                 spelling):
+        # the dataset used to be dropped: exit 0
+        given = (["--dataset", str(dataset_file)] if spelling == "flag"
+                 else ["--set", f"dataset={dataset_file}"])
+        result = CliRunner().invoke(main, [
+            "properties", *given, "--out", str(tmp_path / "out"),
+            "--set", "property_n=3"])
+        assert result.exit_code == 2, result.output
+        assert "properties reads no dataset" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_stats_unreadable_dataset_names_the_load_stage(self, tmp_path):
+        # the OSError used to print without a stage: error: [Errno 2] ...
+        result = CliRunner().invoke(main, [
+            "stats", "--dataset", str(tmp_path / "missing.spmf"),
+            "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1, result.output
+        assert "error: stage 'load' failed: [Errno 2]" in result.output
+
     def test_stats_command(self, dataset_file, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [

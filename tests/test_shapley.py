@@ -1,10 +1,12 @@
 import itertools
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from patclass import shapley
 from patclass.classify import FeatureView, cross_validate
 from patclass.footprints import FootprintMatrix
 from patclass.shapley import (CachedCharacteristic, ShapleyError, exact_shapley,
@@ -178,10 +180,43 @@ class TestBatchedAgainstOracle:
         got = sampled_shapley(ids, f, 5, seed=2)
         assert (got.values, got.std_error) == reference_sampled_shapley(
             ids, plain, 5, seed=2)
-        # each distinct prefix is evaluated once; the prefixes of one size
-        # train as one stack per training-set size (25 rows: two, for k = 3)
+        # each distinct prefix is evaluated once; the prefixes of every
+        # length are one batch and one chunk, which trains as one stack per
+        # training-set size (25 rows: two, for k = 3)
         assert f.counts["evaluations"] == len(seen - {frozenset()})
-        assert f.counts["fits"] == 2 * len(ids)
+        assert f.counts["fits"] == 2
+
+    @pytest.mark.parametrize("budget", [1, 9, 40])
+    def test_batches_stop_at_the_member_budget(self, monkeypatch, budget):
+        # consecutive sizes share a batch while their members fit the
+        # budget, and a size over it is a batch of its own; the values keep
+        # the bits of the one-coalition loop in both modes
+        rng = random.Random(12)
+        ids = [3, 8, 1, 6, 2]
+        table = random_game(rng, ids)
+
+        def plain(subset):
+            return table[frozenset(subset)]
+
+        want_sampled = reference_sampled_shapley(ids, plain, 4, seed=6)
+        want_exact = exact_shapley(ids, uncached(plain))
+        monkeypatch.setattr(shapley, "BATCH_MEMBERS", budget)
+        batches = []
+
+        def recording(subsets):
+            batches.append(sorted(len(s) for s in subsets))
+            return [plain(s) for s in subsets]
+
+        f = SimpleNamespace(many=recording)
+        got = sampled_shapley(ids, f, 4, seed=6)
+        assert (got.values, got.std_error) == want_sampled
+        assert exact_shapley(ids, f) == want_exact
+        for sizes in batches:
+            assert sum(sizes) <= budget or len(set(sizes)) == 1
+        # sampled: the empty prefix, then lengths 1..5 of 4 orders; exact:
+        # 2^5 coalitions by size
+        assert sum(map(len, batches)) == 1 + 4 * len(ids) + 2 ** len(ids)
+        assert len(batches) == {1: 1 + 5 + 6, 9: 1 + 5 + 5, 40: 1 + 2 + 3}[budget]
 
     def test_exact_performance_characteristic(self):
         m = self.matrix(6)
