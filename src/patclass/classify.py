@@ -52,7 +52,7 @@ EPOCHS = 200
 # `_fit` stack take about that much, however many sets one call trains; a set
 # larger than the cap trains alone. On the gold-sampled benchmark (2-vCPU
 # Xeon) 2**17 was no faster and peaked 0.7 MB higher (tracemalloc), and
-# 2**15 was a third slower: fewer, larger chunks pay numpy's per-call cost
+# 2**15 was 16 % slower: fewer, larger chunks pay numpy's per-call cost
 # fewer times.
 STACK_FLOATS = 1 << 16
 
