@@ -661,7 +661,8 @@ class TestGoldPins:
     """sha256 of the four gold CSVs on one generated dataset, in sampled and
     in exact mode. The CSVs hold ratios of prediction counts and sums of
     them, so a change to how the SVMs are stacked or chunked must keep every
-    digest."""
+    digest. A BLAS that rounds the SVM sums differently keeps them too,
+    unless it moves a decision value across 0."""
 
     DIGESTS = {
         "sampled": {
