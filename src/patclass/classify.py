@@ -14,12 +14,14 @@ seed of cross-validation fixes only its fold assignment.
 Cross-validation trains many folds as one stack: each epoch of `_fit` is
 one set of numpy calls over every stacked training set, whose examples are
 stored as y_i z_i in one zero-padded array. `cross_validate_many` takes one
-labelled feature matrix and many sets of its columns, sorts the sets by size
-and cuts them into chunks of at most STACK_FLOATS padded floats; a chunk's
-features are copied out of the matrix only when it trains, and its folds,
-whatever the sizes of its sets, train as one stack per training-set size
-(the round-robin folds have at most two sizes). `cross_validate` is its
-one-set case. Each fold still gets the bits it would get trained alone:
+labelled feature matrix and a stream of sets of its columns, and cuts the
+sets, in arrival order, into chunks of at most STACK_FLOATS padded floats,
+the one memory budget of every CV: a chunk's features are copied out of the
+matrix only when it trains, and its reports are yielded before the next set
+is read. Its folds, whatever the sizes of its sets, train as one stack per
+training-set size (the round-robin folds have at most two sizes).
+`cross_validate` is its one-set case. Each fold still gets the bits it
+would get trained alone:
 z @ v and v.v are stacked matmuls on each set size's own columns, which
 make the same per-slice BLAS calls as the 2-D products (a padded sum may
 round differently); y (z.v) is (y z).v exactly; the per-slice sums reduce
@@ -39,22 +41,29 @@ import itertools
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .footprints import FootprintMatrix
 
 EPOCHS = 200
-# Memory cap of `cross_validate_many`: the floats of one chunk of column
-# sets, counted on the zero-padded layout as k * n * (D + 1) per set, D the
-# chunk's widest set (2**16 floats, 0.5 MB). A chunk's features and its
-# `_fit` stack take about that much, however many sets one call trains; a set
-# larger than the cap trains alone. On the gold-sampled benchmark (2-vCPU
-# Xeon) 2**17 was no faster and peaked 0.7 MB higher (tracemalloc), and
-# 2**15 was 16 % slower: fewer, larger chunks pay numpy's per-call cost
-# fewer times.
-STACK_FLOATS = 1 << 16
+# The one memory cap of cross-validation: the floats of one chunk of column
+# sets, k * n * (D + 1) per set on the zero-padded layout, D the chunk's
+# widest set: n rows of features and (k - 1) * n rows over the training
+# stacks, both of which are held while the second is built. `_fit`'s
+# per-slice temporaries come on top; a set larger than the cap trains alone.
+# Wall s / tracemalloc MB of one call (2-vCPU Xeon, shared host, median of
+# 2-10 runs): the gold-sampled workload; run_gold on molecule_like(1, 100),
+# 12 players exact and 109 sampled 4 times; acceptance test c8's gold call.
+#   cap    gold-sampled  exact 12    109 x 4    c8 (172 x 30, k = 3)
+#   2**16  0.24 / 1.3    5.4 / 2.1   2.4 / 1.4  39.3 / 1.2
+#   2**17  0.22 / 2.0    4.8 / 3.2   1.7 / 2.2  23.8 / 1.8
+#   2**18  0.21 / 3.1    5.2 / 5.5   1.7 / 3.5  15.7 / 2.8
+#   2**19  0.25 / 5.5    5.0 / 10.2  2.3 / 5.9  16.3 / 4.9
+# Interleaved in one process on a loaded host, 2**18 was 8-12 % slower than
+# 2**17 on gold-sampled and 2-11 % on exact 12: it pays off on wide sets only.
+STACK_FLOATS = 1 << 17
 
 
 class ClassifyError(ValueError):
@@ -97,11 +106,6 @@ class LinearModel:
     weights: np.ndarray
     bias: float
     objective_trace: tuple[float, ...]
-
-    def decision(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[1] != self.weights.shape[0]:
-            raise ClassifyError("feature dimension mismatch")
-        return x @ self.weights + self.bias
 
 
 @dataclass(frozen=True)
@@ -214,20 +218,21 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[np.ndarra
 
 
 def cross_validate_many(features: FeatureView,
-                        column_sets: Sequence[Iterable[int]], k: int = 5,
+                        column_sets: Iterable[Iterable[int]], k: int = 5,
                         c: float = 1.0, seed: int = 0,
-                        counts: Optional[Counter] = None) -> list[EvalReport]:
-    """Stratified k-fold CV on each set of columns of `features`, one report
-    per set in order; a set's columns are taken in ascending index.
+                        counts: Optional[Counter] = None) -> Iterator[EvalReport]:
+    """Stratified k-fold CV on each set of columns of `features`, yielding
+    one report per set in order; a set's columns are taken in ascending
+    index.
 
-    All sets share the folds. The sets are sorted by size and cut into
-    chunks of at most STACK_FLOATS floats on the padded layout; a chunk
-    trains as one `_fit` stack per training-set size, and its features are
-    copied out of `features` only when it trains. `counts["fits"]` (when
-    given) counts the stacked `_fit` calls.
+    All sets share the folds. The sets are read as they arrive and cut, in
+    arrival order, into chunks (`_chunks`); a chunk pads to its widest set,
+    so a caller with many sets hands them over by size. A chunk trains as
+    one `_fit` stack per training-set size, and its reports are yielded
+    before the next set is read. `counts["fits"]` (when given) counts the
+    stacked `_fit` calls.
     """
     x, y = features.x, features.y
-    columns = [sorted(cols) for cols in column_sets]
     folds = stratified_folds(y.tolist(), k, seed)
     n = len(y)
     # rows in fold order, so each test fold is one block of rows; training
@@ -242,21 +247,13 @@ def cross_validate_many(features: FeatureView,
     by_size: dict[int, list[int]] = {}
     for i, rows in enumerate(train_rows):
         by_size.setdefault(len(rows), []).append(i)
-    # sorted by size, a chunk's widest set is its last; a set larger than the
-    # cap is a chunk of its own
-    chunks: list[list[int]] = []
-    for j in sorted(range(len(columns)), key=lambda j: len(columns[j])):
-        if not chunks or (len(chunks[-1]) + 1) * k * n * (len(columns[j]) + 1) > STACK_FLOATS:
-            chunks.append([])
-        chunks[-1].append(j)
-    reports = [None] * len(columns)    # filled chunk by chunk
-    for chunk in chunks:
-        d_max = len(columns[chunk[-1]])
+    for chunk in _chunks(column_sets, k * n):
+        d_max = max(map(len, chunk))
         z = np.zeros((len(chunk), n, d_max + 1))
-        for a, j in enumerate(chunk):
-            z[a, :, :len(columns[j])] = x[:, columns[j]]
-            z[a, :, len(columns[j])] = 1.0
-        widths = [len(columns[j]) + 1 for j in chunk]
+        for a, cols in enumerate(chunk):
+            z[a, :, :len(cols)] = x[:, cols]
+            z[a, :, len(cols)] = 1.0
+        widths = [len(cols) + 1 for cols in chunk]
         vectors = np.empty((len(chunk), k, d_max + 1))   # (w, b) per set, fold
         for size, fold_ids in by_size.items():
             rows = np.stack([train_rows[i] for i in fold_ids])
@@ -280,21 +277,37 @@ def cross_validate_many(features: FeatureView,
         tp = np.add.reduceat(positive & (y == 1), starts[:-1], axis=1).tolist()
         pp = np.add.reduceat(positive, starts[:-1], axis=1).tolist()
         pos = np.add.reduceat(y == 1, starts[:-1]).tolist()
-        for j, set_tp, set_pp in zip(chunk, tp, pp):
+        for set_tp, set_pp in zip(tp, pp):
             ps, rs, fs = zip(*(_prf1(t, p - t, q - t)
                                for t, p, q in zip(set_tp, set_pp, pos)))
-            reports[j] = EvalReport(
+            yield EvalReport(
                 precision=float(np.mean(ps)), recall=float(np.mean(rs)),
                 f1=float(np.mean(fs)), k=k, fold_precision=ps,
                 fold_recall=rs, fold_f1=fs)
-    return reports
+
+
+def _chunks(column_sets: Iterable[Iterable[int]],
+            rows: int) -> Iterator[list[list[int]]]:
+    """The sets as ascending column lists, cut in arrival order into chunks
+    of at most STACK_FLOATS floats, `rows` * (D + 1) per set; a set larger
+    than the cap is a chunk of its own."""
+    chunk: list[list[int]] = []
+    d_max = 0
+    for cols in map(sorted, column_sets):
+        if chunk and (len(chunk) + 1) * rows * (max(d_max, len(cols)) + 1) > STACK_FLOATS:
+            yield chunk
+            chunk, d_max = [], 0
+        chunk.append(cols)
+        d_max = max(d_max, len(cols))
+    if chunk:
+        yield chunk
 
 
 def cross_validate(features: FeatureView, k: int = 5, c: float = 1.0,
                    seed: int = 0) -> EvalReport:
     """Stratified k-fold cross-validation; reports positive-class means."""
     d = features.x.shape[1]
-    return cross_validate_many(features, [range(d)], k=k, c=c, seed=seed)[0]
+    return next(cross_validate_many(features, [range(d)], k=k, c=c, seed=seed))
 
 
 def eval_csv(report: EvalReport) -> str:

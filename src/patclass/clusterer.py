@@ -85,8 +85,8 @@ class ClusterCut:
 
 
 def agglomerate_complete(distances: np.ndarray,
-                         pattern_ids: Sequence[int] | None = None,
-                         n_graphs: int | None = None) -> Dendrogram:
+                         pattern_ids: Sequence[int] | None = None, *,
+                         n_graphs: int) -> Dendrogram:
     """Complete-linkage agglomeration of the given distance matrix.
 
     At every step the pair of clusters with minimal complete-linkage distance
@@ -111,8 +111,6 @@ def agglomerate_complete(distances: np.ndarray,
         raise ClusterError("pattern_ids must match the matrix size")
     if len(set(ids)) != p:
         raise ClusterError("pattern_ids must be distinct")
-    if n_graphs is None:
-        n_graphs = int(d.max()) if p > 1 else 0
     if p < 2:
         return Dendrogram((), ids, int(n_graphs))
 

@@ -7,28 +7,28 @@ computation enumerates all coalitions and is reserved for small player sets;
 above the limit, values are estimated by averaging marginal contributions
 over seeded uniform random permutations (Castro et al. 2009).
 
-Both modes evaluate coalitions in batches of consecutive sizes: the 2^k
-coalitions of exact mode grouped by size, and the position-t prefixes of all
-sampled permutations, several t at a time. A batch stops at BATCH_MEMBERS
-members, so the frozensets in flight stay bounded however many players and
-permutations a run has. A `CachedCharacteristic` hands each batch's misses
-to `classify.cross_validate_many` at once, which trains coalitions of any
-sizes together and copies their columns out of the footprint matrix one
-bounded chunk at a time (`classify.STACK_FLOATS`), so a batch never holds
-more than one chunk's features. The marginals are then summed in
-permutation order, so the values have the bits of a
-one-coalition-at-a-time loop. The cache keys a coalition by an int
-bitmask over a dense index of the ids it has seen: at most one bit per
+Both modes hand their coalitions to `f.many` as one lazy stream, by size:
+the 2^k coalitions of exact mode, and the empty prefix followed by the
+position-t prefixes of all sampled permutations, t = 1, 2, .... A
+`CachedCharacteristic` passes the distinct misses on to
+`classify.cross_validate_many` as they are read, which trains coalitions
+of any sizes together one bounded chunk at a time (`classify.STACK_FLOATS`)
+and copies a chunk's columns out of the footprint matrix only when it
+trains, so a run holds the columns and features of one chunk at a time.
+The marginals are then summed in permutation order, so the values have the
+bits of a one-coalition-at-a-time loop. The cache keys a coalition by an
+int bitmask over a dense index of the ids it has seen: at most one bit per
 player, where a frozenset key took tens of bytes per member.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # cross_validate is not called here; it stays importable from this module
 # because perfbench/spans.py wraps it under this name
@@ -37,45 +37,25 @@ from .footprints import FootprintMatrix
 from .measures import Ranking
 
 EXACT_LIMIT = 15
-# Members (players, summed over coalitions) of one batch handed to `f.many`.
-# With a cheap f on 600 players and 10 permutations, sampled_shapley peaks
-# (tracemalloc) at 1.9 MB with a budget of 1 (one length per batch), 2.1 MB
-# with 2**13, 3.8 MB with 2**14, 7.0 MB with 2**15 and 114 MB unbounded.
-BATCH_MEMBERS = 1 << 13
 
 
 class ShapleyError(ValueError):
     pass
 
 
-def _batches(sizes: Sequence[int], members: Callable[[int], int]) -> list[list[int]]:
-    """Consecutive runs of `sizes` whose `members` sum to at most
-    BATCH_MEMBERS; a size over the budget is a batch of its own."""
-    batches: list[list[int]] = []
-    total = 0
-    for size in sizes:
-        if batches and total + members(size) <= BATCH_MEMBERS:
-            batches[-1].append(size)
-            total += members(size)
-        else:
-            batches.append([size])
-            total = members(size)
-    return batches
-
-
 class CachedCharacteristic:
     """Deterministic subset -> performance map with memoization.
 
     f({}) is 0 by convention; every other value is delegated to the wrapped
-    callable, which maps a list of subsets to their values. `many` hands all
-    the distinct misses of its subsets to the callable at once; a single
-    call is its one-subset case. The cache key is the subset's bitmask over a dense index of the ids
-    seen so far: column order never matters because the classifier takes
-    the columns in ascending id order. `counts["evaluations"]` counts the
-    subsets evaluated.
+    callable, which maps a stream of subsets to the list of their values.
+    `many` hands the distinct misses of its subsets to the callable as one
+    lazy stream; a single call is its one-subset case. The cache key is the
+    subset's bitmask over a dense index of the ids seen so far: column order
+    never matters because the classifier takes the columns in ascending id
+    order. `counts["evaluations"]` counts the subsets evaluated.
     """
 
-    def __init__(self, fn: Callable[[list[frozenset[int]]], Iterable[float]]):
+    def __init__(self, fn: Callable[[Iterator[frozenset[int]]], Iterable[float]]):
         self._fn = fn
         self._bits: dict[int, int] = {}
         self._cache: dict[int, float] = {0: 0.0}
@@ -90,12 +70,24 @@ class CachedCharacteristic:
         return self.many([subset])[0]
 
     def many(self, subsets: Iterable[Iterable[int]]) -> list[float]:
-        """f of every subset; the distinct misses are evaluated as one batch."""
-        subsets = [frozenset(s) for s in subsets]
-        keys = [self._key(s) for s in subsets]
-        missing = {key: s for key, s in zip(keys, subsets) if key not in self._cache}
-        if missing:
-            values = self._fn(list(missing.values()))
+        """f of every subset. The distinct misses go to the callable as one
+        lazy stream, read as `subsets` is; with no miss it is not called."""
+        keys: list[int] = []
+        missing: dict[int, None] = {}
+
+        def misses() -> Iterator[frozenset[int]]:
+            for subset in subsets:
+                subset = frozenset(subset)
+                key = self._key(subset)
+                keys.append(key)
+                if key not in self._cache and key not in missing:
+                    missing[key] = None
+                    yield subset
+
+        stream = misses()
+        first = next(stream, None)
+        if first is not None:
+            values = self._fn(itertools.chain([first], stream))
             self._cache.update(zip(missing, map(float, values)))
             self.counts["evaluations"] += len(missing)
         return [self._cache[key] for key in keys]
@@ -111,7 +103,7 @@ def performance_characteristic(matrix: FootprintMatrix, k: int = 5,
     """
     features = FeatureView.all_columns(matrix)
 
-    def evaluate(subsets: list[frozenset[int]]) -> list[float]:
+    def evaluate(subsets: Iterator[frozenset[int]]) -> list[float]:
         reports = cross_validate_many(features, subsets, k=k, c=c, seed=seed,
                                       counts=f.counts)
         return [r.f1 for r in reports]
@@ -126,8 +118,8 @@ def exact_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
 
     SV(p) = sum over coalitions S not containing p of
             |S|! (k - |S| - 1)! / k! * (f(S + p) - f(S)),
-    with f evaluated once per coalition, 2^k in all, through `f.many` in
-    batches of consecutive sizes.
+    with f evaluated once per coalition, 2^k in all, through one `f.many`
+    stream of the coalitions by size.
     """
     ids = list(pattern_ids)
     k = len(ids)
@@ -140,15 +132,11 @@ def exact_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
     fact = [math.factorial(i) for i in range(k + 1)]
     values: dict[int, float] = {pid: 0.0 for pid in ids}
     worth = [0.0] * (1 << k)
-    by_size: list[list[int]] = [[] for _ in range(k + 1)]
-    for mask in range(1 << k):
-        by_size[mask.bit_count()].append(mask)
-    for sizes in _batches(range(k + 1), lambda s: s * len(by_size[s])):
-        masks = [mask for s in sizes for mask in by_size[s]]
-        subsets = [frozenset(ids[i] for i in range(k) if mask >> i & 1)
-                   for mask in masks]
-        for mask, w in zip(masks, f.many(subsets)):
-            worth[mask] = w
+    masks = sorted(range(1 << k), key=int.bit_count)   # by size, then mask
+    coalitions = (frozenset(ids[i] for i in range(k) if mask >> i & 1)
+                  for mask in masks)
+    for mask, w in zip(masks, f.many(coalitions)):
+        worth[mask] = w
     for mask in range(1 << k):
         size = mask.bit_count()
         base = worth[mask]
@@ -179,10 +167,10 @@ def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
     random permutations, with per-player sample standard errors.
 
     All permutations are drawn first; their prefixes are evaluated through
-    `f.many` in batches of consecutive lengths t, each batch at most
-    BATCH_MEMBERS members; the marginals are then summed permutation by
-    permutation. Besides what f caches and the one batch in flight, memory
-    is one float per (permutation, position).
+    one `f.many` stream by length t, the empty prefix first; the marginals
+    are then summed permutation by permutation. Besides what f caches and
+    the one chunk in training, memory is one float and one int key per
+    (permutation, position).
     """
     ids = list(pattern_ids)
     if not ids:
@@ -195,12 +183,11 @@ def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
         order = ids[:]
         rng.shuffle(order)
         orders.append(order)
-    empty = f.many([frozenset()])[0]
-    worth = [[empty] for _ in orders]   # worth[r][t]: f of order r's t-prefix
-    for lengths in _batches(range(1, len(ids) + 1), lambda t: t * len(orders)):
-        batch = f.many([frozenset(order[:t]) for t in lengths for order in orders])
-        for r, row in enumerate(worth):
-            row.extend(batch[r::len(orders)])
+    empty, *prefixes = f.many(itertools.chain(
+        [frozenset()], (frozenset(order[:t]) for t in range(1, len(ids) + 1)
+                        for order in orders)))
+    # worth[r][t]: f of order r's t-prefix
+    worth = [[empty, *prefixes[r::len(orders)]] for r in range(len(orders))]
     sums = {pid: 0.0 for pid in ids}
     sqsums = {pid: 0.0 for pid in ids}
     for order, row in zip(orders, worth):

@@ -452,7 +452,9 @@ def reference_train(x, y, c=1.0):
 
 def predict(model: LinearModel, x: np.ndarray) -> np.ndarray:
     """Labels sign(w.x + b); the sign of 0 is positive by convention."""
-    return np.where(model.decision(x) >= 0.0, 1, -1)
+    if x.shape[1] != model.weights.shape[0]:
+        raise ClassifyError("feature dimension mismatch")
+    return np.where(x @ model.weights + model.bias >= 0.0, 1, -1)
 
 
 def prf1(predicted, truth) -> tuple[float, float, float]:

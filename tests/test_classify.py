@@ -195,17 +195,20 @@ class TestAgainstReference:
                           "precision", "recall", "f1"):
                 assert getattr(got, field) == getattr(want, field), field
 
-    def check_many(self, monkeypatch, k, stack_floats):
+    def check_many(self, monkeypatch, k, stack_floats, ascending=False):
         """Mixed set sizes and repeated sets in one call: every set gets the
         bits of its own CV, whatever stack and chunk it trains in. Sorted by
-        size the sets have 1, 1, 13 x 5 and 240 x 3 columns; returns the
-        number of stacked fits."""
+        size the sets have 1, 1, 13 x 5 and 240 x 3 columns; they arrive
+        mixed, or by size when `ascending`. Returns the number of stacked
+        fits."""
         monkeypatch.setattr(classify, "STACK_FLOATS", stack_floats)
         x, y = self.random_case(k + 17, k, 240)
         rng = np.random.default_rng(k)
         sets = [rng.choice(240, d, replace=False).tolist()
                 for d in (13, 1, 240, 13, 13, 1, 240, 13)]
         sets += [sets[0], sets[2][::-1]]
+        if ascending:
+            sets.sort(key=len)
         counts = Counter()
         got = cross_validate_many(FeatureView(x.astype(bool), y), sets, k=k,
                                   c=0.5, seed=k, counts=counts)
@@ -220,18 +223,19 @@ class TestAgainstReference:
     @pytest.mark.parametrize("stack_floats", [1 << 40, 1])
     @pytest.mark.parametrize("k", [3, 5])
     def test_cross_validate_many_bit_identical(self, monkeypatch, k, stack_floats):
-        # 1 << 40 trains all ten sets, of three sizes, as one chunk; 1 makes
-        # one chunk per set. Two training-set sizes: one stack per size in
-        # every chunk
+        # 1 << 40 trains all ten sets, of three sizes in mixed order, as
+        # one chunk; 1 makes one chunk per set. Two training-set sizes: one
+        # stack per size in every chunk
         chunks = 1 if stack_floats > 1 else 10
         assert self.check_many(monkeypatch, k, stack_floats) == 2 * chunks
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_cross_validate_many_splits_a_size_across_chunks(self, monkeypatch, k):
-        # room for three sets of 14 floats a row: chunks 1, 1, 13 | 13 x 3 |
-        # 13 | then each 240-column set alone
+        # room for three sets of 14 floats a row; the sets arrive by size:
+        # chunks 1, 1, 13 | 13 x 3 | 13 | then each 240-column set alone
         n = len(self.random_case(k + 17, k, 240)[1])
-        assert self.check_many(monkeypatch, k, 3 * k * n * 14) == 2 * 6
+        assert self.check_many(monkeypatch, k, 3 * k * n * 14,
+                               ascending=True) == 2 * 6
 
     def test_mixed_width_fit_matches_per_width_fits(self):
         # one _fit over a zero-padded stack of widths 1, 14 and 241 gives
@@ -259,7 +263,26 @@ class TestAgainstReference:
 
     def test_cross_validate_many_no_sets(self):
         x, y = self.random_case(2, 3, 4)
-        assert cross_validate_many(FeatureView(x, y), [], k=3) == []
+        assert list(cross_validate_many(FeatureView(x, y), [], k=3)) == []
+
+    def test_cross_validate_many_reads_sets_lazily(self, monkeypatch):
+        # with one set per chunk, the first report is yielded once the
+        # second set shows the first chunk is full: a caller can hand over
+        # any number of sets without them all being held
+        monkeypatch.setattr(classify, "STACK_FLOATS", 1)
+        x, y = self.random_case(5, 3, 6)
+        pulled = []
+
+        def sets():
+            for d in range(1, 7):
+                pulled.append(d)
+                yield range(d)
+
+        reports = cross_validate_many(FeatureView(x, y), sets(), k=3)
+        first = next(reports)
+        assert len(pulled) <= 2
+        assert first == cross_validate(FeatureView(x[:, :1], y), k=3)
+        assert len(list(reports)) == 5 and len(pulled) == 6
 
     @pytest.mark.parametrize("d", [1, 13, 240])
     def test_train_bit_identical(self, d):

@@ -594,9 +594,11 @@ class TestGoldCommand:
         real_cv, real_train = classify.cross_validate_many, classify.train
 
         def counting(features, column_sets, **kw):
-            seen.extend(features.x[:, sorted(cols)].T.tobytes()
-                        for cols in column_sets)
-            return real_cv(features, column_sets, **kw)
+            def passed_through():
+                for cols in column_sets:
+                    seen.append(features.x[:, sorted(cols)].T.tobytes())
+                    yield cols
+            return real_cv(features, passed_through(), **kw)
 
         def counting_train(view, **kw):
             trained.append(view.x.T.tobytes())

@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from patclass import shapley
 from patclass.classify import FeatureView, cross_validate
 from patclass.footprints import FootprintMatrix
 from patclass.shapley import (CachedCharacteristic, ShapleyError, exact_shapley,
@@ -181,16 +180,16 @@ class TestBatchedAgainstOracle:
         assert (got.values, got.std_error) == reference_sampled_shapley(
             ids, plain, 5, seed=2)
         # each distinct prefix is evaluated once; the prefixes of every
-        # length are one batch and one chunk, which trains as one stack per
-        # training-set size (25 rows: two, for k = 3)
+        # length are one stream and fit one chunk, which trains as one stack
+        # per training-set size (25 rows: two, for k = 3)
         assert f.counts["evaluations"] == len(seen - {frozenset()})
         assert f.counts["fits"] == 2
 
-    @pytest.mark.parametrize("budget", [1, 9, 40])
-    def test_batches_stop_at_the_member_budget(self, monkeypatch, budget):
-        # consecutive sizes share a batch while their members fit the
-        # budget, and a size over it is a batch of its own; the values keep
-        # the bits of the one-coalition loop in both modes
+    def test_one_stream_per_estimator(self):
+        # each estimator hands f.many one stream, by nondecreasing size:
+        # sampled, the empty prefix and then lengths 1..5 of 4 orders;
+        # exact, the 2^5 coalitions by size. The values keep the bits of
+        # the one-coalition loop in both modes
         rng = random.Random(12)
         ids = [3, 8, 1, 6, 2]
         table = random_game(rng, ids)
@@ -198,25 +197,21 @@ class TestBatchedAgainstOracle:
         def plain(subset):
             return table[frozenset(subset)]
 
-        want_sampled = reference_sampled_shapley(ids, plain, 4, seed=6)
-        want_exact = exact_shapley(ids, uncached(plain))
-        monkeypatch.setattr(shapley, "BATCH_MEMBERS", budget)
-        batches = []
+        calls = []
 
         def recording(subsets):
-            batches.append(sorted(len(s) for s in subsets))
+            subsets = list(subsets)
+            calls.append([len(s) for s in subsets])
             return [plain(s) for s in subsets]
 
         f = SimpleNamespace(many=recording)
         got = sampled_shapley(ids, f, 4, seed=6)
-        assert (got.values, got.std_error) == want_sampled
-        assert exact_shapley(ids, f) == want_exact
-        for sizes in batches:
-            assert sum(sizes) <= budget or len(set(sizes)) == 1
-        # sampled: the empty prefix, then lengths 1..5 of 4 orders; exact:
-        # 2^5 coalitions by size
-        assert sum(map(len, batches)) == 1 + 4 * len(ids) + 2 ** len(ids)
-        assert len(batches) == {1: 1 + 5 + 6, 9: 1 + 5 + 5, 40: 1 + 2 + 3}[budget]
+        assert (got.values, got.std_error) == reference_sampled_shapley(
+            ids, plain, 4, seed=6)
+        assert exact_shapley(ids, f) == exact_shapley(ids, uncached(plain))
+        assert [len(sizes) for sizes in calls] == [1 + 4 * len(ids), 2 ** len(ids)]
+        for sizes in calls:
+            assert sizes == sorted(sizes)
 
     def test_exact_performance_characteristic(self):
         m = self.matrix(6)
@@ -303,6 +298,23 @@ class TestCharacteristic:
         assert f({0, 2}) == f({2, 0})
         g = performance_characteristic(self.make_matrix(), k=5, seed=3)
         assert f({0, 2}) == g({0, 2})
+
+    def test_no_miss_no_call(self):
+        # the callable gets each distinct miss once, and is not called at
+        # all when every subset is cached (the empty one always is): a
+        # cross-validation would set up its folds for nothing
+        calls = []
+
+        def fn(subsets):
+            calls.append(list(subsets))
+            return [len(s) for s in calls[-1]]
+
+        f = CachedCharacteristic(fn)
+        assert f.many([{1, 2}, {3}, {2, 1}, ()]) == [2.0, 1.0, 2.0, 0.0]
+        assert calls == [[frozenset({1, 2}), frozenset({3})]]
+        assert f.many([{3}, (), {1, 2}]) == [1.0, 0.0, 2.0]
+        assert f({2, 1}) == 2.0 and f(()) == 0.0
+        assert len(calls) == 1 and f.counts["evaluations"] == 2
 
 
 class TestGoldStandard:
