@@ -213,6 +213,47 @@ class TestBatchedAgainstOracle:
         for sizes in calls:
             assert sizes == sorted(sizes)
 
+    @pytest.mark.parametrize("budget", [1, 9, 40])
+    def test_batches_stop_at_the_member_budget(self, monkeypatch, budget):
+        # the stream an estimator hands the SVM is cut, in arrival order,
+        # into chunks of at most `budget` padded members (a set's columns
+        # plus the bias, times the sets in the chunk); a set over it is a
+        # chunk of its own. The values keep the bits of the one-coalition
+        # loop in both modes
+        from patclass import classify
+        m = self.matrix(5)
+        ids = [3, 0, 4, 1, 2]
+        k, n = 3, 25
+
+        def plain(subset):
+            return (cross_validate(FeatureView.from_matrix(m, subset), k=k, seed=1).f1
+                    if subset else 0.0)
+
+        want_sampled = reference_sampled_shapley(ids, plain, 4, seed=6)
+        want_exact = exact_shapley(ids, uncached(plain))
+        monkeypatch.setattr(classify, "STACK_FLOATS", budget * k * n)
+        chunks = []
+        chunked = classify._chunks
+
+        def recording(column_sets, rows):
+            for chunk in chunked(column_sets, rows):
+                chunks.append([len(cols) for cols in chunk])
+                yield chunk
+
+        monkeypatch.setattr(classify, "_chunks", recording)
+        f = performance_characteristic(m, k=k, seed=1)
+        got = sampled_shapley(ids, f, 4, seed=6)
+        assert (got.values, got.std_error) == want_sampled
+        assert exact_shapley(ids, f) == want_exact
+        for sizes in chunks:
+            assert len(sizes) * (max(sizes) + 1) <= budget or len(sizes) == 1
+        # each distinct coalition is evaluated once, in one chunk; 25 rows
+        # and k = 3 train two stacks per chunk
+        assert sum(map(len, chunks)) == f.counts["evaluations"] == 2 ** len(ids) - 1
+        assert f.counts["fits"] == 2 * len(chunks)
+        if budget == 1:
+            assert len(chunks) == 2 ** len(ids) - 1
+
     def test_exact_performance_characteristic(self):
         m = self.matrix(6)
         ids = [5, 0, 3, 1, 4, 2]
