@@ -52,7 +52,12 @@ EPOCHS = 200
 # sets, k * n * (D + 1) per set on the zero-padded layout, D the chunk's
 # widest set: n rows of features and (k - 1) * n rows over the training
 # stacks, both of which are held while the second is built. `_fit`'s
-# per-slice temporaries come on top; a set larger than the cap trains alone.
+# per-slice temporaries come on top, so one chunk of S sets peaks within
+#   S * (k * n * (D + 1) + 4 * (k - 1) * n + k * (6 * (D + 1) + EPOCHS + 1))
+# floats: a fit's margins, violators and two hinge temporaries take 4 floats
+# per slice and training row, at most 4 * (k - 1) * n per set, and each of
+# the at most k slices per set holds a few (D + 1)-vectors and an EPOCHS + 1
+# trace (tested at k = 3 and 5). A set larger than the cap trains alone.
 # Wall s / tracemalloc MB of one call (2-vCPU Xeon, shared host, median of
 # 2-10 runs): the gold-sampled workload; run_gold on molecule_like(1, 100),
 # 12 players exact and 109 sampled 4 times; acceptance test c8's gold call.

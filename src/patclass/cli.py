@@ -282,9 +282,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         _write(out_dir, "dendrogram.csv",
                clusterer.dendrogram_csv(clustering.dendrogram))
     with _stage("rank", timings):
-        _write(out_dir, "scores.csv",
-               measures.scores_csv(matrix, reps, cfg.measures))
-        rankings = measures.rank_all(matrix, reps, cfg.measures)
+        scores_text, rankings = measures.scores_csv(matrix, reps, cfg.measures)
+        _write(out_dir, "scores.csv", scores_text)
     with _stage("classify", timings):
         s = cfg.resolve_s(len(reps))
         lines = ["measure,s,precision,recall,f1"]

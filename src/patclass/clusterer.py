@@ -11,7 +11,9 @@ runs are reproducible.
 Agglomeration is the generic algorithm with a nearest-neighbour cache
 (Müllner 2011, arXiv:1109.2378): each cluster caches its nearest partner
 under the tie rule, and a merge rescans only the clusters whose cache it
-made stale. That costs O(p^2) plus O(p) per rescan, not O(p^3).
+made stale. The pair keys live in one p x p matrix that the merges keep up
+to date, so a rescan is one argmin over a row. That costs O(p^2) plus O(p)
+per rescan, not O(p^3).
 """
 
 from __future__ import annotations
@@ -93,14 +95,18 @@ def agglomerate_complete(distances: np.ndarray,
     merges; ties pick the lexicographically smallest (min member id, second
     min member id) pair. Deterministic; pattern_ids must be distinct.
 
-    Each active row caches its nearest partner under the pair key
+    One p x p int64 matrix holds every live pair's key
     height * p^2 + rank(smaller min member) * p + rank(larger min member),
-    one int64 that orders pairs exactly as the tie rule does. A merge
-    updates the surviving row with the elementwise maximum and rescans only
-    that row and the rows whose cached partner was one of the two merged
-    rows: O(p^2) time in the typical case and one p x p working matrix.
+    which orders pairs exactly as the tie rule does; the diagonal and the
+    rows and columns of merged-away clusters hold the int64 maximum. Each
+    live row caches its nearest partner, the argmin of its key row. A merge
+    rewrites the surviving row and column with the elementwise maximum of
+    the two heights and the new tie part, retires the other, and rescans only
+    the rows whose cached partner was one of the two: O(p^2) time in the
+    typical case. The keys are built 256 rows at a time, so the memory is
+    the key matrix and one 256 x p block.
     """
-    d = np.asarray(distances)
+    d = np.asarray(distances, dtype=np.int64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ClusterError("distance matrix must be square")
     p = d.shape[0]
@@ -114,9 +120,8 @@ def agglomerate_complete(distances: np.ndarray,
     if p < 2:
         return Dendrogram((), ids, int(n_graphs))
 
-    work = d.astype(np.int64)               # complete-linkage distances
     big = np.iinfo(np.int64).max
-    span = max(abs(int(work.max())), abs(int(work.min()))) + 1
+    span = max(abs(int(d.max())), abs(int(d.min()))) + 1
     if span * p * p > big:
         raise ClusterError("distances too large for the int64 pair key")
     p2 = p * p
@@ -125,45 +130,51 @@ def agglomerate_complete(distances: np.ndarray,
     # row index -> rank of the cluster's smallest pattern id among all ids
     min_rank = np.empty(p, dtype=np.int64)
     min_rank[sorted(range(p), key=ids.__getitem__)] = np.arange(p)
-    nn = np.zeros(p, dtype=np.int64)        # cached nearest partner per row
-    nn_key = np.full(p, big, dtype=np.int64)
-
-    def rescan(rows: np.ndarray) -> None:
-        r = min_rank[rows, None]
-        keys = (work[rows] * p2 + np.minimum(r, min_rank) * p
-                + np.maximum(r, min_rank))
-        keys[:, ~alive] = big
-        keys[np.arange(len(rows)), rows] = big
-        nn[rows] = keys.argmin(axis=1)
-        nn_key[rows] = keys[np.arange(len(rows)), nn[rows]]
-
-    for start in range(0, p, 256):          # bounds the p x p temporaries
-        rescan(np.arange(start, min(start + 256, p)))
+    keys = np.empty((p, p), dtype=np.int64)
+    tie = np.empty((256, p), dtype=np.int64)
+    for start in range(0, p, 256):          # one 256 x p block at a time
+        block, r = keys[start:start + 256], min_rank[start:start + 256, None]
+        t = tie[:len(block)]
+        np.multiply(d[start:start + 256], p2, out=block)
+        block += np.multiply(np.minimum(r, min_rank, out=t), p, out=t)
+        block += np.maximum(r, min_rank, out=t)
+    np.fill_diagonal(keys, big)
+    nn = keys.argmin(axis=1)                # cached nearest partner per row
+    nn_key = keys[np.arange(p), nn]
     merges = []
     for next_id in range(p, 2 * p - 1):
         a = int(nn_key.argmin())
         b = int(nn[a])
-        h = int(work[a, b])
+        h = int(keys[a, b]) // p2
         cx, cy = sorted((cluster_id[a], cluster_id[b]))
         merges.append((cx, cy, h, next_id))
-        # complete linkage update: row a absorbs b with elementwise max
-        new_row = np.maximum(work[a], work[b])
-        work[a, :] = new_row
-        work[:, a] = new_row
+        # complete linkage update: row a absorbs b with the elementwise
+        # maximum height, under the tie part of a's new smallest member; the
+        # entries that were the int64 maximum (retired rows, the diagonal)
+        # are set back to it
         alive[b] = False
-        nn_key[b] = big
         cluster_id[a] = next_id
-        min_rank[a] = min(min_rank[a], min_rank[b])
-        # Only row a and rows whose cached partner was a or b can be stale.
-        # For any other row z, the smaller min member of a∪b gives the tie
-        # part (min(r, m), max(r, m)), which is monotone in m, so
+        m = min_rank[a] = min(min_rank[a], min_rank[b])
+        row = np.maximum(keys[a], keys[b]) // p2 * p2
+        row += np.minimum(min_rank, m) * p
+        row += np.maximum(min_rank, m)
+        row[~alive] = big
+        row[a] = big
+        keys[a], keys[:, a] = row, row
+        keys[b], keys[:, b] = big, big
+        nn_key[b] = big
+        # Only rows whose cached partner was a or b can be stale, row a
+        # among them. For any other row z, the smaller min member of a∪b
+        # gives the tie part (min(r, m), max(r, m)), which is monotone in m,
+        # so
         #   key(z, a∪b) = (max(h_za, h_zb), min(tie_za, tie_zb))
         #              >= min(key(z, a), key(z, b)) > key(z, nn[z]),
         # the last step strict because distinct ids make keys distinct. A
         # merged cluster can lower a pair's tie part at equal height, but
         # never below a cached row minimum, so no other row needs a refresh.
         stale = np.flatnonzero(alive & ((nn == a) | (nn == b)))
-        rescan(np.union1d(stale, [a]))
+        nn[stale] = keys[stale].argmin(axis=1)
+        nn_key[stale] = keys[stale, nn[stale]]
 
     return Dendrogram(tuple(merges), ids, int(n_graphs))
 

@@ -138,12 +138,17 @@ def distinct_footprint_groups(matrix: FootprintMatrix) -> list[list[int]]:
 
 
 def matrix_csv(matrix: FootprintMatrix) -> str:
-    # cells[present][j] is the ",j,present" tail of every row's cell j
-    cells = tuple([f",{j},{v}" for j in range(matrix.n_patterns)] for v in (0, 1))
+    """`graph_id, pattern_id, present` rows, one per cell, row by row."""
+    p = matrix.n_patterns
+    # tails[v][j] is the "j,v" end of cell j in a row whose bit j is v; a
+    # row is its cells' tails joined by "\n<graph id>,", and a row of no
+    # cells writes no line
+    tails = np.array([[f"{j},{v}" for j in range(p)] for v in (0, 1)], dtype=object)
     lines = ["graph_id,pattern_id,present"]
-    for i, row in enumerate(matrix.bits.astype(np.uint8).tolist()):
-        graph = str(i)
-        lines.extend([graph + cells[v][j] for j, v in enumerate(row)])
+    if p:
+        for i, row in enumerate(matrix.bits):
+            lines.append(f"{i}," + f"\n{i},".join(
+                np.where(row, tails[1], tails[0]).tolist()))
     return "\n".join(lines) + "\n"
 
 

@@ -507,13 +507,17 @@ def rank(measure: str, matrix: FootprintMatrix,
 
 
 def scores_csv(matrix: FootprintMatrix, pattern_ids: Sequence[int],
-               measures: Sequence[str] | None = None) -> str:
-    """`pattern_id, measure, raw_score, effective_score, rank` rows."""
+               measures: Sequence[str] | None = None
+               ) -> tuple[str, dict[str, Ranking]]:
+    """`pattern_id, measure, raw_score, effective_score, rank` rows, and
+    each measure's Ranking as `rank_all` gives it, from one scoring pass."""
     lines = ["pattern_id,measure,raw_score,effective_score,rank"]
+    rankings = {}
     for m, raws, ranking in _scored(matrix, pattern_ids,
                                     MEASURE_NAMES if measures is None else measures):
+        rankings[m] = ranking
         pos = {pid: r for r, pid in enumerate(ranking.pattern_ids, start=1)}
         for pid in pattern_ids:
             raw = raws[pid]
             lines.append(f"{pid},{m},{raw!r},{effective(m, raw)!r},{pos[pid]}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n", rankings

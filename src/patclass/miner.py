@@ -8,6 +8,7 @@ presence-based: the number of graphs containing at least one embedding.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -100,24 +101,38 @@ def _edge_key(e: DfsEdge) -> tuple:
 # ---------------------------------------------------------------------------
 
 Embedding = tuple[int, tuple[int, ...]]
-Hosts = dict[int, tuple[list[list[tuple[int, int]]], tuple[int, ...]]]
+Host = tuple[list[list[tuple[int, int]]], tuple[int, ...]]
+Hosts = dict[int, Host]
 
 
 def _hosts(graphs: Iterable[AttributedGraph]) -> Hosts:
     return {g.graph_id: (g.adjacency(), g.vertex_labels) for g in graphs}
 
 
-def _seeds(graphs: Iterable[AttributedGraph]) -> dict[DfsEdge, list[Embedding]]:
+def _code_host(code: DfsCode) -> Host:
+    """The (adjacency, vertex labels) of the graph a code the miner grew
+    describes, without building and validating an AttributedGraph. It is
+    sized for len(code) + 1 vertices, the most a connected code has; a
+    vertex the code does not name is isolated, so no walk reaches it."""
+    labels = [0] * (len(code) + 1)
+    adj: list[list[tuple[int, int]]] = [[] for _ in labels]
+    for (i, j, li, el, lj) in code:
+        labels[i], labels[j] = li, lj
+        adj[i].append((j, el))
+        adj[j].append((i, el))
+    return adj, tuple(labels)
+
+
+def _seeds(hosts: Hosts) -> dict[DfsEdge, list[Embedding]]:
     """Single-edge codes (0, 1, la, el, lb) with la <= lb, the orientation
     that can be minimal, with their embeddings."""
-    seeds: dict[DfsEdge, list[Embedding]] = {}
-    for g in graphs:
-        for (u, v, el) in g.edges:
-            for (x, y) in ((u, v), (v, u)):
-                lx, ly = g.vertex_labels[x], g.vertex_labels[y]
-                if lx <= ly:
-                    tup = (0, 1, lx, el, ly)
-                    seeds.setdefault(tup, []).append((g.graph_id, (x, y)))
+    seeds: defaultdict[DfsEdge, list[Embedding]] = defaultdict(list)
+    for gid, (adj, labels) in hosts.items():
+        for x, nbrs in enumerate(adj):
+            lx = labels[x]
+            for (y, el) in nbrs:
+                if lx <= labels[y]:
+                    seeds[(0, 1, lx, el, labels[y])].append((gid, (x, y)))
     return seeds
 
 
@@ -143,7 +158,7 @@ def _extensions(code: DfsCode, embeddings: list[Embedding],
     # yet link to rm, whatever the embedding.
     linked = {j if i == rm else i for (i, j, *_r) in code if rm in (i, j)}
     back = set(path[:-1]) - linked
-    grouped: dict[DfsEdge, list[Embedding]] = {}
+    grouped: defaultdict[DfsEdge, list[Embedding]] = defaultdict(list)
     for emb in embeddings:
         gid, vmap = emb
         adj, labels = hosts[gid]
@@ -152,29 +167,29 @@ def _extensions(code: DfsCode, embeddings: list[Embedding],
             if nbr in vmap:
                 di = vmap.index(nbr)
                 if di in back:
-                    tup = (rm, di, labels[u], el, labels[nbr])
-                    grouped.setdefault(tup, []).append(emb)
+                    grouped[(rm, di, labels[u], el, labels[nbr])].append(emb)
         for di in path:
             src = vmap[di]
             for (nbr, el) in adj[src]:
                 if nbr not in vmap:
-                    tup = (di, rm + 1, labels[src], el, labels[nbr])
-                    grouped.setdefault(tup, []).append((gid, vmap + (nbr,)))
+                    grouped[(di, rm + 1, labels[src], el, labels[nbr])].append(
+                        (gid, vmap + (nbr,)))
     return grouped
 
 
-def _min_code(graph: AttributedGraph, stop: Optional[DfsCode] = None) -> DfsCode:
-    """Minimal DFS code of a connected graph, grown by the smallest extension
-    over all self-embeddings. With stop, return at the first edge where the
-    minimal code departs from stop."""
-    hosts = _hosts([graph])
+def _min_code(host: Host, stop: Optional[DfsCode] = None) -> DfsCode:
+    """Minimal DFS code of a connected graph, given as one host, grown by the
+    smallest extension over all self-embeddings. With stop, return at the
+    first edge where the minimal code departs from stop."""
+    n_edges = sum(map(len, host[0])) // 2
+    hosts = {0: host}
     code: DfsCode = ()
-    grouped = _seeds([graph])
+    grouped = _seeds(hosts)
     while True:
         edge = min(grouped, key=_edge_key)
         code += (edge,)
         departed = stop is not None and edge != stop[len(code) - 1]
-        if departed or len(code) == graph.n_edges:
+        if departed or len(code) == n_edges:
             return code
         grouped = _extensions(code, grouped[edge], hosts)
 
@@ -203,13 +218,24 @@ def canonical_code(graph: AttributedGraph) -> DfsCode:
         raise MinerError("patterns must have at least one edge")
     if not _is_connected(graph):
         raise StructuralError("canonical code requires a connected graph")
-    return _min_code(graph)
+    return _min_code((graph.adjacency(), graph.vertex_labels))
+
+
+def _below_first(code: DfsCode, edge: DfsEdge) -> bool:
+    """Whether edge, as a single-edge code (0, 1, min label, edge label, max
+    label), sorts before the first edge of code (gSpan's first-edge
+    pruning). The graph of code + (edge,) then has a smaller first edge than
+    its code, so that code is not minimal and _is_min would reject it."""
+    if not code:
+        return False
+    li, el, lj = edge[2:]
+    return ((li, el, lj) if li <= lj else (lj, el, li)) < code[0][2:]
 
 
 def _is_min(code: DfsCode) -> bool:
     """Whether a code the miner grew (so connected) is its graph's minimal
     code; stops at the first edge where the minimal code departs from it."""
-    return code == _min_code(code_to_graph(code), stop=code)
+    return code == _min_code(_code_host(code), stop=code)
 
 
 def mine_frequent(dataset: GraphDataset, min_support: int,
@@ -241,10 +267,10 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
     def push(code: DfsCode, grouped: dict[DfsEdge, list[Embedding]]) -> None:
         for edge in sorted(grouped, key=_edge_key, reverse=True):
             gids = {gid for gid, _vmap in grouped[edge]}
-            if len(gids) >= min_support:
+            if len(gids) >= min_support and not _below_first(code, edge):
                 stack.append((code + (edge,), grouped[edge], gids))
 
-    push((), _seeds(dataset))
+    push((), _seeds(hosts))
     while stack and len(patterns) != max_patterns:
         code, embeddings, gids = stack.pop()
         if not _is_min(code):

@@ -3,8 +3,9 @@
 The oracles are deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, the pairwise DFS-edge comparison of Yan & Han, an
-O(p^3) reference agglomerator, the one-fold-at-a-time SVM trainer and
-cross-validation loop, the one-coalition-at-a-time permutation-sampling
+O(p^3) reference agglomerator, the minimality check and the footprint CSV
+writer as first written (through a validated graph, and cell by cell), the
+one-fold-at-a-time SVM trainer and cross-validation loop, the one-coalition-at-a-time permutation-sampling
 Shapley loop, and the property checks, ranking and score table that score
 every operand with a fresh call.
 
@@ -35,6 +36,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from patclass import miner
 from patclass.classify import (EPOCHS, ClassifyError, EvalReport, LinearModel,
                                 stratified_folds)
 from patclass.clusterer import FootprintClustering, _medoid
@@ -42,7 +44,7 @@ from patclass.footprints import ContingencyCounts, contingency
 from patclass.graphdata import POSITIVE, AttributedGraph, GraphDataset, parse_spmf
 from patclass.measures import (MEASURE_NAMES, Ranking, effective_score, prob_kit,
                                score, scorer)
-from patclass.miner import Pattern, PatternSet, canonical_code
+from patclass.miner import Pattern, PatternSet, canonical_code, code_to_graph
 from patclass.properties import _PROPERTY_TABLE, PropertyReport, _check
 from patclass.rankcmp import RankCmpError, _ids, kendall_tau, rbo
 
@@ -277,6 +279,38 @@ def reference_edge_lt(e1, e2) -> bool:
     if (not f1) and f2:   # backward vs forward
         return i1 < j2
     return j1 <= i2       # forward vs backward
+
+
+def reference_is_min(code) -> bool:
+    """The miner's minimality check as first written: materialize the code's
+    graph through the validating `code_to_graph`, seed the walk from its
+    edge list, and grow the minimal code by the smallest extension until it
+    departs from `code` or covers every edge."""
+    graph = code_to_graph(code)
+    hosts = {graph.graph_id: (graph.adjacency(), graph.vertex_labels)}
+    grouped: dict = {}
+    for (u, v, el) in graph.edges:
+        for (x, y) in ((u, v), (v, u)):
+            lx, ly = graph.vertex_labels[x], graph.vertex_labels[y]
+            if lx <= ly:
+                grouped.setdefault((0, 1, lx, el, ly), []).append((graph.graph_id, (x, y)))
+    walk = ()
+    while True:
+        edge = min(grouped, key=miner._edge_key)
+        walk += (edge,)
+        if edge != code[len(walk) - 1] or len(walk) == graph.n_edges:
+            return walk == code
+        grouped = miner._extensions(walk, grouped[edge], hosts)
+
+
+def reference_matrix_csv(matrix) -> str:
+    """`footprints.csv` as first written: one formatted line per cell."""
+    cells = tuple([f",{j},{v}" for j in range(matrix.n_patterns)] for v in (0, 1))
+    lines = ["graph_id,pattern_id,present"]
+    for i, row in enumerate(matrix.bits.astype(np.uint8).tolist()):
+        graph = str(i)
+        lines.extend([graph + cells[v][j] for j, v in enumerate(row)])
+    return "\n".join(lines) + "\n"
 
 
 def naive_kendall_tau(order_a, order_b):

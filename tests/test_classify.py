@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -293,6 +294,38 @@ class TestAgainstReference:
             assert model.weights.tobytes() == weights.tobytes()
             assert model.bias == bias
             assert model.objective_trace == trace
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_one_chunk_peak_within_stated_bound(self, monkeypatch, k):
+        # the per-chunk bound of the STACK_FLOATS comment, on 40 sets of 12
+        # columns over 100 rows, cut as one chunk: the counted features and
+        # training stacks, then _fit's per-slice temporaries and trace. On
+        # top come the call's reordered copy of the input and its fold
+        # index arrays, (k + 5) * n words
+        n, sets, d = 100, 40, 12
+        rng = np.random.default_rng(k)
+        x = rng.random((n, 30)) < 0.4
+        y = balanced_labels(n)
+        column_sets = [rng.choice(30, d, replace=False).tolist() for _ in range(sets)]
+        counted = sets * k * n * (d + 1)
+        monkeypatch.setattr(classify, "STACK_FLOATS", counted)
+        view, counts = FeatureView(x, y), Counter()
+        # a first call outside the trace, so one-time imports stay out of it
+        list(cross_validate_many(view, column_sets[:1], k=k))
+        tracemalloc.start()
+        try:
+            reports = list(cross_validate_many(view, column_sets, k=k, counts=counts))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == sets
+        # one chunk: one stack per training-set size
+        assert counts["fits"] == len({len(f) for f in stratified_folds(y.tolist(), k, 0)})
+        temporaries = sets * (4 * (k - 1) * n
+                              + k * (6 * (d + 1) + classify.EPOCHS + 1))
+        assert peak <= 8 * (counted + temporaries) + x.nbytes + 8 * (k + 5) * n
 
 
 class TestColumnOrder:

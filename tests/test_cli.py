@@ -520,8 +520,8 @@ class TestScoringOnce:
     @pytest.mark.parametrize("command", ["pipeline", "gold", "pairwise-tau"])
     def test_one_kit_per_table_per_scoring_pass(self, tmp_path, monkeypatch,
                                                 command):
-        # every measure ranks from one kit memo per table; pipeline builds a
-        # second memo for scores.csv
+        # every measure ranks from one kit memo per table; pipeline writes
+        # scores.csv from the same scoring pass
         from patclass import measures
         built = []
         real = measures.prob_kit
@@ -547,7 +547,7 @@ class TestScoringOnce:
             cfg.dataset = tuple(paths)
             run_pairwise_tau(cfg)
         assert built
-        assert max(Counter(built).values()) <= (2 if command == "pipeline" else 1)
+        assert max(Counter(built).values()) == 1
 
 
 class TestGoldCommand:

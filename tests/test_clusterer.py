@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,25 @@ class TestAgglomerate:
         d = np.array([[0, 2 ** 62], [2 ** 62, 0]])
         with pytest.raises(ClusterError):
             agglomerate_complete(d, n_graphs=1)
+
+    def test_peak_memory_one_key_matrix(self):
+        # the p x p pair-key matrix and one 256-row block of tie parts, plus
+        # 256 KiB for the per-row vectors and the merge list: 4.3 MB at
+        # p = 600, where a working copy of the distances next to the
+        # rescans' key blocks peaked at 5.5 MB
+        rng = np.random.default_rng(0)
+        p, n = 600, 150
+        bits = rng.random((n, p)) < 0.3
+        bits[0] = True
+        d = manhattan_matrix(FootprintMatrix(bits, [1] * 75 + [-1] * 75), range(p))
+        agglomerate_complete(d[:10, :10], n_graphs=n)   # imports, untraced
+        tracemalloc.start()
+        try:
+            agglomerate_complete(d, n_graphs=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * p * (p + 256) + 2 ** 18
 
     def test_heights_non_decreasing(self):
         rng = random.Random(4)

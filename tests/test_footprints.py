@@ -10,7 +10,7 @@ from patclass.footprints import (ContingencyCounts, FootprintError,
 from patclass.graphdata import NEGATIVE, POSITIVE, GraphDataset
 from patclass.miner import mine_frequent
 
-from oracles import graph_support, random_graph
+from oracles import graph_support, random_graph, reference_matrix_csv
 
 
 def random_matrix(rng, n, p):
@@ -135,6 +135,21 @@ class TestCsv:
         assert lines[0] == "graph_id,pattern_id,present"
         assert len(lines) == 1 + 6 * 4
         assert lines[1] == "0,0,1"
+
+    def test_matrix_csv_matches_cell_by_cell_writer(self):
+        # random matrices, then no graphs, no patterns and one graph
+        rng = random.Random(19)
+        matrices = [random_matrix(rng, rng.randint(4, 12), rng.randint(1, 40))
+                    for _ in range(20)]
+        matrices += [
+            FootprintMatrix(np.zeros((0, 0), dtype=bool), []),
+            FootprintMatrix(np.zeros((5, 0), dtype=bool),
+                            [POSITIVE, NEGATIVE] * 2 + [POSITIVE]),
+            FootprintMatrix(np.ones((1, 7), dtype=bool), [NEGATIVE]),
+            FootprintMatrix(np.ones((1, 1), dtype=bool), [POSITIVE]),
+        ]
+        for matrix in matrices:
+            assert matrix_csv(matrix) == reference_matrix_csv(matrix), matrix.bits.shape
 
     def test_contingency_csv(self, six_graph_matrix):
         text = contingency_csv(six_graph_matrix)

@@ -329,7 +329,7 @@ class TestSymmetryInvariants:
 
 class TestCsvExport:
     def test_schema_and_infinities(self, six_graph_matrix):
-        text = scores_csv(six_graph_matrix, [0, 1, 2, 3], measures=["GR", "Conf"])
+        text, _ = scores_csv(six_graph_matrix, [0, 1, 2, 3], measures=["GR", "Conf"])
         lines = text.strip().splitlines()
         assert lines[0] == "pattern_id,measure,raw_score,effective_score,rank"
         gr_rows = [l for l in lines[1:] if l.split(",")[1] == "GR"]
@@ -414,10 +414,12 @@ class TestSharedScorerOutputs:
         mat = _random_matrix(seed)
         ids = random.Random(seed).sample(range(mat.n_patterns), 50)
         # compared as line lists: a failing text comparison is slow to report
-        assert (scores_csv(mat, ids).splitlines()
+        text, with_text = scores_csv(mat, ids)
+        assert (text.splitlines()
                 == reference_scores_csv(mat, ids, MEASURE_NAMES).splitlines())
         rankings = rank_all(mat, ids, MEASURE_NAMES)
         for m in MEASURE_NAMES:
             want = reference_rank(m, mat, ids)
             assert rank(m, mat, ids) == want
             assert rankings[m] == want
+            assert with_text[m] == want

@@ -15,7 +15,16 @@ from patclass.miner import (MinerError, canonical_code, code_to_graph,
 from oracles import (brute_force_contains, brute_force_isomorphic,
                      connected_subgraph_classes, contains, graph_canonical_form,
                      graph_support, import_patterns, random_graph,
-                     reference_edge_lt)
+                     reference_edge_lt, reference_is_min)
+
+
+def molecule_like(seed, n_graphs):
+    """The benchmark's generated dataset, loaded from perfbench by path."""
+    path = Path(__file__).parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return parse_spmf(generate.molecule_like(seed, n_graphs))
 
 
 def triangle(labels=(0, 0, 0), elabels=(0, 0, 0), gid=0, cls=None):
@@ -92,11 +101,7 @@ class TestEdgeOrder:
         """Every extension set that mining a molecule-like dataset orders, and
         its seed set, sorts the same under the tuple key as under the pairwise
         DFS-edge comparison."""
-        path = Path(__file__).parents[1] / "perfbench" / "generate.py"
-        spec = importlib.util.spec_from_file_location("generate", path)
-        generate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generate)
-        ds = parse_spmf(generate.molecule_like(1, 40))
+        ds = molecule_like(1, 40)
 
         seeds = set()
         for g in ds:
@@ -128,25 +133,103 @@ class TestMinimality:
     def test_early_exit_agrees_with_full_canonical_code(self):
         """Every node of the rightmost-path extension tree of a few hosts, up
         to 4 edges, is minimal under the early-exit check exactly when it
-        equals the canonical code of its graph."""
+        equals the canonical code of its graph. A node that the first-edge
+        rule drops has a canonical code with a smaller first edge."""
         rng = random.Random(13)
         outcomes = set()
-        early = 0
+        early = dropped = 0
         for gid in range(4):
             host = random_graph(rng, 6, 0.5, 2, 2, graph_id=gid)
             hosts = miner._hosts([host])
-            stack = [((edge,), embs) for edge, embs in miner._seeds([host]).items()]
+            stack = [((edge,), embs) for edge, embs in miner._seeds(hosts).items()]
             while stack:
                 code, embs = stack.pop()
                 is_min = miner._is_min(code)
-                assert is_min == (code == canonical_code(code_to_graph(code))), code
+                canonical = canonical_code(code_to_graph(code))
+                assert is_min == (code == canonical), code
+                if miner._below_first(code[:-1], code[-1]):
+                    dropped += 1
+                    assert canonical[0] < code[0], code
                 outcomes.add(is_min)
-                early += len(miner._min_code(code_to_graph(code), stop=code)) < len(code)
+                early += len(miner._min_code(miner._code_host(code), stop=code)) < len(code)
                 if len(code) < 4:
                     grouped = miner._extensions(code, embs, hosts)
                     stack.extend((code + (edge,), e) for edge, e in grouped.items())
         assert outcomes == {True, False}
-        assert early > 0
+        assert early > 0 and dropped > 0
+
+
+class TestFirstEdgePruning:
+    """The search drops a frequent child whose new edge, as a single-edge
+    code, sorts before the child's first edge. Only non-minimal codes are
+    dropped (on small hosts: TestMinimality), none of them reaches the
+    minimality check, and the output is the one of the search without the
+    rule."""
+
+    @staticmethod
+    def mine_recording(monkeypatch, ds, **caps):
+        """The mined set, the children dropped by the rule and the codes
+        that reached _is_min."""
+        dropped, checked = [], []
+        below, is_min = miner._below_first, miner._is_min
+
+        def recording(code, edge):
+            if below(code, edge):
+                dropped.append(code + (edge,))
+                return True
+            return False
+
+        def counting(code):
+            checked.append(code)
+            return is_min(code)
+
+        monkeypatch.setattr(miner, "_below_first", recording)
+        monkeypatch.setattr(miner, "_is_min", counting)
+        return mine_frequent(ds, **caps), dropped, checked
+
+    def test_dropped_children_are_not_minimal_on_molecule_like_data(self, monkeypatch):
+        ds = molecule_like(1, 60)
+        _mined, dropped, _checked = self.mine_recording(
+            monkeypatch, ds, min_support=3, max_edges=5)
+        assert len(dropped) > 50
+        for child in dropped:
+            assert canonical_code(code_to_graph(child))[0] < child[0], child
+            assert not reference_is_min(child)
+
+    def test_no_dropped_child_reaches_the_minimality_check(self, monkeypatch):
+        ds = molecule_like(2, 80)
+        mined, dropped, checked = self.mine_recording(
+            monkeypatch, ds, min_support=3, max_edges=5)
+        assert dropped and not set(dropped) & set(checked)
+        # without the rule, the dropped children pop and fail the check, on
+        # top of the codes checked with it
+        monkeypatch.setattr(miner, "_below_first", lambda code, edge: False)
+        n_checked = len(checked)
+        checked.clear()
+        assert mine_frequent(ds, min_support=3, max_edges=5) == mined
+        assert set(dropped) <= set(checked)
+        assert len(checked) == n_checked + len(dropped)
+
+    # graphs, min_support, max_patterns, max_edges
+    CONFIGS = [(150, 3, 600, 6), (100, 6, None, 6), (150, 2, None, 4),
+               (60, 2, None, None), (188, 5, None, None), (120, 4, 300, None)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: "/".join(
+        "-" if v is None else str(v) for v in c))
+    def test_same_pattern_set_as_the_search_without_pruning(self, monkeypatch,
+                                                           config, seed):
+        """Codes, order, graph ids and the truncated flag equal those of the
+        search as first written: no first-edge rule, and the minimality
+        check through a validated graph."""
+        n, min_support, max_patterns, max_edges = config
+        ds = molecule_like(seed, n)
+        caps = dict(min_support=min_support, max_patterns=max_patterns,
+                    max_edges=max_edges)
+        got = mine_frequent(ds, **caps)
+        monkeypatch.setattr(miner, "_below_first", lambda code, edge: False)
+        monkeypatch.setattr(miner, "_is_min", reference_is_min)
+        assert got == mine_frequent(ds, **caps)
 
 
 class TestContains:
