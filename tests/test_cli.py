@@ -14,6 +14,7 @@ from patclass.cli import (DENSITY_CONVENTION, ConfigError, RunConfig,
                           run_pairwise_tau, run_pipeline)
 from patclass.graphdata import (NEGATIVE, POSITIVE, GraphDataset, dataset_stats,
                                 parse_spmf, serialize_spmf)
+from patclass.measures import MEASURE_NAMES
 
 from oracles import random_graph
 
@@ -682,14 +683,14 @@ class TestGoldPins:
     }
 
     @staticmethod
-    def dataset():
+    def dataset(seed=5, n_graphs=42):
         # 42 graphs, balanced: 5 folds of 8 or 9 rows give two training-set
         # sizes; the positives are denser, so the classes differ
-        rng = random.Random(5)
+        rng = random.Random(seed)
         return GraphDataset(tuple(
             random_graph(rng, rng.randint(5, 8), 0.45 if i % 2 else 0.3, 3, 2,
                          graph_id=i, class_label=POSITIVE if i % 2 else NEGATIVE)
-            for i in range(42)))
+            for i in range(n_graphs)))
 
     @pytest.mark.parametrize("mode, threshold_pct, n_representatives", [
         ("sampled", 10.0, 20), ("exact", 40.0, 8)])
@@ -709,3 +710,33 @@ class TestGoldPins:
                    for name in ("gold.csv", "gold_f1.csv", "gold_rbo.csv",
                                 "gold_curve.csv")}
         assert digests == self.DIGESTS[mode]
+
+
+class TestPairwiseTauPins:
+    """sha256 of the three pairwise-tau CSVs on two generated datasets with
+    all 38 measures. Each tau is 1 - 4 * inversions / (s * (s - 1)), written
+    with repr, so a change to how inversions are counted must keep every
+    digest."""
+
+    DIGESTS = {
+        "tau_d1.csv": "6ce1aefec2646fc4a10f881a6795feac4c3a07153dcd74120ffb617f4e88c490",
+        "tau_d2.csv": "73d8925438c75170ec0b1b7f8f81f1afbc4dd4e684fff45bc779f304802dee83",
+        "min_tau.csv": "30fd848c9d2c951f4d2825c815193a8fb54247dd58dd411be01d464e3c181db2",
+        "blocks.csv": "2790e0948d221757fb478c1f89ff7e4e190a5491120e90559ba5c7477ddfdfbb",
+    }
+
+    def test_pairwise_tau_csv_digests(self, tmp_path):
+        paths = []
+        for seed in (1, 2):
+            path = tmp_path / f"d{seed}.spmf"
+            path.write_text(serialize_spmf(TestGoldPins.dataset(seed, 40)))
+            paths.append(path)
+        cfg = base_config(paths[0], tmp_path, min_support="4",
+                          measures=tuple(MEASURE_NAMES))
+        cfg.dataset = tuple(map(str, paths))
+        blocks = run_pairwise_tau(cfg)
+        assert len(blocks.blocks) == 20
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()
+                                        ).hexdigest()
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS

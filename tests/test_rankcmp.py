@@ -3,7 +3,8 @@ import random
 import pytest
 
 from patclass.measures import Ranking
-from patclass.rankcmp import RankCmpError, equivalence_blocks, kendall_tau, rbo
+from patclass.rankcmp import (RankCmpError, _count_inversions, equivalence_blocks,
+                              kendall_tau, rbo)
 
 from oracles import (RankingPair, naive_kendall_tau, naive_rbo,
                      rbo_prefix_monotonicity_check, rbo_raw,
@@ -57,6 +58,15 @@ class TestKendallTau:
             rng.shuffle(a)
             rng.shuffle(b)
             assert kendall_tau(a, b) == pytest.approx(naive_kendall_tau(a, b))
+        # the inversion count behind tau, exactly, on permutations and on
+        # values with repeats (equal values are not inverted)
+        for s in [*range(12), *(rng.randint(12, 600) for _ in range(12)), 600]:
+            values = list(range(s))
+            rng.shuffle(values)
+            repeats = [rng.randrange(max(1, s // 4)) for _ in range(s)]
+            for v in (values, repeats):
+                pairs = sum(x > y for i, x in enumerate(v) for y in v[i + 1:])
+                assert _count_inversions(v) == pairs
 
     def test_different_sets_error(self):
         with pytest.raises(RankCmpError):
