@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import footprints as _footprints  # per-call lookup: perfbench wraps distinct_footprint_groups
 from .footprints import FootprintMatrix
 
 
@@ -200,18 +201,16 @@ class FootprintClustering:
     """
 
     groups: tuple[tuple[int, ...], ...]   # identical-footprint groups
-    group_reps: tuple[int, ...]           # smallest id per group
-    distances: np.ndarray                 # over group representatives
+    distances: np.ndarray                 # over each group's smallest id
     dendrogram: Dendrogram
 
     @staticmethod
     def build(matrix: FootprintMatrix) -> "FootprintClustering":
-        from .footprints import distinct_footprint_groups
-        groups = tuple(tuple(g) for g in distinct_footprint_groups(matrix))
+        groups = tuple(tuple(g) for g in _footprints.distinct_footprint_groups(matrix))
         reps = tuple(g[0] for g in groups)
         dist = manhattan_matrix(matrix, reps)
         dendro = agglomerate_complete(dist, reps, n_graphs=matrix.n_graphs)
-        return FootprintClustering(groups, reps, dist, dendro)
+        return FootprintClustering(groups, dist, dendro)
 
     def cut(self, threshold_pct: float | Fraction) -> ClusterCut:
         """Apply every merge with height <= floor(threshold_pct * n_graphs),

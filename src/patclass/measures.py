@@ -63,13 +63,6 @@ def _mul(x, y):
     return x * y
 
 
-def _sub_from_one(x):
-    """1 - x for x Fraction or +-inf."""
-    if isinstance(x, float) and math.isinf(x):
-        return -x
-    return 1 - x
-
-
 def _log2(x) -> float:
     if x == 0:
         return -INF
@@ -94,13 +87,13 @@ def _sqrt(x) -> float:
 
 @dataclass(frozen=True)
 class ProbKit:
-    """All probabilities derivable from one contingency table.
+    """The probabilities the measures read from one contingency table.
 
     A conditional on an empty event falls back to the unconditioned marginal
-    (the class prior for class-given-side conditionals), which keeps the
-    partition identities p(.|X) + p(~.|X) = 1 valid on every table. With
-    mined patterns the empty event only arises on the pattern-absent side
-    (a = n_pos and b = n_neg, a pattern present in every graph).
+    (the class prior for class-given-side conditionals), so p(pos|X) +
+    p(neg|X) = 1 on every table for X the pattern or the absent side. With
+    mined patterns the empty event only arises on the absent side (a = n_pos
+    and b = n_neg, a pattern present in every graph).
     """
 
     n_graphs: int
@@ -118,8 +111,6 @@ class ProbKit:
     neg_given_absent: Fraction
     pattern_given_pos: Fraction
     pattern_given_neg: Fraction
-    absent_given_pos: Fraction
-    absent_given_neg: Fraction
 
 
 def prob_kit(counts: ContingencyCounts) -> ProbKit:
@@ -149,8 +140,6 @@ def prob_kit(counts: ContingencyCounts) -> ProbKit:
         neg_given_absent=cond(n_neg - b, N - a - b, p_neg),
         pattern_given_pos=cond(a, n_pos, p_pattern),
         pattern_given_neg=cond(b, n_neg, p_pattern),
-        absent_given_pos=cond(n_pos - a, n_pos, 1 - p_pattern),
-        absent_given_neg=cond(n_neg - b, n_neg, 1 - p_pattern),
     )
 
 
@@ -208,8 +197,7 @@ def _entropy(k):
     return -(terms[0] + terms[1])
 
 
-def _excex(k):
-    return _sub_from_one(_div(k.neg_given_pattern, k.neg_given_absent))
+def _excex(k): return 1 - _div(k.neg_given_pattern, k.neg_given_absent)
 
 
 def _fisher(k):

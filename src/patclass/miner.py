@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .graphdata import AttributedGraph, GraphDataset, StructuralError
+from .graphdata import AttributedGraph, GraphDataset, StructuralError, serialize_spmf
 
 DfsEdge = tuple[int, int, int, int, int]  # (i, j, label_i, edge_label, label_j)
 DfsCode = tuple[DfsEdge, ...]
@@ -292,8 +292,7 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
 
 def export_patterns(pattern_set: PatternSet) -> tuple[str, str]:
     """Return (patterns_text, support_text) in the SPMF `t #` format."""
-    from .graphdata import serialize_spmf, GraphDataset as _DS
     graphs = tuple(p.to_graph() for p in pattern_set)
-    text = serialize_spmf(_DS(graphs))
+    text = serialize_spmf(GraphDataset(graphs))
     support = "".join(f"{p.pattern_id} {p.support}\n" for p in pattern_set)
     return text, support

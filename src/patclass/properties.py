@@ -47,7 +47,6 @@ class PropertyReport:
     holds: bool
     counterexample: Optional[tuple[ContingencyCounts, ContingencyCounts]]
     counterexample_scores: Optional[tuple[float, float]]
-    domain: int  # class size n used
 
     def expected(self) -> bool:
         """The declared flag; PS2 has none, so it is False."""
@@ -100,7 +99,7 @@ def _check(raw: Raw, measure: str, prop: str, n: int) -> PropertyReport:
             c2 = ContingencyCounts(a2, b2, n, n)
             s1, s2 = raw(c1), raw(c2)
             if s1 != s2:
-                return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
+                return PropertyReport(measure, prop, False, (c1, c2), (s1, s2))
             continue
         row = [ContingencyCounts(a, b, n, n) for a, b in item]
         effs = [effective(measure, raw(c)) for c in row]
@@ -113,8 +112,8 @@ def _check(raw: Raw, measure: str, prop: str, n: int) -> PropertyReport:
                 if not ki > keys[j]:
                     hi, lo = (i, j) if kind == "falls" else (j, i)
                     return PropertyReport(measure, prop, False, (row[hi], row[lo]),
-                                          (effs[hi], effs[lo]), n)
-    return PropertyReport(measure, prop, True, None, None, n)
+                                          (effs[hi], effs[lo]))
+    return PropertyReport(measure, prop, True, None, None)
 
 
 def property_matrix(n: int = 10,

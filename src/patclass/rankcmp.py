@@ -2,9 +2,12 @@
 identical-ranking blocks of a set of measures.
 
 Tau applies to two strict rankings of the same id set; every pair of ids is
-concordant (+1) or discordant (-1), and tau is their mean. RBO compares
-possibly different id sets with exponentially decaying weight on deeper
-ranks, normalized so identical prefixes score exactly 1.
+concordant (+1) or discordant (-1), and tau is their mean. The discordant
+pairs are the inversions of the second ranking's positions read in the
+first's order, counted from the right: each position adds how many smaller
+ones follow it, found by bisection into the sorted positions seen so far.
+RBO compares possibly different id sets with exponentially decaying weight
+on deeper ranks, normalized so identical prefixes score exactly 1.
 
 `equivalence_blocks` computes the tau of each (dataset, measure pair) once
 and keeps it. A block is the set of measures whose orders are identical on
@@ -14,6 +17,7 @@ is 1.0 only at zero inversions.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -31,31 +35,12 @@ def _ids(ranking) -> list:
 
 
 def _count_inversions(values: list[int]) -> int:
-    """Merge-sort inversion count, O(s log s)."""
-    n = len(values)
-    if n < 2:
-        return 0
-    buf = list(values)
-    tmp = [0] * n
+    """Pairs i < j with values[i] > values[j], O(s log s) comparisons."""
+    seen: list[int] = []
     total = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n, 2 * width):
-            mid = min(lo + width, n)
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if buf[i] <= buf[j]:
-                    tmp[k] = buf[i]
-                    i += 1
-                else:
-                    tmp[k] = buf[j]
-                    j += 1
-                    total += mid - i
-                k += 1
-            tmp[k:hi] = buf[i:mid] if i < mid else buf[j:hi]
-            buf[lo:hi] = tmp[lo:hi]
-        width *= 2
+    for v in reversed(values):
+        total += bisect_left(seen, v)
+        insort(seen, v)
     return total
 
 
@@ -121,7 +106,6 @@ class EquivalenceBlocks:
     every (dataset, sorted measure pair) and its minimum over the datasets."""
 
     blocks: tuple[tuple[str, ...], ...]
-    measures: tuple[str, ...]
     tau: dict[str, dict[tuple[str, str], float]]
     min_tau: dict[tuple[str, str], float]
 
@@ -150,7 +134,7 @@ def equivalence_blocks(rankings: dict[str, dict]) -> EquivalenceBlocks:
         orders = tuple(tuple(rankings[d][m].pattern_ids) for d in datasets)
         groups.setdefault(orders, []).append(m)
     return EquivalenceBlocks(blocks=tuple(map(tuple, groups.values())),
-                             measures=tuple(measures), tau=tau, min_tau=min_tau)
+                             tau=tau, min_tau=min_tau)
 
 
 def tau_csv(blocks: EquivalenceBlocks, dataset: str) -> str:

@@ -71,7 +71,9 @@ class CachedCharacteristic:
 
     def many(self, subsets: Iterable[Iterable[int]]) -> list[float]:
         """f of every subset. The distinct misses go to the callable as one
-        lazy stream, read as `subsets` is; with no miss it is not called."""
+        lazy stream, read as `subsets` is; with no miss it is not called.
+        The callable must read the stream to its end and give one value per
+        subset of it, in order; otherwise this raises ShapleyError."""
         keys: list[int] = []
         missing: dict[int, None] = {}
 
@@ -87,7 +89,11 @@ class CachedCharacteristic:
         stream = misses()
         first = next(stream, None)
         if first is not None:
-            values = self._fn(itertools.chain([first], stream))
+            values = list(self._fn(itertools.chain([first], stream)))
+            # gi_frame is None once the generator has run to its end
+            if stream.gi_frame is not None or len(values) != len(missing):
+                raise ShapleyError("the callable must read its whole stream "
+                                   "and give one value per subset")
             self._cache.update(zip(missing, map(float, values)))
             self.counts["evaluations"] += len(missing)
         return [self._cache[key] for key in keys]

@@ -408,7 +408,7 @@ def cut(dendrogram, threshold_pct, distances):
     with height <= floor(threshold_pct * n_graphs), with unit medoid weights.
     Threshold 0 groups exactly the identical footprints."""
     ids = tuple(dendrogram.pattern_ids)
-    return FootprintClustering(tuple((pid,) for pid in ids), ids, distances,
+    return FootprintClustering(tuple((pid,) for pid in ids), distances,
                                dendrogram).cut(threshold_pct)
 
 
@@ -632,11 +632,11 @@ def rbo_prefix_monotonicity_check(base, extension, p: float) -> bool:
     return True
 
 
-def _reference_report(measure, prop, n, violation):
+def _reference_report(measure, prop, violation):
     if violation is None:
-        return PropertyReport(measure, prop, True, None, None, n)
+        return PropertyReport(measure, prop, True, None, None)
     c1, c2, s1, s2 = violation
-    return PropertyReport(measure, prop, False, (c1, c2), (s1, s2), n)
+    return PropertyReport(measure, prop, False, (c1, c2), (s1, s2))
 
 
 def reference_contrastivity(measure, n):
@@ -648,11 +648,11 @@ def reference_contrastivity(measure, n):
         for b in range(n + 1):
             for b2 in range(b + 1, n + 1):
                 if not effs[b] > effs[b2]:
-                    return _reference_report(measure, "Contrastivity", n,
+                    return _reference_report(measure, "Contrastivity",
                                              (ContingencyCounts(a, b, n, n),
                                               ContingencyCounts(a, b2, n, n),
                                               effs[b], effs[b2]))
-    return _reference_report(measure, "Contrastivity", n, None)
+    return _reference_report(measure, "Contrastivity", None)
 
 
 def reference_jumpiness(measure, n):
@@ -663,11 +663,11 @@ def reference_jumpiness(measure, n):
     for a2 in range(1, n + 1):
         for a in range(a2 + 1, n + 1):
             if not effs[a] > effs[a2]:
-                return _reference_report(measure, "Jumpiness", n,
+                return _reference_report(measure, "Jumpiness",
                                          (ContingencyCounts(a, 0, n, n),
                                           ContingencyCounts(a2, 0, n, n),
                                           effs[a], effs[a2]))
-    return _reference_report(measure, "Jumpiness", n, None)
+    return _reference_report(measure, "Jumpiness", None)
 
 
 def reference_class_symmetry(measure, n):
@@ -678,10 +678,10 @@ def reference_class_symmetry(measure, n):
             s1 = score(measure, ContingencyCounts(a, b, n, n))
             s2 = score(measure, ContingencyCounts(b, a, n, n))
             if s1 != s2:
-                return _reference_report(measure, "ClassSymmetry", n,
+                return _reference_report(measure, "ClassSymmetry",
                                          (ContingencyCounts(a, b, n, n),
                                           ContingencyCounts(b, a, n, n), s1, s2))
-    return _reference_report(measure, "ClassSymmetry", n, None)
+    return _reference_report(measure, "ClassSymmetry", None)
 
 
 def reference_pattern_symmetry(measure, n):
@@ -692,11 +692,11 @@ def reference_pattern_symmetry(measure, n):
             s1 = score(measure, ContingencyCounts(a, b, n, n))
             s2 = score(measure, ContingencyCounts(n - a, n - b, n, n))
             if s1 != s2:
-                return _reference_report(measure, "PatternSymmetry", n,
+                return _reference_report(measure, "PatternSymmetry",
                                          (ContingencyCounts(a, b, n, n),
                                           ContingencyCounts(n - a, n - b, n, n),
                                           s1, s2))
-    return _reference_report(measure, "PatternSymmetry", n, None)
+    return _reference_report(measure, "PatternSymmetry", None)
 
 
 def reference_ps2(measure, n):
@@ -708,11 +708,11 @@ def reference_ps2(measure, n):
         for a2 in range(lo, hi + 1):
             for a in range(a2 + 1, hi + 1):
                 if not effs[a] > effs[a2]:
-                    return _reference_report(measure, "PS2", n,
+                    return _reference_report(measure, "PS2",
                                              (ContingencyCounts(a, t - a, n, n),
                                               ContingencyCounts(a2, t - a2, n, n),
                                               effs[a], effs[a2]))
-    return _reference_report(measure, "PS2", n, None)
+    return _reference_report(measure, "PS2", None)
 
 
 def reference_property_matrix(n, measures=None):

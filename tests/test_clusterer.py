@@ -284,6 +284,23 @@ class TestFootprintClustering:
         from patclass.footprints import distinct_footprint_groups
         assert len(c.clusters) == len(distinct_footprint_groups(mat))
 
+    def test_groups_looked_up_on_footprints_per_call(self, monkeypatch):
+        # perfbench's tracer counts distinct footprints by wrapping
+        # footprints.distinct_footprint_groups; a name bound at import
+        # would bypass the wrapper and the count would read 0
+        from patclass import footprints
+        from patclass.clusterer import FootprintClustering
+        calls = []
+
+        def wrapped(matrix):
+            calls.append(matrix)
+            return distinct_footprint_groups(matrix)
+
+        monkeypatch.setattr(footprints, "distinct_footprint_groups", wrapped)
+        mat = self.duplicate_rich(1)
+        FootprintClustering.build(mat)
+        assert calls == [mat]
+
 
 class TestCsv:
     def test_schemas(self):

@@ -357,6 +357,24 @@ class TestCharacteristic:
         assert f({2, 1}) == 2.0 and f(()) == 0.0
         assert len(calls) == 1 and f.counts["evaluations"] == 2
 
+    def test_lazy_values_all_kept(self):
+        # a generator of values is read after the stream has added every miss
+        f = CachedCharacteristic(lambda subsets: (float(len(s)) for s in subsets))
+        assert f.many([{1}, {2}, {1, 2}]) == [1.0, 1.0, 2.0]
+        assert f.counts["evaluations"] == 3
+
+    def test_stream_not_read_to_its_end_raises(self):
+        def first_only(subsets):
+            return [float(len(next(subsets)))]
+
+        with pytest.raises(ShapleyError):
+            CachedCharacteristic(first_only).many([{1}, {2}, {1, 2}])
+        with pytest.raises(ShapleyError):
+            CachedCharacteristic(lambda subsets: [1.0]).many([{1}, {2}])
+        with pytest.raises(ShapleyError):  # read to its end, one value short
+            CachedCharacteristic(lambda subsets: [1.0 for _ in subsets][1:]
+                                 ).many([{1}, {2}])
+
 
 class TestGoldStandard:
     def test_separating_pattern_ranked_first(self):
