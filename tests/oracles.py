@@ -19,12 +19,14 @@ stacked decisions and counts), one property check
 or appendix result at a time (`check`, `recheck_counterexample`,
 `check_independence_equilibrium`, `check_ps2_exclusivity`), the batch and
 uncached forms of a one-subset Shapley game, the RBO checks (un-normalized
-RBO, prefix monotonicity), `RankingPair` and `write_tudataset`, the
-TUDataset writer that lets a test read one dataset in both input formats.
+RBO, prefix monotonicity), `RankingPair`, `write_tudataset`, the
+TUDataset writer that lets a test read one dataset in both input formats,
+and `molecule_like_text`, the benchmark's generated dataset.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import random
 from dataclasses import dataclass
@@ -451,6 +453,16 @@ def write_tudataset(dataset: GraphDataset, directory: Path, name: str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for suffix, rows in files.items():
         (directory / f"{name}_{suffix}.txt").write_text("".join(f"{r}\n" for r in rows))
+
+
+def molecule_like_text(seed: int, n_graphs: int) -> str:
+    """The SPMF text of the benchmark's generated dataset, from
+    `perfbench/generate.py` loaded by path."""
+    path = Path(__file__).parents[1] / "perfbench" / "generate.py"
+    spec = importlib.util.spec_from_file_location("generate", path)
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    return generate.molecule_like(seed, n_graphs)
 
 
 def _reference_objective(z, y, v, lam):

@@ -740,3 +740,25 @@ class TestPairwiseTauPins:
                                         ).hexdigest()
                    for name in self.DIGESTS}
         assert digests == self.DIGESTS
+
+
+class TestClusterSweepPins:
+    """sha256 of `cluster_sweep.csv` on two generated datasets at thresholds
+    0, 10, 20, 50 and 100 %, through the command line."""
+
+    DIGESTS = {
+        1: "105a58a5224c0d2eb7ea87ac4f0472160658f04d54fc4d99db55d680116f9a98",
+        2: "bbc61e94a8ccc622130947f71d578d686454d60c875ecc88b3da72e7d08d6f87",
+    }
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cluster_sweep_csv_digest(self, tmp_path, seed):
+        path = tmp_path / f"d{seed}.spmf"
+        path.write_text(serialize_spmf(TestGoldPins.dataset(seed)))
+        result = CliRunner().invoke(main, [
+            "cluster-sweep", "--dataset", str(path), "--out", str(tmp_path / "out"),
+            "--set", "min_support=8", "--set", "max_edges=3", "--set", "k_folds=5",
+            "--thresholds", "0,10,20,50,100"])
+        assert result.exit_code == 0, result.output
+        text = (tmp_path / "out" / "cluster_sweep.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == self.DIGESTS[seed]

@@ -1,4 +1,3 @@
-import importlib.util
 import random
 from pathlib import Path
 
@@ -11,7 +10,8 @@ from patclass.graphdata import (NEGATIVE, POSITIVE, AttributedGraph,
                                 dataset_stats, load_tudataset, parse_spmf,
                                 parse_tudataset, serialize_spmf)
 
-from oracles import degree_sequence, random_graph, write_tudataset
+from oracles import (degree_sequence, molecule_like_text, random_graph,
+                     write_tudataset)
 
 MINIMAL = "t # 0\nv 0 1\nv 1 1\ne 0 1 0"
 
@@ -233,11 +233,7 @@ class TestReadersAgree:
 
     @pytest.fixture
     def forms(self, tmp_path):
-        path = Path(__file__).parents[1] / "perfbench" / "generate.py"
-        spec = importlib.util.spec_from_file_location("generate", path)
-        generate = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(generate)
-        text = generate.molecule_like(3, 40)
+        text = molecule_like_text(3, 40)
         (tmp_path / "mol.spmf").write_text(text)
 
         bare, labels = ["# classes are in the sidecar file", ""], []

@@ -1,8 +1,6 @@
 import hashlib
-import importlib.util
 import random
 from functools import cmp_to_key
-from pathlib import Path
 
 import pytest
 
@@ -14,17 +12,13 @@ from patclass.miner import (MinerError, canonical_code, code_to_graph,
 
 from oracles import (brute_force_contains, brute_force_isomorphic,
                      connected_subgraph_classes, contains, graph_canonical_form,
-                     graph_support, import_patterns, random_graph,
-                     reference_edge_lt, reference_is_min)
+                     graph_support, import_patterns, molecule_like_text,
+                     random_graph, reference_edge_lt, reference_is_min)
 
 
 def molecule_like(seed, n_graphs):
-    """The benchmark's generated dataset, loaded from perfbench by path."""
-    path = Path(__file__).parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("generate", path)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return parse_spmf(generate.molecule_like(seed, n_graphs))
+    """The benchmark's generated dataset, parsed."""
+    return parse_spmf(molecule_like_text(seed, n_graphs))
 
 
 def triangle(labels=(0, 0, 0), elabels=(0, 0, 0), gid=0, cls=None):
