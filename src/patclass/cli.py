@@ -1,11 +1,12 @@
 """Command-line workbench: pipeline, cluster-sweep, pairwise-tau, gold,
 properties, stats.
 
-Configuration is a flat key=value file; every key can be overridden on the
-command line with --set key=value. All randomness flows from explicit seeds
-in the config (no wall-clock defaults), so identical config + seeds produce
-byte-identical CSV outputs. Exit codes: 0 success, 2 configuration error,
-1 runtime error.
+Every command is a function of one RunConfig: a flat key=value file
+(--config), --set key=value overrides, --dataset and --out. A dataset
+directory is read as TUDataset files, any other path as SPMF text. All
+randomness flows from explicit seeds in the config (no wall-clock defaults),
+so identical config + seeds produce byte-identical CSV outputs. Exit codes:
+0 success, 2 configuration error, 1 runtime error.
 
 pipeline, cluster-sweep, gold and stats read exactly one dataset (more is a
 configuration error), pairwise-tau one or more, properties none (one is a
@@ -33,6 +34,7 @@ from . import properties as props
 from . import rankcmp, shapley
 
 DEFAULT_S_GRID = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
+DEFAULT_THRESHOLDS = (0.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
 
 
 class ConfigError(ValueError):
@@ -42,7 +44,6 @@ class ConfigError(ValueError):
 @dataclass
 class RunConfig:
     dataset: tuple[str, ...] = ()
-    format: str = "spmf"                 # spmf | tudataset
     labels: Optional[str] = None         # sidecar label file for spmf
     tu_name: Optional[str] = None        # file prefix for tudataset dirs
     balance: bool = True
@@ -50,6 +51,7 @@ class RunConfig:
     max_patterns: Optional[int] = None
     max_edges: Optional[int] = 6
     threshold_pct: float = 20.0          # clustering threshold, percent of N
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS  # cluster-sweep pcts
     measures: tuple[str, ...] = measures.MEASURE_NAMES
     s: str = "100%"                      # top-pattern count or percent
     s_grid: tuple[float, ...] = DEFAULT_S_GRID
@@ -75,13 +77,16 @@ class RunConfig:
             if (getattr(self, f.name) in (None, "")
                     and type(None) not in get_args(hints[f.name])):
                 raise ConfigError(f"{f.name} must not be none or empty")
-        for key in ("measures", "s_grid"):
+        for key in ("measures", "s_grid", "thresholds"):
             if not getattr(self, key):
                 raise ConfigError(f"{key} must not be empty")
-        if self.format not in ("spmf", "tudataset"):
-            raise ConfigError(f"unknown format {self.format!r}")
         if not (0.0 <= self.threshold_pct <= 100.0):
             raise ConfigError("threshold_pct must be in [0, 100]")
+        if not all(0.0 <= pct <= 100.0 for pct in self.thresholds):
+            raise ConfigError("thresholds must be in [0, 100]")
+        # exact Shapley visits all 2**k coalitions: 2**20 is a million CVs
+        if not (0 <= self.exact_limit <= 20):
+            raise ConfigError("exact_limit must be in [0, 20]")
         for pct in self.s_grid:
             if not (0.0 < pct <= 100.0):
                 raise ConfigError("s_grid percentages must be in (0, 100]")
@@ -203,10 +208,18 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
 
 
 def _load_dataset(cfg: RunConfig, path: str) -> graphdata.GraphDataset:
-    if cfg.format == "spmf":
-        labels_text = Path(cfg.labels).read_text() if cfg.labels else None
-        return graphdata.parse_spmf(Path(path).read_text(), labels_text)
-    return graphdata.load_tudataset(path, cfg.tu_name or Path(path).name)
+    """A directory is TUDataset files named `tu_name` or the directory's
+    name, any other path SPMF text; the other layout's key is a ConfigError."""
+    where = Path(path)
+    is_dir = where.is_dir()
+    misplaced = "labels" if is_dir else "tu_name"
+    if getattr(cfg, misplaced):
+        raise ConfigError(f"{misplaced} does not apply to {path}: a directory "
+                          "is read as TUDataset, any other path as SPMF")
+    if is_dir:
+        return graphdata.load_tudataset(where, cfg.tu_name or where.name)
+    labels_text = Path(cfg.labels).read_text() if cfg.labels else None
+    return graphdata.parse_spmf(where.read_text(), labels_text)
 
 
 def _one_dataset(cfg: RunConfig) -> str:
@@ -224,8 +237,6 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 class StageError(RuntimeError):
     def __init__(self, stage: str, cause: BaseException):
         super().__init__(f"stage {stage!r} failed: {cause}")
-        self.stage = stage
-        self.cause = cause
 
 
 @contextmanager
@@ -330,20 +341,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return summary
 
 
-def run_cluster_sweep(cfg: RunConfig, thresholds: Sequence[float]) -> str:
-    if not thresholds:
-        raise ConfigError("threshold list must be non-empty")
-    for t in thresholds:
-        if not (0.0 <= t <= 100.0):
-            raise ConfigError("thresholds are percentages in [0, 100]")
+def run_cluster_sweep(cfg: RunConfig) -> str:
     _ds, _ps, matrix, clustering, _cut = _mine_and_cluster(cfg, _one_dataset(cfg))
     with _stage("sweep"):
         f1 = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
                                                 seed=cfg.seed)
-        cuts = [clustering.cut(_share(pct)) for pct in thresholds]
+        cuts = [clustering.cut(_share(pct)) for pct in cfg.thresholds]
         scores = f1.many(cut.representatives for cut in cuts)
         lines = ["threshold_pct,abs_threshold,n_representatives,f1"]
-        for pct, cut, score in zip(thresholds, cuts, scores):
+        for pct, cut, score in zip(cfg.thresholds, cuts, scores):
             lines.append(f"{pct!r},{cut.threshold},{len(cut.representatives)},"
                          f"{score!r}")
     text = "\n".join(lines) + "\n"
@@ -446,10 +452,10 @@ def main():
 
 
 def _command(body):
-    """Register `body(cfg, **own_options)` as a subcommand of `main` that
-    builds the config from --config, --set and the flags, and exits 2 on a
+    """Register `body(cfg)` as a subcommand of `main` that builds its one
+    RunConfig from --config, --set, --dataset and --out, and exits 2 on a
     ConfigError and 1, printing `error: ...`, on any other failure. `wraps`
-    carries the name, help text and own options of `body` over."""
+    carries the name and help text of `body` over."""
     @main.command()
     @click.option("--out", default=None, help="output directory")
     @click.option("--dataset", multiple=True,
@@ -459,7 +465,7 @@ def _command(body):
     @click.option("--config", type=click.Path(exists=True, dir_okay=False),
                   default=None, help="key=value config file")
     @functools.wraps(body)
-    def command(config, overrides, dataset, out, **own_options):
+    def command(config, overrides, dataset, out):
         try:
             cfg = load_config(config, overrides)
             # the flags win over --set; a bad value in either exits 2
@@ -468,7 +474,7 @@ def _command(body):
             if out is not None:
                 cfg.out = out
             cfg.validate()
-            body(cfg, **own_options)
+            body(cfg)
         except ConfigError as exc:
             raise click.UsageError(str(exc)) from exc
         except Exception as exc:  # runtime failures, StageError included, exit 1
@@ -484,15 +490,9 @@ def pipeline(cfg):
 
 
 @_command
-@click.option("--thresholds", default="0,5,10,20,40,60,80,100",
-              help="comma list of threshold percentages")
-def cluster_sweep(cfg, thresholds):
+def cluster_sweep(cfg):
     """Representative count and F1 across clustering thresholds."""
-    try:
-        values = [float(x) for x in thresholds.split(",") if x.strip()]
-    except ValueError:
-        raise ConfigError(f"bad threshold list {thresholds!r}") from None
-    click.echo(run_cluster_sweep(cfg, values), nl=False)
+    click.echo(run_cluster_sweep(cfg), nl=False)
 
 
 @_command

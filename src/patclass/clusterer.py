@@ -212,19 +212,19 @@ class FootprintClustering:
         dendro = agglomerate_complete(dist, reps, n_graphs=matrix.n_graphs)
         return FootprintClustering(groups, dist, dendro)
 
-    def cut(self, threshold_pct: float | Fraction) -> ClusterCut:
-        """Apply every merge with height <= floor(threshold_pct * n_graphs),
-        with leaf i standing for the pattern ids groups[i] (smallest first),
+    def cut(self, share: float | Fraction) -> ClusterCut:
+        """Apply every merge with height <= floor(share * n_graphs), with
+        leaf i standing for the pattern ids groups[i] (smallest first),
         weighted by their count in the medoid choice.
 
-        threshold_pct is a fraction of the graph count (the maximal possible
-        Manhattan distance); threshold 0 groups exactly the identical
-        footprints. A Fraction, as the commands pass, floors an exact product.
+        share is a share in [0, 1] of the graph count (the maximal possible
+        Manhattan distance); share 0 groups exactly the identical footprints.
+        A Fraction, as the commands pass, floors an exact product.
         """
-        if not (0.0 <= threshold_pct <= 1.0):
-            raise ClusterError("threshold_pct must be in [0, 1]")
+        if not (0.0 <= share <= 1.0):
+            raise ClusterError("share must be in [0, 1]")
         dendrogram, groups = self.dendrogram, self.groups
-        threshold = math.floor(threshold_pct * dendrogram.n_graphs)
+        threshold = math.floor(share * dendrogram.n_graphs)
         members: dict[int, list[int]] = {i: [i] for i in range(dendrogram.n_leaves)}
         for (x, y, h, new_id) in dendrogram.merges:
             if h > threshold:

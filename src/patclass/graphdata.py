@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Iterator, Optional, Sequence
 
 POSITIVE = 1
@@ -345,7 +346,6 @@ def parse_tudataset(adjacency: str, graph_indicator: str, graph_labels: str,
 
 def load_tudataset(directory, name: str) -> GraphDataset:
     """Load ``<name>_A.txt`` etc. from a directory on disk."""
-    from pathlib import Path
     d = Path(directory)
 
     def read(suffix: str, required: bool) -> Optional[str]:

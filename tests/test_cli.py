@@ -16,7 +16,7 @@ from patclass.graphdata import (NEGATIVE, POSITIVE, GraphDataset, dataset_stats,
                                 parse_spmf, serialize_spmf)
 from patclass.measures import MEASURE_NAMES
 
-from oracles import random_graph
+from oracles import random_graph, write_tudataset
 
 
 def spmf_fixture(seed=0, n=16):
@@ -265,8 +265,7 @@ class TestCliCommands:
         assert doc and doc.strip() in result.output
         listed = [line.split()[0] for line in result.output.splitlines()
                   if line.startswith("  --")]
-        own = ["--thresholds"] if name == "cluster-sweep" else []
-        assert listed == ["--out", "--dataset", "--set", "--config", *own, "--help"]
+        assert listed == ["--out", "--dataset", "--set", "--config", "--help"]
 
     def test_non_utf8_config_exits_two_naming_the_file(self, tmp_path):
         # the UnicodeDecodeError used to escape click: exit 1 with a traceback
@@ -291,7 +290,8 @@ class TestCliCommands:
         "n_permutations=0", "seed=", "balance=maybe", "c=nan", "out=",
         "measures=", "format=none", "min_support=none", "k_folds=2.5",
         "min_support=inf", "s=inf", "max_edges=-1", "max_patterns=0",
-        "measures=Sup,GR,Sup"])
+        "measures=Sup,GR,Sup", "exact_limit=-1", "exact_limit=21", "thresholds=",
+        "thresholds=0,101", "thresholds=-5", "thresholds=10,x"])
     def test_bad_value_exits_two_naming_the_key(self, dataset_file, tmp_path,
                                                 setting):
         runner = CliRunner()
@@ -330,7 +330,7 @@ class TestCliCommands:
             "cluster-sweep", "--dataset", str(dataset_file),
             "--out", str(tmp_path / "out"),
             "--set", "max_edges=3", "--set", "k_folds=4",
-            "--thresholds", "0,25,50,100"])
+            "--set", "thresholds=0,25,50,100"])
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "out" / "cluster_sweep.csv").read_text().strip().splitlines()
         counts = [int(r.split(",")[2]) for r in rows[1:]]
@@ -348,7 +348,7 @@ class TestCliCommands:
         p.write_text(spmf_fixture(n=90))
         result = CliRunner().invoke(main, [
             "cluster-sweep", "--dataset", str(p), "--out", str(tmp_path / "out"),
-            "--set", "max_edges=2", "--set", "k_folds=3", "--thresholds", "70"])
+            "--set", "max_edges=2", "--set", "k_folds=3", "--set", "thresholds=70"])
         assert result.exit_code == 0, result.output
         rows = (tmp_path / "out" / "cluster_sweep.csv").read_text().splitlines()
         assert rows[1].split(",")[:2] == ["70.0", "63"]
@@ -444,10 +444,25 @@ class TestCliCommands:
         runner = CliRunner()
         result = runner.invoke(main, [
             "stats", "--dataset", str(d), "--out", str(tmp_path / "o"),
-            "--set", "format=tudataset", "--set", "tu_name=TOY"])
+            "--set", "tu_name=TOY"])
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["n_graphs"] == 2 and payload["avg_edges"] == 1.0
+
+    @pytest.mark.parametrize("key", ["labels", "tu_name"])
+    def test_key_of_the_other_layout_exits_two(self, dataset_file, tmp_path, key):
+        # with the format the path needs, the key used to be ignored: exit 0
+        tu = tmp_path / "TOY"
+        write_tudataset(parse_spmf(dataset_file.read_text()), tu, "TOY")
+        sidecar = tmp_path / "labels.txt"
+        sidecar.write_text("0 1\n")
+        path, value = (tu, sidecar) if key == "labels" else (dataset_file, "TOY")
+        result = CliRunner().invoke(main, [
+            "stats", "--dataset", str(path), "--out", str(tmp_path / "o"),
+            "--set", f"{key}={value}"])
+        assert result.exit_code == 2, result.output
+        assert f"{key} does not apply to {path}" in result.output
+        assert not (tmp_path / "o").exists()
 
 
 class TestPairwiseTau:
@@ -620,6 +635,7 @@ class TestGoldCommand:
         cfg.s_grid = (1.0, 2.0, 50.0, 100.0)
         cfg.exact_limit = exact_limit or cfg.exact_limit
         cfg.n_permutations = 3
+        cfg.thresholds = (0.0, 40.0, 40.0, 100.0)
         cfg.validate()
         if command == "gold":
             info = run_gold(cfg)
@@ -629,7 +645,7 @@ class TestGoldCommand:
             run_pipeline(cfg)
             assert len(trained) == 1
         else:
-            run_cluster_sweep(cfg, [0.0, 40.0, 40.0, 100.0])
+            run_cluster_sweep(cfg)
         n_cvs, n_sets = len(seen), len(set(seen))
         assert n_cvs and n_cvs == n_sets
         assert len(trained) == len(set(trained))
@@ -758,7 +774,7 @@ class TestClusterSweepPins:
         result = CliRunner().invoke(main, [
             "cluster-sweep", "--dataset", str(path), "--out", str(tmp_path / "out"),
             "--set", "min_support=8", "--set", "max_edges=3", "--set", "k_folds=5",
-            "--thresholds", "0,10,20,50,100"])
+            "--set", "thresholds=0,10,20,50,100"])
         assert result.exit_code == 0, result.output
         text = (tmp_path / "out" / "cluster_sweep.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == self.DIGESTS[seed]

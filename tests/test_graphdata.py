@@ -260,8 +260,7 @@ class TestReadersAgree:
         tmp_path = forms[0]
         outputs = []
         for dataset, settings in ((tmp_path / "mol.spmf", {}),
-                                  (tmp_path / "tu", {"format": "tudataset",
-                                                     "tu_name": "MOL"})):
+                                  (tmp_path / "tu", {"tu_name": "MOL"})):
             cfg = RunConfig(dataset=(str(dataset),), out=str(tmp_path / f"out{len(outputs)}"),
                             min_support="6", max_edges=3, threshold_pct=20.0,
                             measures=("Sup", "GR", "WRACC"), k_folds=4, **settings)
