@@ -207,16 +207,22 @@ def load_config(path: Optional[str], overrides: Sequence[str]) -> RunConfig:
     return cfg
 
 
-def _load_dataset(cfg: RunConfig, path: str) -> graphdata.GraphDataset:
-    """A directory is TUDataset files named `tu_name` or the directory's
-    name, any other path SPMF text; the other layout's key is a ConfigError."""
-    where = Path(path)
-    is_dir = where.is_dir()
+def _is_tudataset(cfg: RunConfig, path: str) -> bool:
+    """True for a directory, read as TUDataset, False for any other path,
+    read as SPMF; the other layout's key is a ConfigError."""
+    is_dir = Path(path).is_dir()
     misplaced = "labels" if is_dir else "tu_name"
     if getattr(cfg, misplaced):
         raise ConfigError(f"{misplaced} does not apply to {path}: a directory "
                           "is read as TUDataset, any other path as SPMF")
-    if is_dir:
+    return is_dir
+
+
+def _load_dataset(cfg: RunConfig, path: str) -> graphdata.GraphDataset:
+    """A directory is TUDataset files named `tu_name` or the directory's
+    name, any other path SPMF text."""
+    where = Path(path)
+    if _is_tudataset(cfg, path):
         return graphdata.load_tudataset(where, cfg.tu_name or where.name)
     labels_text = Path(cfg.labels).read_text() if cfg.labels else None
     return graphdata.parse_spmf(where.read_text(), labels_text)
@@ -363,6 +369,8 @@ def run_pairwise_tau(cfg: RunConfig) -> rankcmp.EquivalenceBlocks:
     if len({Path(path).stem for path in cfg.dataset}) < len(cfg.dataset):
         raise ConfigError("dataset file stems must differ: they key the "
                           "rankings and name the tau_<stem>.csv files")
+    for path in cfg.dataset:  # a misplaced layout key fails before any mining
+        _is_tudataset(cfg, path)
     out_dir = Path(cfg.out)
     rankings: dict[str, dict[str, measures.Ranking]] = {}
     for path in cfg.dataset:

@@ -14,11 +14,12 @@ converted to float once, so equal rational scores compare equal and ties are
 deterministic. Three measures score lower = more discriminative (FPR, Gini,
 Entropy); effective_score negates them so higher always means better.
 
-`scorer(measure, kit)` is a measure's raw score as a function of the table,
-memoized. A call that scores many tables (rank_all, scores_csv, the property
-matrix) passes every measure one `functools.cache(prob_kit)`, so it builds
-one probability kit per distinct table for all its measures, and scores each
-(measure, table) once.
+`scorer(measure, kit)` is a measure's raw score as a function of the table:
+the formula and its NaN check, memoizing nothing. A call that scores many
+tables memoizes under its own key and shares one kit memo across all its
+measures, so it builds one probability kit per distinct table and scores
+each (measure, table) once: rank_all and scores_csv key both by the table,
+the property matrix keys both by (a, b), its class sizes being fixed.
 """
 
 from __future__ import annotations
@@ -409,8 +410,10 @@ def scorer(measure: str, kit: Callable[[ContingencyCounts], ProbKit]
            ) -> Callable[[ContingencyCounts], float]:
     """The raw score of one measure as a function of the table, reading each
     table's probabilities through `kit` (`prob_kit`, or a memo of it that
-    the caller shares across measures). It scores each table once for as
-    long as the caller keeps it."""
+    the caller shares across measures). It memoizes nothing: every call
+    evaluates the formula and checks it for NaN. Callers that read a table
+    more than once keep its score under their own key: `_scored` by the
+    table, `properties.property_matrix` by (a, b)."""
     try:
         fn = _REGISTRY[measure][0]
     except KeyError:
@@ -421,7 +424,7 @@ def scorer(measure: str, kit: Callable[[ContingencyCounts], ProbKit]
         if math.isnan(out):
             raise MeasureError(f"{measure} produced NaN on {counts}")
         return out
-    return functools.cache(raw)
+    return raw
 
 
 def effective(measure: str, raw: float) -> float:
@@ -469,12 +472,14 @@ class Ranking:
 def _scored(matrix: FootprintMatrix, pattern_ids: Sequence[int],
             measures: Sequence[str]):
     """Per measure: (measure, raw score by pattern id, Ranking). Every
-    measure reads one kit memo, and each (measure, table) is scored once."""
+    measure reads one kit memo, and scores each distinct table once."""
     counts = {pid: contingency(matrix, pid) for pid in pattern_ids}
+    tables = dict.fromkeys(counts.values())
     kit = functools.cache(prob_kit)
     for m in measures:
         raw = scorer(m, kit)
-        raws = {pid: raw(c) for pid, c in counts.items()}
+        by_table = {c: raw(c) for c in tables}
+        raws = {pid: by_table[c] for pid, c in counts.items()}
         yield m, raws, Ranking.of({pid: effective(m, r) for pid, r in raws.items()})
 
 

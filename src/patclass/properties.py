@@ -84,25 +84,21 @@ _PROPERTY_TABLE: dict[str, tuple[str, Callable[[int], Iterable]]] = {
         for t in range(1, 2 * n + 1))),
 }
 
-Raw = Callable[[ContingencyCounts], float]  # a memoized `measures.scorer`
-
-
-def _check(raw: Raw, measure: str, prop: str, n: int) -> PropertyReport:
-    """Walk the property's domain in order; the first violation is the
-    counterexample, the table expected to score higher first. Scoring stays
-    lazy: a check that exits early never scores the tables it did not reach."""
+def _check(raw: Callable[[tuple[int, int]], float], measure: str, prop: str,
+           n: int) -> PropertyReport:
+    """Walk the property's domain of (a, b) keys in order, reading each raw
+    score through `raw`; the first violation is the counterexample, the table
+    expected to score higher first. Scoring stays lazy: a check that exits
+    early never scores the tables it did not reach."""
     kind, domain = _PROPERTY_TABLE[prop]
     for item in domain(n):
         if kind == "invariant":
-            (a, b), (a2, b2) = item
-            c1 = ContingencyCounts(a, b, n, n)
-            c2 = ContingencyCounts(a2, b2, n, n)
-            s1, s2 = raw(c1), raw(c2)
+            k1, k2 = item
+            s1, s2 = raw(k1), raw(k2)
             if s1 != s2:
-                return PropertyReport(measure, prop, False, (c1, c2), (s1, s2))
+                return _violation(measure, prop, n, (k1, k2), (s1, s2))
             continue
-        row = [ContingencyCounts(a, b, n, n) for a, b in item]
-        effs = [effective(measure, raw(c)) for c in row]
+        effs = [effective(measure, raw(ab)) for ab in item]
         # Every pair i < j needs keys[i] > keys[j]. Negation turns a rising
         # row into a falling one, exactly: the scores are never NaN.
         keys = effs if kind == "falls" else [-e for e in effs]
@@ -111,22 +107,32 @@ def _check(raw: Raw, measure: str, prop: str, n: int) -> PropertyReport:
             for j in range(i + 1, len(keys)):
                 if not ki > keys[j]:
                     hi, lo = (i, j) if kind == "falls" else (j, i)
-                    return PropertyReport(measure, prop, False, (row[hi], row[lo]),
-                                          (effs[hi], effs[lo]))
+                    return _violation(measure, prop, n, (item[hi], item[lo]),
+                                      (effs[hi], effs[lo]))
     return PropertyReport(measure, prop, True, None, None)
+
+
+def _violation(measure: str, prop: str, n: int, keys, scores) -> PropertyReport:
+    """The false verdict whose counterexample is the two (a, b) keys."""
+    return PropertyReport(measure, prop, False,
+                          tuple(ContingencyCounts(a, b, n, n) for a, b in keys),
+                          scores)
 
 
 def property_matrix(n: int = 10,
                     measures: Sequence[str] | None = None) -> list[PropertyReport]:
     """All (measure, property) verdicts over the balanced domain of size n.
 
-    One scorer per measure serves all of its checks, and one kit per table
-    serves all measures, so each (measure, table) is scored once however
-    many checks reach it."""
-    kit = cache(_measures.prob_kit)
+    The grid of tables is built once. Kits are memoized by (a, b) across all
+    measures, and each measure's raw scores by (a, b) across its checks, so
+    each (measure, table) is scored once however many checks reach it."""
+    tables = {(a, b): ContingencyCounts(a, b, n, n)
+              for a in range(_at_least_two(n) + 1) for b in range(n + 1) if a + b}
+    kits = cache(lambda a, b: _measures.prob_kit(tables[a, b]))
     reports = []
     for m in MEASURE_NAMES if measures is None else measures:
-        raw = scorer(m, kit)
+        formula = scorer(m, lambda c: kits(c.a, c.b))
+        raw = cache(lambda ab: formula(tables[ab]))
         reports.extend(_check(raw, m, prop, n) for prop in PROPERTIES)
     return reports
 

@@ -21,7 +21,8 @@ or appendix result at a time (`check`, `recheck_counterexample`,
 uncached forms of a one-subset Shapley game, the RBO checks (un-normalized
 RBO, prefix monotonicity), `RankingPair`, `write_tudataset`, the
 TUDataset writer that lets a test read one dataset in both input formats,
-and `molecule_like_text`, the benchmark's generated dataset.
+`perfbench_module`, which loads a benchmark script by path, and
+`molecule_like_text`, the benchmark's generated dataset.
 """
 
 from __future__ import annotations
@@ -455,14 +456,18 @@ def write_tudataset(dataset: GraphDataset, directory: Path, name: str) -> None:
         (directory / f"{name}_{suffix}.txt").write_text("".join(f"{r}\n" for r in rows))
 
 
+def perfbench_module(name: str):
+    """`perfbench/<name>.py`, loaded by path (perfbench is not a package)."""
+    path = Path(__file__).parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def molecule_like_text(seed: int, n_graphs: int) -> str:
-    """The SPMF text of the benchmark's generated dataset, from
-    `perfbench/generate.py` loaded by path."""
-    path = Path(__file__).parents[1] / "perfbench" / "generate.py"
-    spec = importlib.util.spec_from_file_location("generate", path)
-    generate = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(generate)
-    return generate.molecule_like(seed, n_graphs)
+    """The SPMF text of the benchmark's generated dataset."""
+    return perfbench_module("generate").molecule_like(seed, n_graphs)
 
 
 def _reference_objective(z, y, v, lam):
@@ -738,8 +743,10 @@ def reference_property_matrix(n, measures=None):
 
 def check(measure, prop, n):
     """One property verdict of one measure, through the checker
-    `property_matrix` walks, with a scorer of its own."""
-    return _check(scorer(measure, prob_kit), measure, prop, n)
+    `property_matrix` walks, with a fresh table and score for every (a, b)
+    key the check reads."""
+    formula = scorer(measure, prob_kit)
+    return _check(lambda ab: formula(ContingencyCounts(*ab, n, n)), measure, prop, n)
 
 
 def recheck_counterexample(report: PropertyReport) -> bool:

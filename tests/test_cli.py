@@ -466,6 +466,43 @@ class TestCliCommands:
 
 
 class TestPairwiseTau:
+    @pytest.mark.parametrize("key", ["labels", "tu_name"])
+    def test_key_of_the_other_layout_exits_two_before_mining(
+            self, dataset_file, tmp_path, monkeypatch, key):
+        # the path the key does not fit comes second, after one it fits
+        from patclass import miner
+        mined = []
+        real = miner.mine_frequent
+
+        def recording(*args, **kwargs):
+            mined.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(miner, "mine_frequent", recording)
+        tu = tmp_path / "TOY"
+        write_tudataset(parse_spmf(dataset_file.read_text()), tu, "TOY")
+        # an SPMF file whose classes come from the sidecar, so it loads
+        # with labels= and only the directory rejects the key
+        spmf, sidecar = tmp_path / "bare.spmf", tmp_path / "labels.txt"
+        lines, classes = [], []
+        for line in dataset_file.read_text().splitlines():
+            if line.startswith("t #"):
+                *header, cls = line.split()
+                line = " ".join(header)
+                classes.append(f"{header[-1]} {cls}")
+            lines.append(line)
+        spmf.write_text("\n".join(lines) + "\n")
+        sidecar.write_text("\n".join(classes) + "\n")
+        paths, value = (((spmf, tu), sidecar) if key == "labels"
+                        else ((tu, dataset_file), "TOY"))
+        result = CliRunner().invoke(main, [
+            "pairwise-tau", "--dataset", str(paths[0]), "--dataset", str(paths[1]),
+            "--out", str(tmp_path / "o"), "--set", f"{key}={value}"])
+        assert result.exit_code == 2, result.output
+        assert f"{key} does not apply to {paths[1]}" in result.output
+        assert mined == []
+        assert not (tmp_path / "o").exists()
+
     def test_blocks_and_matrix(self, tmp_path):
         paths = []
         for seed in (1, 2):

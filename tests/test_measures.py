@@ -345,8 +345,8 @@ def _tables(n_pos, n_neg):
 
 
 class TestTableScorer:
-    # The memoized path that rank_all, scores_csv and the property matrix
-    # take: one kit memo for all measures, one memoized scorer per measure.
+    # The path that rank_all, scores_csv and the property matrix take: one
+    # kit memo for all measures, one scorer per measure.
     # Every balanced table with n <= 10, plus unbalanced class sizes, so a
     # key that dropped the class sizes would mix tables up
     TABLES = ([c for n in range(1, 11) for c in _tables(n, n)]
@@ -356,8 +356,8 @@ class TestTableScorer:
     def test_shared_scorer_matches_per_call_scores_bit_for_bit(self):
         want = {(m, c): (score(m, c), effective_score(m, c))
                 for m in MEASURE_NAMES for c in self.TABLES}
-        # measure by measure, each table twice (the second read is stored),
-        # and shuffled, which switches measure on almost every call
+        # measure by measure, each table twice (the second read finds its
+        # kit stored), and shuffled, which switches measure on almost every call
         measure_major = [(m, c) for m in MEASURE_NAMES
                          for c in self.TABLES + self.TABLES]
         shuffled = list(want)

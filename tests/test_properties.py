@@ -242,6 +242,14 @@ class TestSharedScorer:
         for g, w in zip(got, want):
             assert g == w  # counterexample scores too
 
+    @pytest.mark.parametrize("n", [5, 10])
+    def test_one_measure_alone_matches_its_rows_of_the_matrix(self, n):
+        # kits are shared across measures, raw scores are not: a measure
+        # checked alone reads no score another measure left behind
+        full = property_matrix(n)
+        for m in MEASURE_NAMES:
+            assert property_matrix(n, [m]) == [r for r in full if r.measure == m], m
+
     def test_one_kit_per_table_of_the_grid(self, monkeypatch):
         built = []
         real = measures.prob_kit

@@ -5,12 +5,18 @@ be named in `src/patclass` outside its own definition, in `perfbench/*.py`,
 or be exported through `patclass.__all__`. Names are read from the AST's
 `Name`, `Attribute` and import `alias` nodes. What only tests call belongs
 in `tests/oracles.py`.
+
+The benchmark's traced run (`perfbench/spans.py`) wraps names of these
+modules through `vars()`, so a rename must fail here too.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import patclass
+
+from oracles import perfbench_module
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "patclass"
@@ -59,3 +65,22 @@ def test_every_public_def_has_a_caller():
     assert not unused, (
         f"public names with no caller in src/, perfbench/ or __all__: {unused}; "
         "move test-only helpers to tests/oracles.py")
+
+
+def test_every_traced_name_is_wrapped_and_restored():
+    spans = perfbench_module("spans")
+    names = ([(mod, path) for mod, path, _layer, _observe in spans.TARGETS]
+             + [(mod, "score") for mod in spans.SCORE_MODULES])
+
+    def lookup(mod, path):  # as Tracer.installed finds what it wraps
+        owner = importlib.import_module(f"patclass.{mod}")
+        *cls_path, attr = path.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        return vars(owner).get(attr)
+
+    before = {name: lookup(*name) for name in names}
+    assert not [name for name, raw in before.items() if raw is None]
+    with spans.Tracer().installed():
+        assert not [name for name in names if lookup(*name) is before[name]]
+    assert not [name for name in names if lookup(*name) is not before[name]]
