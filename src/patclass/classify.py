@@ -11,17 +11,16 @@ exposed objective trace is the objective of that running best model and is
 therefore non-increasing. Training is order-free and takes no seed; the
 seed of cross-validation fixes only its fold assignment.
 
-Cross-validation trains many folds as one stack: each epoch of `_fit` is
-one set of numpy calls over every stacked training set, whose examples are
-stored as y_i z_i in one zero-padded array. `cross_validate_many` takes one
-labelled feature matrix and a stream of sets of its columns, and cuts the
-sets, in arrival order, into chunks of at most STACK_FLOATS padded floats,
-the one memory budget of every CV: a chunk's features are copied out of the
-matrix only when it trains, and its reports are yielded before the next set
-is read. Its folds, whatever the sizes of its sets, train as one stack per
-training-set size (the round-robin folds have at most two sizes).
-`cross_validate` is its one-set case. Each fold still gets the bits it
-would get trained alone:
+Every training stack is built by `_fit_chunk`: it lays a chunk of column
+sets out row-major, whatever the matrix's layout, as z_i zero-padded to the
+widest set, and trains every set on every row set as one `_fit` stack per
+row-set size, the examples stored as y_i z_i; each epoch is one set of numpy
+calls over the stack. `cross_validate_many` trains a chunk's folds and
+scores them, and `train` fits each set on all rows (`cross_validate` is the
+CV's one-set case). Both cut a stream of column sets, in arrival order, into
+chunks of at most STACK_FLOATS padded floats, the one memory budget of
+training; a CV yields a chunk's reports before it reads the next set. Each
+set gets, on each row set, the bits it would get trained alone:
 z @ v and v.v are stacked matmuls on each set size's own columns, which
 make the same per-slice BLAS calls as the 2-D products (a padded sum may
 round differently); y (z.v) is (y z).v exactly; the per-slice sums reduce
@@ -48,16 +47,16 @@ import numpy as np
 from .footprints import FootprintMatrix
 
 EPOCHS = 200
-# The one memory cap of cross-validation: the floats of one chunk of column
-# sets, k * n * (D + 1) per set on the zero-padded layout, D the chunk's
-# widest set: n rows of features and (k - 1) * n rows over the training
-# stacks, both of which are held while the second is built. `_fit`'s
-# per-slice temporaries come on top, so one chunk of S sets peaks within
-#   S * (k * n * (D + 1) + 4 * (k - 1) * n + k * (6 * (D + 1) + EPOCHS + 1))
-# floats: a fit's margins, violators and two hinge temporaries take 4 floats
-# per slice and training row, at most 4 * (k - 1) * n per set, and each of
-# the at most k slices per set holds a few (D + 1)-vectors and an EPOCHS + 1
-# trace (tested at k = 3 and 5). A set larger than the cap trains alone.
+# The one memory cap of training: the floats of one chunk of column sets on
+# the zero-padded layout, D the widest set. A set holds n rows of features
+# and R training rows, (n + R) * (D + 1) floats: k * n * (D + 1) in a k-fold
+# CV (R = (k - 1) * n) and 2 * n * (D + 1) in `train` (R = n). With r slices
+# per set (k in a CV, 1 in `train`), `_fit`'s temporaries come on top, so
+# one chunk of S sets peaks within
+#   S * ((n + R) * (D + 1) + 4 * R + r * (6 * (D + 1) + EPOCHS + 1))
+# floats: margins, violators and two hinge temporaries take 4 floats per
+# training row, and each slice holds a few (D + 1)-vectors and an EPOCHS + 1
+# trace (tested at k = 3 and 5 and in `train`). A larger set trains alone.
 # Wall s / tracemalloc MB of one call (2-vCPU Xeon, shared host, median of
 # 2-10 runs): the gold-sampled workload; run_gold on molecule_like(1, 100),
 # 12 players exact and 109 sampled 4 times; acceptance test c8's gold call.
@@ -102,7 +101,7 @@ class FeatureView:
     @staticmethod
     def all_columns(matrix: FootprintMatrix) -> "FeatureView":
         """Every column, as the matrix's own bool bits: the source that
-        `cross_validate_many` copies each set's columns from."""
+        `cross_validate_many` and `train` copy each set's columns from."""
         return FeatureView(matrix.bits, matrix.labels.astype(np.int64))
 
 
@@ -181,18 +180,6 @@ def _runs(widths: Sequence[int]) -> list[tuple[int, int, int]]:
     return runs
 
 
-def train(features: FeatureView, c: float = 1.0) -> LinearModel:
-    """Fit the soft-margin linear SVM; deterministic given (data, c)."""
-    x, y = features.x, features.y
-    if len(set(y.tolist())) < 2:
-        raise ClassifyError("training data must contain both classes")
-    n, d = x.shape
-    yz = np.hstack([x, np.ones((n, 1))]) * y[:, None]
-    best_v, trace = _fit(yz[None], [d + 1], c)
-    return LinearModel(weights=best_v[0, :d], bias=float(best_v[0, d]),
-                       objective_trace=tuple(trace[:, 0].tolist()))
-
-
 def _prf1(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     """Precision/recall/F1 on the positive class from its counts; 0/0 cases
     yield 0."""
@@ -222,6 +209,54 @@ def stratified_folds(labels: Sequence[int], k: int, seed: int) -> list[np.ndarra
     return [np.array(sorted(f)) for f in folds]
 
 
+def _fit_chunk(x: np.ndarray, y: np.ndarray, chunk: list[list[int]],
+               row_sets: Sequence[np.ndarray], c: float,
+               counts: Optional[Counter] = None):
+    """Train every column set of `chunk` on every row set, one `_fit` stack
+    per row-set size. Returns z (sets, n, D + 1): a set's columns of x, a
+    ones column, then zeros; the best vectors (sets, row sets, D + 1); and
+    each `_fit`'s running best objectives. `counts["fits"]` (when given)
+    counts the `_fit`s."""
+    n, d_max = len(y), max(map(len, chunk))
+    z = np.zeros((len(chunk), n, d_max + 1))
+    for a, cols in enumerate(chunk):
+        z[a, :, :len(cols)] = x[:, cols]
+        z[a, :, len(cols)] = 1.0
+    by_size: dict[int, list[int]] = {}
+    for i, rows in enumerate(row_sets):
+        by_size.setdefault(len(rows), []).append(i)
+    vectors = np.empty((len(chunk), len(row_sets), d_max + 1))
+    traces = []
+    for size, ids in by_size.items():
+        rows = np.stack([row_sets[i] for i in ids])
+        yz = np.take(z, rows, axis=1)   # C order: reshape copies nothing
+        yz *= y[rows][None, :, :, None]
+        best_v, trace = _fit(yz.reshape(-1, size, d_max + 1),
+                             [len(cols) + 1 for cols in chunk for _ in ids], c)
+        vectors[:, ids] = best_v.reshape(len(chunk), len(ids), -1)
+        traces.append(trace)
+        if counts is not None:
+            counts["fits"] += 1
+    return z, vectors, traces
+
+
+def train(features: FeatureView, column_sets: Iterable[Iterable[int]],
+          c: float = 1.0) -> list[LinearModel]:
+    """Fit the soft-margin linear SVM on all rows for each set of columns of
+    `features`, taken in ascending index; deterministic given (data, set,
+    c). The sets train in chunks (`_chunks`), 2 * n * (D + 1) floats a set."""
+    x, y = features.x, features.y
+    if len(set(y.tolist())) < 2:
+        raise ClassifyError("training data must contain both classes")
+    models: list[LinearModel] = []
+    for chunk in _chunks(column_sets, 2 * len(y)):
+        vectors, (trace,) = _fit_chunk(x, y, chunk, [np.arange(len(y))], c)[1:]
+        models += (LinearModel(v[:len(cols)], float(v[len(cols)]),
+                               tuple(trace[:, a].tolist()))
+                   for a, (cols, v) in enumerate(zip(chunk, vectors[:, 0])))
+    return models
+
+
 def cross_validate_many(features: FeatureView,
                         column_sets: Iterable[Iterable[int]], k: int = 5,
                         c: float = 1.0, seed: int = 0,
@@ -232,10 +267,10 @@ def cross_validate_many(features: FeatureView,
 
     All sets share the folds. The sets are read as they arrive and cut, in
     arrival order, into chunks (`_chunks`); a chunk pads to its widest set,
-    so a caller with many sets hands them over by size. A chunk trains as
-    one `_fit` stack per training-set size, and its reports are yielded
-    before the next set is read. `counts["fits"]` (when given) counts the
-    stacked `_fit` calls.
+    so a caller with many sets hands them over by size. A chunk trains its
+    folds through `_fit_chunk`, and its reports are yielded before the next
+    set is read. `counts["fits"]` (when given) counts the stacked `_fit`
+    calls.
     """
     x, y = features.x, features.y
     folds = stratified_folds(y.tolist(), k, seed)
@@ -248,36 +283,18 @@ def cross_validate_many(features: FeatureView,
     x, y = x[order], y[order]
     starts = np.cumsum([0] + [len(fold) for fold in folds])
     train_rows = [position[np.setdiff1d(np.arange(n), fold)] for fold in folds]
-    # the round-robin folds have at most two sizes; each size is one stack
-    by_size: dict[int, list[int]] = {}
-    for i, rows in enumerate(train_rows):
-        by_size.setdefault(len(rows), []).append(i)
     for chunk in _chunks(column_sets, k * n):
-        d_max = max(map(len, chunk))
-        z = np.zeros((len(chunk), n, d_max + 1))
-        for a, cols in enumerate(chunk):
-            z[a, :, :len(cols)] = x[:, cols]
-            z[a, :, len(cols)] = 1.0
-        widths = [len(cols) + 1 for cols in chunk]
-        vectors = np.empty((len(chunk), k, d_max + 1))   # (w, b) per set, fold
-        for size, fold_ids in by_size.items():
-            rows = np.stack([train_rows[i] for i in fold_ids])
-            yz = np.take(z, rows, axis=1)   # C order: reshape copies nothing
-            yz *= y[rows][None, :, :, None]
-            best_v = _fit(yz.reshape(-1, size, d_max + 1),
-                          [w for w in widths for _ in fold_ids], c)[0]
-            vectors[:, fold_ids] = best_v.reshape(len(chunk), len(fold_ids), -1)
-            if counts is not None:
-                counts["fits"] += 1
-        del yz   # the next chunk's stacks are built without this one
+        # the traces are dropped: the CV keeps only (w, b) per set and fold
+        z, vectors = _fit_chunk(x, y, chunk, train_rows, c, counts)[:2]
         # one decision matmul per (set size, test fold), as each fold's
         # 2-D x @ w + b
         scores = np.empty((len(chunk), n))
-        for a, b, w in _runs(widths):
+        for a, b, w in _runs([len(cols) + 1 for cols in chunk]):
             for f, (lo, hi) in enumerate(zip(starts, starts[1:])):
                 np.matmul(z[a:b, lo:hi, :w - 1], vectors[a:b, f, :w - 1, None],
                           out=scores[a:b, lo:hi, None])
                 scores[a:b, lo:hi] += vectors[a:b, f, w - 1, None]
+        del z   # the next chunk's stack is built without this one
         positive = scores >= 0.0
         tp = np.add.reduceat(positive & (y == 1), starts[:-1], axis=1).tolist()
         pp = np.add.reduceat(positive, starts[:-1], axis=1).tolist()

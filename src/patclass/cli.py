@@ -306,18 +306,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
         lines = ["measure,s,precision,recall,f1"]
         summary_measures = {}
         # measures that pick the same set share its report and model; the
-        # distinct sets are cross-validated as one batch
+        # distinct sets are cross-validated, then trained, as one batch each
         tops = {m: frozenset(rankings[m].top(s)) for m in cfg.measures}
         distinct = list(dict.fromkeys(tops.values()))
         features = classify.FeatureView.all_columns(matrix)
-        reports = classify.cross_validate_many(features, distinct, k=cfg.k_folds,
-                                               c=cfg.c, seed=cfg.seed)
-        evaluated: dict[frozenset[int], tuple] = {}
-        for top, report in zip(distinct, reports):
-            view = classify.FeatureView.from_matrix(matrix, top)
-            model = classify.train(view, c=cfg.c)
-            evaluated[top] = (report, classify.eval_csv(report),
-                              classify.model_csv(model, sorted(top)))
+        reports = list(classify.cross_validate_many(
+            features, distinct, k=cfg.k_folds, c=cfg.c, seed=cfg.seed))
+        models = classify.train(features, distinct, c=cfg.c)
+        evaluated = {top: (report, classify.eval_csv(report),
+                           classify.model_csv(model, sorted(top)))
+                     for top, report, model in zip(distinct, reports, models)}
         for m in cfg.measures:
             report, eval_text, model_text = evaluated[tops[m]]
             _write(out_dir, f"eval_{m}.csv", eval_text)

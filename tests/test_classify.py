@@ -22,13 +22,13 @@ class TestTrain:
     def test_aligned_column_perfect_f1(self):
         y = balanced_labels(24)
         x = (y == 1).astype(float).reshape(-1, 1)
-        model = train(FeatureView(x, y))
+        [model] = train(FeatureView(x, y), [range(1)])
         assert prf1(predict(model, x), y)[2] == 1.0
 
     def test_all_zero_features_constant_positive(self):
         y = balanced_labels(20)
         x = np.zeros((20, 4))
-        model = train(FeatureView(x, y))
+        [model] = train(FeatureView(x, y), [range(4)])
         pred = predict(model, x)
         assert set(pred.tolist()) == {1}
         assert prf1(pred, y)[2] == pytest.approx(2 / 3)
@@ -37,12 +37,12 @@ class TestTrain:
         x = np.ones((4, 2))
         y = np.ones(4, dtype=int)
         with pytest.raises(ClassifyError):
-            train(FeatureView(x, y))
+            train(FeatureView(x, y), [range(2)])
 
     def test_2d_separable_matches_grid_oracle_sign(self):
         x = np.array([[1, 0], [1, 0], [1, 1], [0, 1], [0, 0], [0, 1]], dtype=float)
         y = np.array([1, 1, 1, -1, -1, -1])
-        model = train(FeatureView(x, y))
+        [model] = train(FeatureView(x, y), [range(2)])
         # coarse grid search over (w1, w2, b) for a zero-training-error margin
         # maximizer; the trained model must agree on the training signs
         best = None
@@ -66,7 +66,7 @@ class TestTrain:
         rng = np.random.default_rng(5)
         x = (rng.random((30, 8)) < 0.4).astype(float)
         y = balanced_labels(30)
-        model = train(FeatureView(x, y))
+        [model] = train(FeatureView(x, y), [range(8)])
         tr = model.objective_trace
         assert all(b <= a + 1e-15 for a, b in zip(tr, tr[1:]))
         assert len(tr) == 201
@@ -75,7 +75,7 @@ class TestTrain:
         x = np.zeros((4, 1))
         y = np.array([1, 1, -1, -1])
         with pytest.raises(ClassifyError):
-            train(FeatureView(x, y), c=0.0)
+            train(FeatureView(x, y), [range(1)], c=0.0)
 
 
 class TestPredict:
@@ -196,6 +196,15 @@ class TestAgainstReference:
                           "precision", "recall", "f1"):
                 assert getattr(got, field) == getattr(want, field), field
 
+    @staticmethod
+    def mixed_sets(seed):
+        """Ten sets of 240 columns: 13, 1, 240, 13, 13, 1, 240 and 13
+        columns, then the first again and the third reversed."""
+        rng = np.random.default_rng(seed)
+        sets = [rng.choice(240, d, replace=False).tolist()
+                for d in (13, 1, 240, 13, 13, 1, 240, 13)]
+        return sets + [sets[0], sets[2][::-1]]
+
     def check_many(self, monkeypatch, k, stack_floats, ascending=False):
         """Mixed set sizes and repeated sets in one call: every set gets the
         bits of its own CV, whatever stack and chunk it trains in. Sorted by
@@ -204,10 +213,7 @@ class TestAgainstReference:
         fits."""
         monkeypatch.setattr(classify, "STACK_FLOATS", stack_floats)
         x, y = self.random_case(k + 17, k, 240)
-        rng = np.random.default_rng(k)
-        sets = [rng.choice(240, d, replace=False).tolist()
-                for d in (13, 1, 240, 13, 13, 1, 240, 13)]
-        sets += [sets[0], sets[2][::-1]]
+        sets = self.mixed_sets(k)
         if ascending:
             sets.sort(key=len)
         counts = Counter()
@@ -289,42 +295,78 @@ class TestAgainstReference:
     def test_train_bit_identical(self, d):
         for seed, c in ((d, 1.0), (d + 1, 0.1), (d + 2, 3.0)):
             x, y = self.random_case(seed, 5, d)
-            model = train(FeatureView(x, y), c=c)
             weights, bias, trace = reference_train(x, y, c=c)
-            assert model.weights.tobytes() == weights.tobytes()
-            assert model.bias == bias
-            assert model.objective_trace == trace
+            # the input's memory layout does not reach the model
+            for layout in (np.ascontiguousarray, np.asfortranarray):
+                [model] = train(FeatureView(layout(x), y), [range(d)], c=c)
+                assert model.weights.tobytes() == weights.tobytes()
+                assert model.bias == bias
+                assert model.objective_trace == trace
+
+    @pytest.mark.parametrize("stack_floats", [1 << 40, 1])
+    def test_train_many_bit_identical(self, monkeypatch, stack_floats):
+        # mixed set sizes and repeated sets in one call, trained as one
+        # chunk or one chunk per set: every set gets the bits of its
+        # one-set call and of the one-set reference trainer on a row-major
+        # copy (x[:, cols] is column-major, and the reference's sums follow
+        # the layout it is given)
+        monkeypatch.setattr(classify, "STACK_FLOATS", stack_floats)
+        x, y = self.random_case(22, 5, 240)
+        sets = self.mixed_sets(5)
+        view = FeatureView(x.astype(bool), y)
+        models = train(view, sets, c=0.5)
+        assert len(models) == len(sets)
+        for cols, model in zip(sets, models):
+            [alone] = train(view, [cols], c=0.5)
+            weights, bias, trace = reference_train(
+                np.ascontiguousarray(x[:, sorted(cols)]), y, c=0.5)
+            for want in (alone, LinearModel(weights, bias, trace)):
+                assert model.weights.tobytes() == want.weights.tobytes()
+                assert model.bias == want.bias
+                assert model.objective_trace == want.objective_trace
 
 
 class TestChunkMemory:
-    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize("k", [3, 5, "train"])
     def test_one_chunk_peak_within_stated_bound(self, monkeypatch, k):
         # the per-chunk bound of the STACK_FLOATS comment, on 40 sets of 12
         # columns over 100 rows, cut as one chunk: the counted features and
         # training stacks, then _fit's per-slice temporaries and trace. On
         # top come the call's reordered copy of the input and its fold
-        # index arrays, (k + 5) * n words
+        # index arrays, (k + 5) * n words. `train` has r = 1 slice per set
+        # over R = n rows; on top come its row index and label arrays,
+        # 3 * n words, and _fit's per-slice norms and objectives, 8 floats
         n, sets, d = 100, 40, 12
-        rng = np.random.default_rng(k)
+        rng = np.random.default_rng(1 if k == "train" else k)
         x = rng.random((n, 30)) < 0.4
         y = balanced_labels(n)
         column_sets = [rng.choice(30, d, replace=False).tolist() for _ in range(sets)]
-        counted = sets * k * n * (d + 1)
+        r, rows = (1, n) if k == "train" else (k, (k - 1) * n)
+        counted = sets * (n + rows) * (d + 1)
         monkeypatch.setattr(classify, "STACK_FLOATS", counted)
         view, counts = FeatureView(x, y), Counter()
+        if k == "train":
+            def run(column_sets):
+                return train(view, column_sets)
+        else:
+            def run(column_sets):
+                return list(cross_validate_many(view, column_sets, k=k, counts=counts))
         # a first call outside the trace, so one-time imports stay out of it
-        list(cross_validate_many(view, column_sets[:1], k=k))
+        run(column_sets[:1])
+        counts.clear()
         tracemalloc.start()
         try:
-            reports = list(cross_validate_many(view, column_sets, k=k, counts=counts))
+            results = run(column_sets)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(reports) == sets
+        assert len(results) == sets
+        temporaries = sets * (4 * rows + r * (6 * (d + 1) + classify.EPOCHS + 1))
+        if k == "train":
+            assert peak <= 8 * (counted + temporaries) + 8 * (3 * n + 8 * sets)
+            return
         # one chunk: one stack per training-set size
         assert counts["fits"] == len({len(f) for f in stratified_folds(y.tolist(), k, 0)})
-        temporaries = sets * (4 * (k - 1) * n
-                              + k * (6 * (d + 1) + classify.EPOCHS + 1))
         assert peak <= 8 * (counted + temporaries) + x.nbytes + 8 * (k + 5) * n
 
 
@@ -338,12 +380,14 @@ class TestColumnOrder:
         for _ in range(12):
             ids = rng.choice(p, size=int(rng.integers(5, p)), replace=False).tolist()
             want = cross_validate(FeatureView.from_matrix(mat, sorted(ids)), k=5, seed=2)
-            weights = train(FeatureView.from_matrix(mat, sorted(ids))).weights
+            weights = train(FeatureView.from_matrix(mat, sorted(ids)),
+                            [range(len(ids))])[0].weights
             for _ in range(3):
                 shuffled = rng.permutation(ids).tolist()
                 view = FeatureView.from_matrix(mat, shuffled)
                 assert cross_validate(view, k=5, seed=2) == want
-                assert train(view).weights.tobytes() == weights.tobytes()
+                assert (train(view, [range(len(ids))])[0].weights.tobytes()
+                        == weights.tobytes())
 
     def test_model_csv_pairs_weights_with_ids(self):
         # column 2 is the class itself: it gets the one large positive weight
@@ -354,7 +398,7 @@ class TestColumnOrder:
         x[:, 2] = y == 1
         mat = FootprintMatrix(x.astype(bool), y.tolist())
         ids = [2, 0, 1]
-        model = train(FeatureView.from_matrix(mat, ids))
+        [model] = train(FeatureView.from_matrix(mat, ids), [range(3)])
         rows = dict(line.split(",") for line in
                     model_csv(model, sorted(ids)).splitlines()[1:-1])
         assert max(rows, key=lambda pid: float(rows[pid])) == "2"

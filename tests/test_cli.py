@@ -653,9 +653,11 @@ class TestGoldCommand:
                     yield cols
             return real_cv(features, passed_through(), **kw)
 
-        def counting_train(view, **kw):
-            trained.append(view.x.T.tobytes())
-            return real_train(view, **kw)
+        def counting_train(features, column_sets, **kw):
+            column_sets = list(column_sets)
+            trained.extend(features.x[:, sorted(cols)].T.tobytes()
+                           for cols in column_sets)
+            return real_train(features, column_sets, **kw)
 
         monkeypatch.setattr(classify, "cross_validate_many", counting)
         monkeypatch.setattr(shapley, "cross_validate_many", counting)
