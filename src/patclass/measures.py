@@ -9,10 +9,11 @@ the following edge conventions, applied uniformly:
     Strength evaluates GR/(GR+1) as 1 when GR = +inf
     logarithms are base 2 everywhere
 
-Rational formulas are evaluated in exact integer-fraction arithmetic and
-converted to float once, so equal rational scores compare equal and ties are
-deterministic. Three measures score lower = more discriminative (FPR, Gini,
-Entropy); effective_score negates them so higher always means better.
+Rational formulas are evaluated exactly, in `Rational` (a ratio of ints that
+is never reduced, cheaper than fractions.Fraction), and converted to float
+once, so equal rational scores compare equal and ties are deterministic.
+Three measures score lower = more discriminative (FPR, Gini, Entropy);
+effective_score negates them so higher always means better.
 
 `scorer(measure, kit)` is a measure's raw score as a function of the table:
 the formula and its NaN check, memoizing nothing. A call that scores many
@@ -26,8 +27,10 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
+import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .footprints import ContingencyCounts, FootprintMatrix, contingency
@@ -39,6 +42,169 @@ class MeasureError(ValueError):
     pass
 
 
+def _ordering(op):
+    """A Rational comparison method that applies op to `_sides`."""
+    def compare(self, other):
+        sides = self._sides(other)
+        return NotImplemented if sides is None else op(*sides)
+    return compare
+
+
+class Rational:
+    """An exact ratio of ints whose denominator is always > 0.
+
+    It is never reduced to lowest terms: the formulas need exact values, and
+    the gcd that fractions.Fraction takes on every operation is most of its
+    cost. Arithmetic with an int or a Rational is exact. With a float it is
+    done on float(self), and a comparison with a float is exact, both as
+    Fraction does them. It equals, and hashes like, an int or a Fraction of
+    the same value. float() is n / d, which Python rounds correctly, so the
+    float of a value does not depend on whether it was reduced.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int = 1):
+        if denominator < 0:
+            numerator, denominator = -numerator, -denominator
+        elif not denominator:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        self.numerator = numerator
+        self.denominator = denominator
+
+    def __repr__(self) -> str:
+        return f"Rational({self.numerator}, {self.denominator})"
+
+    def __float__(self) -> float:
+        return self.numerator / self.denominator
+
+    def __bool__(self) -> bool:
+        return self.numerator != 0
+
+    def __hash__(self) -> int:
+        # Fraction's hash of the reduced value, itself equal to the hash of
+        # an equal int or float
+        g = math.gcd(self.numerator, self.denominator)
+        n, d = self.numerator // g, self.denominator // g
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
+        except ValueError:
+            h = sys.hash_info.inf
+        h = h if n >= 0 else -h
+        return -2 if h == -1 else h
+
+    # -- arithmetic: exact on Rational and int operands, float on floats --
+
+    def __add__(self, other):
+        if type(other) is Rational or isinstance(other, int):
+            n, d = other.numerator, other.denominator
+            if d == self.denominator:
+                return _exact(self.numerator + n, d)
+            return _exact(self.numerator * d + n * self.denominator,
+                          self.denominator * d)
+        if isinstance(other, float):
+            return float(self) + other
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is Rational or isinstance(other, int):
+            n, d = other.numerator, other.denominator
+            if d == self.denominator:
+                return _exact(self.numerator - n, d)
+            return _exact(self.numerator * d - n * self.denominator,
+                          self.denominator * d)
+        if isinstance(other, float):
+            return float(self) - other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, int):
+            return _exact(other * self.denominator - self.numerator,
+                          self.denominator)
+        if isinstance(other, float):
+            return other - float(self)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if type(other) is Rational or isinstance(other, int):
+            return _exact(self.numerator * other.numerator,
+                          self.denominator * other.denominator)
+        if isinstance(other, float):
+            return float(self) * other
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is Rational or isinstance(other, int):
+            n, d = self.numerator * other.denominator, self.denominator * other.numerator
+            return _exact(n, d) if d > 0 else Rational(n, d)
+        if isinstance(other, float):
+            return float(self) / other
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, int):
+            return Rational(other * self.denominator, self.numerator)
+        if isinstance(other, float):
+            return other / float(self)
+        return NotImplemented
+
+    def __pow__(self, other):
+        if isinstance(other, int):
+            if other < 0:
+                return 1 / self ** -other
+            return _exact(self.numerator ** other, self.denominator ** other)
+        if isinstance(other, float):
+            return float(self) ** other
+        return NotImplemented
+
+    def __neg__(self):
+        return _exact(-self.numerator, self.denominator)
+
+    def __abs__(self):
+        return _exact(abs(self.numerator), self.denominator)
+
+    # -- comparisons: exact against Rationals, ints, Fractions and floats --
+
+    def _sides(self, other):
+        """self and other scaled to a common positive denominator, so they
+        compare as the pair does; (0.0, other) for a float inf or NaN, which
+        compares as Fraction compares them; None for any other type."""
+        if type(other) is int or type(other) is Rational:
+            n, d = other.numerator, other.denominator
+        elif isinstance(other, float):
+            if not math.isfinite(other):
+                return 0.0, other
+            n, d = other.as_integer_ratio()
+        elif isinstance(other, numbers.Rational):
+            n, d = other.numerator, other.denominator
+        else:
+            return None
+        return self.numerator * d, n * self.denominator
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return self.numerator == other * self.denominator
+        sides = self._sides(other)
+        return NotImplemented if sides is None else sides[0] == sides[1]
+
+    __lt__ = _ordering(operator.lt)
+    __le__ = _ordering(operator.le)
+    __gt__ = _ordering(operator.gt)
+    __ge__ = _ordering(operator.ge)
+
+
+def _exact(numerator: int, denominator: int) -> Rational:
+    """Rational(numerator, denominator) for a denominator known to be > 0."""
+    q = object.__new__(Rational)
+    q.numerator = numerator
+    q.denominator = denominator
+    return q
+
+
 def _div(num, den):
     """Division under the x/0 and 0/0 conventions; num may be +-inf."""
     if isinstance(num, float) and math.isinf(num):
@@ -47,17 +213,17 @@ def _div(num, den):
         return num if den > 0 else -num
     if den == 0:
         if num == 0:
-            return Fraction(0)
+            return Rational(0)
         return INF if num > 0 else -INF
     if isinstance(den, float) and math.isinf(den):
-        return Fraction(0)
+        return Rational(0)
     return num / den
 
 
 def _mul(x, y):
     """Product with 0 * (+-inf) -> 0."""
     if x == 0 or y == 0:
-        return Fraction(0)
+        return Rational(0)
     if (isinstance(x, float) and math.isinf(x)) or (isinstance(y, float) and math.isinf(y)):
         sign = (1 if x > 0 else -1) * (1 if y > 0 else -1)
         return INF * sign
@@ -98,20 +264,20 @@ class ProbKit:
     """
 
     n_graphs: int
-    p_pattern: Fraction
-    p_absent: Fraction
-    p_pos: Fraction
-    p_neg: Fraction
-    joint_pattern_pos: Fraction
-    joint_pattern_neg: Fraction
-    joint_absent_pos: Fraction
-    joint_absent_neg: Fraction
-    pos_given_pattern: Fraction
-    neg_given_pattern: Fraction
-    pos_given_absent: Fraction
-    neg_given_absent: Fraction
-    pattern_given_pos: Fraction
-    pattern_given_neg: Fraction
+    p_pattern: Rational
+    p_absent: Rational
+    p_pos: Rational
+    p_neg: Rational
+    joint_pattern_pos: Rational
+    joint_pattern_neg: Rational
+    joint_absent_pos: Rational
+    joint_absent_neg: Rational
+    pos_given_pattern: Rational
+    neg_given_pattern: Rational
+    pos_given_absent: Rational
+    neg_given_absent: Rational
+    pattern_given_pos: Rational
+    pattern_given_neg: Rational
 
 
 def prob_kit(counts: ContingencyCounts) -> ProbKit:
@@ -119,22 +285,22 @@ def prob_kit(counts: ContingencyCounts) -> ProbKit:
     n_pos, n_neg = counts.n_pos, counts.n_neg
     N = n_pos + n_neg
 
-    def cond(num: int, den: int, prior: Fraction) -> Fraction:
-        return Fraction(num, den) if den else prior
+    def cond(num: int, den: int, prior: Rational) -> Rational:
+        return Rational(num, den) if den else prior
 
-    p_pos = Fraction(n_pos, N)
-    p_neg = Fraction(n_neg, N)
-    p_pattern = Fraction(a + b, N)
+    p_pos = Rational(n_pos, N)
+    p_neg = Rational(n_neg, N)
+    p_pattern = Rational(a + b, N)
     return ProbKit(
         n_graphs=N,
         p_pattern=p_pattern,
         p_absent=1 - p_pattern,
         p_pos=p_pos,
         p_neg=p_neg,
-        joint_pattern_pos=Fraction(a, N),
-        joint_pattern_neg=Fraction(b, N),
-        joint_absent_pos=Fraction(n_pos - a, N),
-        joint_absent_neg=Fraction(n_neg - b, N),
+        joint_pattern_pos=Rational(a, N),
+        joint_pattern_neg=Rational(b, N),
+        joint_absent_pos=Rational(n_pos - a, N),
+        joint_absent_neg=Rational(n_neg - b, N),
         pos_given_pattern=cond(a, a + b, p_pos),
         neg_given_pattern=cond(b, a + b, p_neg),
         pos_given_absent=cond(n_pos - a, N - a - b, p_pos),
@@ -145,7 +311,7 @@ def prob_kit(counts: ContingencyCounts) -> ProbKit:
 
 
 # ---------------------------------------------------------------------------
-# Scorers. Each returns Fraction or +-inf float.
+# Scorers. Each returns a Rational or a float (+-inf included).
 # ---------------------------------------------------------------------------
 
 def _abssupdif(k): return abs(k.pattern_given_pos - k.pattern_given_neg)
@@ -213,7 +379,7 @@ def _fpr(k): return k.pos_given_absent
 
 def _gain(k):
     if k.joint_pattern_pos == 0:
-        return Fraction(0)
+        return Rational(0)
     return float(k.joint_pattern_pos) * (_log2(k.pos_given_pattern) - _log2(k.p_pos))
 
 
@@ -236,7 +402,7 @@ def _klos(k):
 
 def _lap(k):
     N = k.n_graphs
-    return _div(k.joint_pattern_pos + Fraction(1, N), k.p_pattern + Fraction(2, N))
+    return _div(k.joint_pattern_pos + Rational(1, N), k.p_pattern + Rational(2, N))
 
 
 def _lever(k): return k.joint_pattern_pos - k.p_pattern * k.p_pos
@@ -290,7 +456,7 @@ def _spec(k): return k.neg_given_absent
 
 def _strength(k):
     gr = _gr(k)
-    ratio = Fraction(1) if (isinstance(gr, float) and math.isinf(gr)) else _div(gr, gr + 1)
+    ratio = Rational(1) if (isinstance(gr, float) and math.isinf(gr)) else _div(gr, gr + 1)
     return _mul(ratio, k.joint_pattern_pos)
 
 

@@ -478,7 +478,10 @@ def _reference_objective(z, y, v, lam):
 
 def reference_train(x, y, c=1.0):
     """Subgradient SVM on one training set, one epoch at a time, with the
-    objective recomputed from fresh margins; returns (weights, bias, trace)."""
+    objective recomputed from fresh margins; returns (weights, bias, trace).
+    It trains on a row-major copy of `x`: BLAS sums follow the memory layout
+    they are given, so the trace would otherwise depend on it."""
+    x = np.ascontiguousarray(x)
     y = np.asarray(y, dtype=np.float64)
     n, d = x.shape
     lam = 1.0 / (c * n)

@@ -307,9 +307,7 @@ class TestAgainstReference:
     def test_train_many_bit_identical(self, monkeypatch, stack_floats):
         # mixed set sizes and repeated sets in one call, trained as one
         # chunk or one chunk per set: every set gets the bits of its
-        # one-set call and of the one-set reference trainer on a row-major
-        # copy (x[:, cols] is column-major, and the reference's sums follow
-        # the layout it is given)
+        # one-set call and of the one-set reference trainer
         monkeypatch.setattr(classify, "STACK_FLOATS", stack_floats)
         x, y = self.random_case(22, 5, 240)
         sets = self.mixed_sets(5)
@@ -318,12 +316,28 @@ class TestAgainstReference:
         assert len(models) == len(sets)
         for cols, model in zip(sets, models):
             [alone] = train(view, [cols], c=0.5)
-            weights, bias, trace = reference_train(
-                np.ascontiguousarray(x[:, sorted(cols)]), y, c=0.5)
+            weights, bias, trace = reference_train(x[:, sorted(cols)], y, c=0.5)
             for want in (alone, LinearModel(weights, bias, trace)):
                 assert model.weights.tobytes() == want.weights.tobytes()
                 assert model.bias == want.bias
                 assert model.objective_trace == want.objective_trace
+
+
+    def test_reference_train_ignores_the_input_layout(self):
+        # x[:, cols] is column-major; the reference trainer's sums round
+        # differently on it unless it makes its own row-major copy (here
+        # 178 of the 201 trace entries did)
+        x, y = self.random_case(22, 5, 240)
+        sub = x[:, list(range(13))]
+        assert not sub.flags.c_contiguous
+        weights, bias, trace = reference_train(sub, y, c=0.5)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            want = reference_train(layout(sub), y, c=0.5)
+            assert weights.tobytes() == want[0].tobytes()
+            assert (bias, trace) == want[1:]
+        [model] = train(FeatureView(x, y), [range(13)], c=0.5)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias == bias and model.objective_trace == trace
 
 
 class TestChunkMemory:

@@ -11,12 +11,12 @@ from click.testing import CliRunner
 
 from patclass.cli import (DENSITY_CONVENTION, ConfigError, RunConfig,
                           StageError, _stage, load_config, main, run_gold,
-                          run_pairwise_tau, run_pipeline)
+                          run_pairwise_tau, run_pipeline, run_properties)
 from patclass.graphdata import (NEGATIVE, POSITIVE, GraphDataset, dataset_stats,
                                 parse_spmf, serialize_spmf)
 from patclass.measures import MEASURE_NAMES
 
-from oracles import random_graph, write_tudataset
+from oracles import molecule_like_text, random_graph, write_tudataset
 
 
 def spmf_fixture(seed=0, n=16):
@@ -817,3 +817,45 @@ class TestClusterSweepPins:
         assert result.exit_code == 0, result.output
         text = (tmp_path / "out" / "cluster_sweep.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == self.DIGESTS[seed]
+
+
+class TestScoringPins:
+    """sha256 of `properties.csv` on the balanced grids n = 2, 3, 10 and 20,
+    and of `scores.csv` from `pipeline` with all 38 measures on two generated
+    datasets. Every score is written with repr, so a change to how the
+    measures do their arithmetic must keep every digest."""
+
+    PROPERTIES = {
+        2: "5fb6f6cc5057a60a3d7393a2120df3f09450042d4b4600ea1d1a66763c141b9c",
+        3: "b7a6ca48293cc53c80b302164df576a66bece612e86ef66b2301d32127c8b8e7",
+        10: "bc71b5f98151c8ac2b8ddac13ad17c7224c09ef9d572f34c0024a44781fb4a02",
+        20: "0a6ef757755cbde1ec105b785813dd25ade646d61bba7d8f1001432bbf4aa64f",
+    }
+    SCORES = {
+        (1, 60): "5a41289aa4c2dde4432e651027605d949542f379ce2e78612ebf04ee1c206391",
+        (2, 80): "0db011579d06fac06ece712f0add082be28bd78de3fb0dfc9ab1807a1f9949ca",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PROPERTIES))
+    def test_properties_csv_digest(self, tmp_path, n):
+        cfg = RunConfig()
+        cfg.out = str(tmp_path / "out")
+        cfg.property_n = n
+        cfg.measures = tuple(MEASURE_NAMES)
+        cfg.validate()
+        run_properties(cfg)
+        text = (tmp_path / "out" / "properties.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == self.PROPERTIES[n]
+
+    @pytest.mark.parametrize("seed, n_graphs", sorted(SCORES))
+    def test_scores_csv_digest(self, tmp_path, seed, n_graphs):
+        # 92 and 114 representatives scored by all 38 measures, +-inf included
+        path = tmp_path / f"m{seed}.spmf"
+        path.write_text(molecule_like_text(seed, n_graphs))
+        cfg = base_config(path, tmp_path, min_support="5", max_edges=4,
+                          threshold_pct=10.0, k_folds=3,
+                          measures=tuple(MEASURE_NAMES))
+        run_pipeline(cfg)
+        text = (tmp_path / "out" / "scores.csv").read_bytes()
+        assert b"inf" in text
+        assert hashlib.sha256(text).hexdigest() == self.SCORES[seed, n_graphs]

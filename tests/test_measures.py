@@ -1,5 +1,6 @@
 import functools
 import math
+import operator
 import random
 import struct
 from fractions import Fraction
@@ -7,11 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from patclass import measures
 from patclass.footprints import ContingencyCounts, FootprintMatrix, contingency
 from patclass.measures import (KNOWN_BOUND_EXCEPTIONS, MEASURE_NAMES,
                                REVERSED_MEASURES, MeasureError, Ranking, effective,
                                effective_score, measure_info, prob_kit, rank,
                                rank_all, score, scorer, scores_csv)
+from patclass.properties import property_matrix
 
 from oracles import reference_rank, reference_scores_csv
 
@@ -423,3 +426,130 @@ class TestSharedScorerOutputs:
             assert rank(m, mat, ids) == want
             assert rankings[m] == want
             assert with_text[m] == want
+
+
+class TestRationalAgainstFraction:
+    """measures.Rational gives what fractions.Fraction gives: the same
+    values, types, exceptions and hashes from every operator the formulas
+    use, and the same bits from every measure."""
+
+    @staticmethod
+    def pairs(seed, count=300):
+        """(Rational, Fraction) of equal value; the Rational is often not
+        in lowest terms, and sometimes zero, an integer, or a ratio of ints
+        too wide for a float, whose float() must still be correctly rounded."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            n, d = rng.randint(-40, 40), rng.choice([1, 2, 3, 6, rng.randint(1, 60)])
+            if rng.random() < 0.2:
+                n, d = rng.randint(-2 ** 70, 2 ** 70), rng.randint(1, 2 ** 70)
+            k = rng.choice([1, 1, rng.randint(2, 30)])
+            yield measures.Rational(n * k, d * k), Fraction(n, d)
+
+    @staticmethod
+    def operands(rng, q, f):
+        """(Rational-side, Fraction-side) operands for the value q = f: ints,
+        floats at and next to it, +-inf, NaN, zeros, and exact values, one
+        of them q itself."""
+        n, d = rng.randint(-30, 30), rng.randint(1, 20)
+        x = float(f)
+        same = [0, 1, -1, 2, rng.randint(-99, 99), True,
+                0.0, -0.0, 0.5, x, math.nextafter(x, INF), math.nextafter(x, -INF),
+                rng.uniform(-3, 3), INF, -INF, math.nan]
+        return [(v, v) for v in same] + [
+            (measures.Rational(2 * n, 2 * d), Fraction(n, d)),
+            (measures.Rational(0, 7), Fraction(0)), (q, f)]
+
+    @staticmethod
+    def outcome(fn, *args):
+        """fn(*args) as something that compares equal across the two types:
+        an exact value with its kind, the bits of a float, or the error."""
+        try:
+            v = fn(*args)
+        except (ZeroDivisionError, TypeError, ValueError) as e:
+            return "raises", type(e)
+        if isinstance(v, (measures.Rational, Fraction)):
+            assert v.denominator > 0
+            return "exact", Fraction(v.numerator, v.denominator)
+        if isinstance(v, float):
+            return ("float", "nan") if math.isnan(v) else ("float", struct.pack("<d", v))
+        return type(v), v
+
+    BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
+              operator.eq, operator.ne, operator.lt, operator.le,
+              operator.gt, operator.ge]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_operators_match_fraction(self, seed):
+        rng = random.Random(seed)
+        checked = 0
+        for q, f in self.pairs(seed):
+            for qo, fo in self.operands(rng, q, f):
+                for op in self.BINARY:
+                    assert self.outcome(op, q, qo) == self.outcome(op, f, fo), (op, q, qo)
+                    assert self.outcome(op, qo, q) == self.outcome(op, fo, f), (op, qo, q)
+                    checked += 2
+            for e in (0, 1, 2, 3, -1, -2, 0.5, -1.5):
+                assert self.outcome(operator.pow, q, e) == self.outcome(operator.pow, f, e)
+            for fn in (operator.neg, abs, float, bool, hash,
+                       math.log2, math.sqrt):
+                assert self.outcome(fn, q) == self.outcome(fn, f), fn
+            assert self.outcome(max, q, q - 1) == self.outcome(max, f, f - 1)
+            if f.denominator == 1:
+                assert q == f.numerator and hash(q) == hash(f.numerator)
+        assert checked > 10_000
+
+    def test_exact_float_comparisons_and_hashes(self):
+        # float(1/3) is not 1/3, and the comparison sees it; dyadic values
+        # equal their floats and hash like them
+        third = measures.Rational(2, 6)
+        assert third != 1 / 3 and third > 1 / 3
+        assert not third < 1 / 3 and third < math.nextafter(1 / 3, 1)
+        for n, d in ((3, 8), (-5, 4), (0, 9), (12, 3), (-14, 7)):
+            q = measures.Rational(n * 3, d * 3)
+            assert q == n / d and hash(q) == hash(n / d) == hash(Fraction(n, d))
+        assert {measures.Rational(4, 2): "two"}[2] == "two"
+        half = measures.Rational(1, -2)
+        assert (half.numerator, half.denominator) == (-1, 2) and half < 0
+        with pytest.raises(ZeroDivisionError):
+            measures.Rational(1, 0)
+
+    def test_kit_is_built_in_it(self):
+        k = prob_kit(C(2, 3))
+        assert all(type(v) is measures.Rational
+                   for name, v in vars(k).items() if name != "n_graphs")
+
+    # every table of the balanced grids n = 2..20 and of unbalanced sizes
+    GRIDS = ([(n, n) for n in range(2, 21)]
+             + [(p, q) for p in range(1, 8) for q in range(1, 8) if p != q]
+             + [(1, 1), (3, 50), (23, 17)])
+
+    @staticmethod
+    def all_scores(tables):
+        kit = functools.cache(measures.prob_kit)
+        out = {}
+        for m in MEASURE_NAMES:
+            raw = scorer(m, kit)
+            for c in tables:
+                try:
+                    out[m, c] = struct.pack("<d", raw(c))
+                except MeasureError as e:
+                    out[m, c] = str(e)
+        return out
+
+    def test_every_measure_on_every_table_matches_fraction(self, monkeypatch):
+        tables = [c for sizes in self.GRIDS for c in _tables(*sizes)]
+        got = self.all_scores(tables)
+        monkeypatch.setattr(measures, "Rational", Fraction)
+        assert type(measures.prob_kit(C(1, 2)).p_pos) is Fraction
+        want = self.all_scores(tables)
+        wrong = [key for key in want if got[key] != want[key]]
+        assert not wrong[:3], f"{len(wrong)} of {len(want)} scores differ"
+        assert len(want) == 38 * len(tables) > 38 * 3_000
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 20])
+    def test_property_matrix_matches_fraction(self, monkeypatch, n):
+        got = property_matrix(n)
+        monkeypatch.setattr(measures, "Rational", Fraction)
+        want = property_matrix(n)
+        assert got == want and repr(got) == repr(want)
