@@ -859,3 +859,42 @@ class TestScoringPins:
         text = (tmp_path / "out" / "scores.csv").read_bytes()
         assert b"inf" in text
         assert hashlib.sha256(text).hexdigest() == self.SCORES[seed, n_graphs]
+
+
+class TestClusteringPins:
+    """sha256 of `dendrogram.csv` and `clusters.csv` from `pipeline` on two
+    generated datasets, with the mining and threshold settings of the
+    benchmark's `pipeline-cluster` (about 563 distinct footprints) and
+    `gold-sampled` (about 163) workloads. Distances and merge heights are
+    integers and the tie rule is exact, so a change to how the distances or
+    the agglomeration are computed must keep every digest."""
+
+    CONFIGS = {
+        (1, 150): ["min_support=3", "max_patterns=600", "max_edges=6",
+                   "threshold_pct=20",
+                   "measures=AbsSupDif,GR,InfGain,Lift,Sup,WRACC"],
+        (1, 100): ["min_support=6", "max_edges=6", "threshold_pct=30",
+                   "measures=AbsSupDif,GR,Sup,WRACC"],
+    }
+    DIGESTS = {
+        (1, 150): {
+            "dendrogram.csv": "66a9afeb48ecbdabc5ea7d506cebc2a1961edaf084e3e13ab64b8051af2423eb",
+            "clusters.csv": "19a0ea62872c70e8eefbff849a8186ce26b93be12e78cba7ed6bcd38c4ab59a7",
+        },
+        (1, 100): {
+            "dendrogram.csv": "12e374f1713b0cf464853e0e4eaf2e7be3e084570f6b33c3547dd7835b6279a6",
+            "clusters.csv": "66b8f12495f469ca7cb3f1b0e212d4d7c845256416b208b827e3460ea3bd3309",
+        },
+    }
+
+    @pytest.mark.parametrize("seed, n_graphs", sorted(CONFIGS))
+    def test_clustering_csv_digests(self, tmp_path, seed, n_graphs):
+        path = tmp_path / f"m{seed}.spmf"
+        path.write_text(molecule_like_text(seed, n_graphs))
+        cfg = load_config(None, [*self.CONFIGS[seed, n_graphs],
+                                 f"dataset={path}", f"out={tmp_path / 'out'}"])
+        run_pipeline(cfg)
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()
+                                        ).hexdigest()
+                   for name in self.DIGESTS[seed, n_graphs]}
+        assert digests == self.DIGESTS[seed, n_graphs]
