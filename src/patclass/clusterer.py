@@ -8,12 +8,17 @@ footprint distance is at most t; t = 0 groups exactly the identical
 footprints. Tie-breaks (merge order, medoids) are by ascending pattern id so
 runs are reproducible.
 
+Distances are popcounts of XORed 64-bit words, with no BLAS call: a Gram
+matrix gives the same integers, but its threaded gemm made the whole
+`pipeline` command a third slower on a 2-core host.
+
 Agglomeration is the generic algorithm with a nearest-neighbour cache
 (Müllner 2011, arXiv:1109.2378): each cluster caches its nearest partner
 under the tie rule, and a merge rescans only the clusters whose cache it
-made stale. The pair keys live in one p x p matrix that the merges keep up
-to date, so a rescan is one argmin over a row. That costs O(p^2) plus O(p)
-per rescan, not O(p^3).
+made stale. The heights live in one p x p matrix with its rows in ascending
+pattern id, and a merged cluster keeps the smaller of its two rows, so the
+tie rule is the first index of an argmin and a rescan is one argmin over a
+row. That costs O(p^2) plus O(p) per rescan, not O(p^3).
 """
 
 from __future__ import annotations
@@ -35,17 +40,31 @@ class ClusterError(ValueError):
 
 def manhattan_matrix(matrix: FootprintMatrix,
                      pattern_ids: Sequence[int]) -> np.ndarray:
-    """Symmetric integer matrix of footprint Hamming distances."""
+    """Symmetric int64 matrix of footprint Hamming distances.
+
+    Filled 64 rows at a time: per 64-bit word of footprint, one XOR, one
+    popcount and one add. Beyond the 8 p^2-byte result the memory is three
+    copies of the footprints (8 bytes per pattern and 64 graphs) and one
+    block's XOR words and counts, 9 * 64 * p bytes.
+    """
     ids = list(pattern_ids)
     if not ids:
         raise ClusterError("at least one pattern required")
-    packed = matrix.packed[:, ids]  # (bytes, p)
-    p = len(ids)
+    p, n_bytes = len(ids), matrix.packed.shape[0]
+    padded = np.zeros((p, -(-n_bytes // 8) * 8), dtype=np.uint8)
+    padded[:, :n_bytes] = matrix.packed.T[ids]
+    # (words, p): row w holds every footprint's graphs 64w .. 64w + 63
+    words = padded.view(np.uint64).T.copy()
     dist = np.zeros((p, p), dtype=np.int64)
-    for i in range(p):
-        xor = packed[:, i:i + 1] ^ packed[:, i:]
-        dist[i, i:] = np.bitwise_count(xor).sum(axis=0)
-    dist = np.maximum(dist, dist.T)
+    rows = min(p, 64)
+    xor = np.empty((rows, p), dtype=np.uint64)
+    count = np.empty((rows, p), dtype=np.uint8)
+    for start in range(0, p, rows):
+        block = dist[start:start + rows]
+        x, c = xor[:len(block)], count[:len(block)]
+        for word in words:
+            np.bitwise_xor(word[start:start + rows, None], word, out=x)
+            block += np.bitwise_count(x, out=c)
     return dist
 
 
@@ -96,16 +115,17 @@ def agglomerate_complete(distances: np.ndarray,
     merges; ties pick the lexicographically smallest (min member id, second
     min member id) pair. Deterministic; pattern_ids must be distinct.
 
-    One p x p int64 matrix holds every live pair's key
-    height * p^2 + rank(smaller min member) * p + rank(larger min member),
-    which orders pairs exactly as the tie rule does; the diagonal and the
-    rows and columns of merged-away clusters hold the int64 maximum. Each
-    live row caches its nearest partner, the argmin of its key row. A merge
-    rewrites the surviving row and column with the elementwise maximum of
-    the two heights and the new tie part, retires the other, and rescans only
-    the rows whose cached partner was one of the two: O(p^2) time in the
-    typical case. The keys are built 256 rows at a time, so the memory is
-    the key matrix and one 256 x p block.
+    One p x p int32 matrix holds the live heights, row and column r for the
+    pattern id of rank r; the diagonal and retired columns hold the int32
+    maximum. A merged cluster keeps the smaller of its two rows, so
+    pair (r, z) always has the tie part (min(r, z), max(r, z)): at equal
+    heights a row's partners rank by column, and its nearest partner is the
+    first argmin of its row. Each live row caches that partner and height. A
+    merge writes the elementwise maximum of the two rows to the survivor's
+    row and column, retires the other, and rescans only the rows whose
+    cached partner was one of the two: O(p^2) time in the typical case. The
+    memory is the height matrix and one permuted copy, 8 p^2 bytes.
+    Distances of magnitude 2^31 - 1 or more raise ClusterError.
     """
     d = np.asarray(distances, dtype=np.int64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
@@ -121,61 +141,38 @@ def agglomerate_complete(distances: np.ndarray,
     if p < 2:
         return Dendrogram((), ids, int(n_graphs))
 
-    big = np.iinfo(np.int64).max
-    span = max(abs(int(d.max())), abs(int(d.min()))) + 1
-    if span * p * p > big:
-        raise ClusterError("distances too large for the int64 pair key")
-    p2 = p * p
-    alive = np.ones(p, dtype=bool)
-    cluster_id = list(range(p))             # row index -> current cluster id
-    # row index -> rank of the cluster's smallest pattern id among all ids
-    min_rank = np.empty(p, dtype=np.int64)
-    min_rank[sorted(range(p), key=ids.__getitem__)] = np.arange(p)
-    keys = np.empty((p, p), dtype=np.int64)
-    tie = np.empty((256, p), dtype=np.int64)
-    for start in range(0, p, 256):          # one 256 x p block at a time
-        block, r = keys[start:start + 256], min_rank[start:start + 256, None]
-        t = tie[:len(block)]
-        np.multiply(d[start:start + 256], p2, out=block)
-        block += np.multiply(np.minimum(r, min_rank, out=t), p, out=t)
-        block += np.maximum(r, min_rank, out=t)
-    np.fill_diagonal(keys, big)
-    nn = keys.argmin(axis=1)                # cached nearest partner per row
-    nn_key = keys[np.arange(p), nn]
+    top = np.iinfo(np.int32).max
+    if max(abs(int(d.max())), abs(int(d.min()))) >= top:
+        raise ClusterError("distances too large for the int32 height matrix")
+    order = np.array(sorted(range(p), key=ids.__getitem__))
+    heights = d.astype(np.int32)[order][:, order]   # row r: rank r
+    np.fill_diagonal(heights, top)
+    cluster_id = order.tolist()              # row -> current cluster id
+    nn = heights.argmin(axis=1)              # cached nearest partner per row
+    nn_height = heights[np.arange(p), nn]
     merges = []
     for next_id in range(p, 2 * p - 1):
-        a = int(nn_key.argmin())
-        b = int(nn[a])
-        h = int(keys[a, b]) // p2
-        cx, cy = sorted((cluster_id[a], cluster_id[b]))
-        merges.append((cx, cy, h, next_id))
-        # complete linkage update: row a absorbs b with the elementwise
-        # maximum height, under the tie part of a's new smallest member; the
-        # entries that were the int64 maximum (retired rows, the diagonal)
-        # are set back to it
-        alive[b] = False
-        cluster_id[a] = next_id
-        m = min_rank[a] = min(min_rank[a], min_rank[b])
-        row = np.maximum(keys[a], keys[b]) // p2 * p2
-        row += np.minimum(min_rank, m) * p
-        row += np.maximum(min_rank, m)
-        row[~alive] = big
-        row[a] = big
-        keys[a], keys[:, a] = row, row
-        keys[b], keys[:, b] = big, big
-        nn_key[b] = big
-        # Only rows whose cached partner was a or b can be stale, row a
-        # among them. For any other row z, the smaller min member of a∪b
-        # gives the tie part (min(r, m), max(r, m)), which is monotone in m,
-        # so
-        #   key(z, a∪b) = (max(h_za, h_zb), min(tie_za, tie_zb))
-        #              >= min(key(z, a), key(z, b)) > key(z, nn[z]),
-        # the last step strict because distinct ids make keys distinct. A
-        # merged cluster can lower a pair's tie part at equal height, but
-        # never below a cached row minimum, so no other row needs a refresh.
-        stale = np.flatnonzero(alive & ((nn == a) | (nn == b)))
-        nn[stale] = keys[stale].argmin(axis=1)
-        nn_key[stale] = keys[stale, nn[stale]]
+        # s, the first row at the least cached height, is the smaller row of
+        # the pair the tie rule picks: a row r < s at that height would pair
+        # with a smaller min member
+        s = int(nn_height.argmin())
+        o = int(nn[s])
+        merges.append((*sorted((cluster_id[s], cluster_id[o])),
+                       int(heights[s, o]), next_id))
+        # complete linkage update: row s absorbs row o with the elementwise
+        # maximum, which keeps the int32 maximum at (s, s), (s, o) and in
+        # retired columns; a retired row caches no partner and is not read
+        cluster_id[s] = next_id
+        row = heights[s]
+        heights[:, s] = np.maximum(row, heights[o], out=row)
+        heights[:, o] = top
+        nn[o], nn_height[o] = -1, top
+        # Only rows whose cached partner was s or o can be stale, row s
+        # among them: any other row z keeps the tie part of pair (z, s) and
+        # its height can only grow, so nn[z] stays its first argmin.
+        stale = ((nn == s) | (nn == o)).nonzero()[0]
+        nn[stale] = near = heights[stale].argmin(axis=1)
+        nn_height[stale] = heights[stale, near]
 
     return Dendrogram(tuple(merges), ids, int(n_graphs))
 

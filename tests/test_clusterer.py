@@ -45,15 +45,41 @@ class TestManhattan:
         d = manhattan_matrix(mat, [0, 1])
         assert d[0, 1] == 2
 
-    def test_matches_bit_loop_oracle(self):
-        rng = random.Random(0)
-        mat = random_footprints(rng, 23, 30)
-        d = manhattan_matrix(mat, list(range(30)))
-        bits = mat.bits
-        for i in range(30):
-            for j in range(30):
-                naive = int((bits[:, i] != bits[:, j]).sum())
-                assert d[i, j] == naive
+    @pytest.mark.parametrize("n_graphs", [1, 7, 8, 9, 23, 63, 64, 65, 129])
+    def test_matches_bit_loop_oracle(self, n_graphs):
+        # n_graphs straddles the byte and 64-bit word boundaries of the
+        # padding; 150 of 160 columns in shuffled order span three 64-row
+        # blocks
+        rng = np.random.default_rng(n_graphs)
+        bits = rng.random((n_graphs, 160)) < 0.4
+        bits[rng.integers(0, n_graphs, 160), np.arange(160)] = True
+        mat = FootprintMatrix(bits, [1] * (n_graphs // 2)
+                              + [-1] * (n_graphs - n_graphs // 2))
+        ids = rng.permutation(160)[:150].tolist()
+        d = manhattan_matrix(mat, ids)
+        assert d.dtype == np.int64
+        for i, a in enumerate(ids):
+            for j, b in enumerate(ids):
+                assert d[i, j] == int((bits[:, a] != bits[:, b]).sum())
+
+    def test_peak_memory_result_and_one_block(self):
+        # the int64 result, three copies of the footprints at 8 bytes per
+        # pattern and 64 graphs, one 64-row block of XOR words and counts,
+        # and 256 KiB for numpy's cast buffers and the id lists; a copy of
+        # the result, as a symmetrizing maximum takes, would break it
+        rng = np.random.default_rng(0)
+        p, n = 600, 150
+        bits = rng.random((n, p)) < 0.3
+        bits[0] = True
+        mat = FootprintMatrix(bits, [1] * 75 + [-1] * 75)
+        manhattan_matrix(mat, range(10))   # imports, untraced
+        tracemalloc.start()
+        try:
+            manhattan_matrix(mat, range(p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * p * p + 3 * 8 * -(-n // 64) * p + 9 * 64 * p + 2 ** 18
 
     def test_empty_ids_rejected(self):
         mat = matrix_from_columns([[1, 0]])
@@ -105,6 +131,20 @@ class TestAgglomerate:
             dg = agglomerate_complete(d, ids, n_graphs=3)
             assert list(dg.merges) == naive_complete_linkage(d.tolist(), ids), (p, ids)
 
+    @pytest.mark.parametrize("seed", [23, 24, 25])
+    def test_tie_heavy_p80_matches_oracle(self, seed):
+        # past the small cases above: ascending ids, and shuffled ids with at
+        # least one merge of two leaves where the later leaf has the smaller
+        # pattern id
+        rng = np.random.default_rng(seed)
+        d = self.tie_heavy(rng, 80)
+        assert list(agglomerate_complete(d, n_graphs=3).merges) == \
+            naive_complete_linkage(d.tolist())
+        ids = rng.permutation(240)[:80].tolist()
+        merges = list(agglomerate_complete(d, ids, n_graphs=3).merges)
+        assert merges == naive_complete_linkage(d.tolist(), ids)
+        assert any(y < 80 and ids[y] < ids[x] for x, y, _h, _n in merges)
+
     def test_merged_min_member_decides_equal_height_tie(self):
         # Leaves 1 and 2 (ids 7 and 1) merge at 0 into cluster 4, whose
         # smallest id is 1. At height 2, pair (4, leaf 3) has key (1, 3) and
@@ -128,24 +168,25 @@ class TestAgglomerate:
         with pytest.raises(ClusterError):
             agglomerate_complete(d, n_graphs=1)
 
-    def test_peak_memory_one_key_matrix(self):
-        # the p x p pair-key matrix and one 256-row block of tie parts, plus
-        # 256 KiB for the per-row vectors and the merge list: 4.3 MB at
-        # p = 600, where a working copy of the distances next to the
-        # rescans' key blocks peaked at 5.5 MB
+    def test_peak_memory_height_matrix(self):
+        # the p x p int32 height matrix and its permuted copy, plus 128 KiB
+        # for the per-row vectors and the merge list: 3.0 MB at p = 600,
+        # where the int64 pair-key matrix and its 256-row block of tie parts
+        # peaked at 4.3 MB
         rng = np.random.default_rng(0)
         p, n = 600, 150
         bits = rng.random((n, p)) < 0.3
         bits[0] = True
         d = manhattan_matrix(FootprintMatrix(bits, [1] * 75 + [-1] * 75), range(p))
         agglomerate_complete(d[:10, :10], n_graphs=n)   # imports, untraced
-        tracemalloc.start()
-        try:
-            agglomerate_complete(d, n_graphs=n)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * p * (p + 256) + 2 ** 18
+        for ids in (None, rng.permutation(p).tolist()):
+            tracemalloc.start()
+            try:
+                agglomerate_complete(d, ids, n_graphs=n)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * p * p + 2 ** 17
 
     def test_heights_non_decreasing(self):
         rng = random.Random(4)
