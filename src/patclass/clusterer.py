@@ -9,8 +9,8 @@ footprints. Tie-breaks (merge order, medoids) are by ascending pattern id so
 runs are reproducible.
 
 Distances are popcounts of XORed 64-bit words, with no BLAS call: a Gram
-matrix gives the same integers, but its threaded gemm made the whole
-`pipeline` command a third slower on a 2-core host.
+matrix gives the same integers, but on a 2-core host its threaded gemm took
+three times as long at p = 563 and kept both cores busy.
 
 Agglomeration is the generic algorithm with a nearest-neighbour cache
 (Müllner 2011, arXiv:1109.2378): each cluster caches its nearest partner

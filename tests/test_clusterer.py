@@ -170,9 +170,7 @@ class TestAgglomerate:
 
     def test_peak_memory_height_matrix(self):
         # the p x p int32 height matrix and its permuted copy, plus 128 KiB
-        # for the per-row vectors and the merge list: 3.0 MB at p = 600,
-        # where the int64 pair-key matrix and its 256-row block of tie parts
-        # peaked at 4.3 MB
+        # for the per-row vectors and the merge list: 3.0 MB at p = 600
         rng = np.random.default_rng(0)
         p, n = 600, 150
         bits = rng.random((n, p)) < 0.3
