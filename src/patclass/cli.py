@@ -264,6 +264,7 @@ def _mine_and_cluster(cfg: RunConfig, path: str, seconds: Optional[dict] = None,
                       load: str = "load"):
     with _stage(load, seconds):
         ds = _load_dataset(cfg, path)
+        ds.labels()  # an unlabeled graph fails here, not after mining
         if cfg.balance and ds.n_pos != ds.n_neg:
             ds = graphdata.balance_undersample(ds, seed=cfg.seed)
     with _stage("mine", seconds):

@@ -10,7 +10,8 @@ the following edge conventions, applied uniformly:
     logarithms are base 2 everywhere
 
 Rational formulas are evaluated exactly, in `Rational` (a ratio of ints that
-is never reduced, cheaper than fractions.Fraction), and converted to float
+is never reduced, cheaper than fractions.Fraction, with only the operations
+the formulas use: a float operand is a TypeError), and converted to float
 once, so equal rational scores compare equal and ties are deterministic.
 Three measures score lower = more discriminative (FPR, Gini, Entropy);
 effective_score negates them so higher always means better.
@@ -28,8 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-import operator
-import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -42,24 +41,18 @@ class MeasureError(ValueError):
     pass
 
 
-def _ordering(op):
-    """A Rational comparison method that applies op to `_sides`."""
-    def compare(self, other):
-        sides = self._sides(other)
-        return NotImplemented if sides is None else op(*sides)
-    return compare
-
-
 class Rational:
     """An exact ratio of ints whose denominator is always > 0.
 
     It is never reduced to lowest terms: the formulas need exact values, and
     the gcd that fractions.Fraction takes on every operation is most of its
-    cost. Arithmetic with an int or a Rational is exact. With a float it is
-    done on float(self), and a comparison with a float is exact, both as
-    Fraction does them. It equals, and hashes like, an int or a Fraction of
-    the same value. float() is n / d, which Python rounds correctly, so the
-    float of a value does not depend on whether it was reduced.
+    cost. It has only what the formulas use: +, - and * with a Rational or
+    an int (either side), / by a Rational, ** by an int >= 0, abs, bool,
+    float, and == and > against an int, a Rational or a numbers.Rational
+    such as Fraction. Any other operand, a float included, is a TypeError,
+    so a formula cannot fall into float arithmetic unseen. It is not
+    hashable. float() is n / d, which Python rounds correctly, so the float
+    of a value does not depend on whether it was reduced.
     """
 
     __slots__ = ("numerator", "denominator")
@@ -81,20 +74,6 @@ class Rational:
     def __bool__(self) -> bool:
         return self.numerator != 0
 
-    def __hash__(self) -> int:
-        # Fraction's hash of the reduced value, itself equal to the hash of
-        # an equal int or float
-        g = math.gcd(self.numerator, self.denominator)
-        n, d = self.numerator // g, self.denominator // g
-        try:
-            h = hash(hash(abs(n)) * pow(d, -1, sys.hash_info.modulus))
-        except ValueError:
-            h = sys.hash_info.inf
-        h = h if n >= 0 else -h
-        return -2 if h == -1 else h
-
-    # -- arithmetic: exact on Rational and int operands, float on floats --
-
     def __add__(self, other):
         if type(other) is Rational or isinstance(other, int):
             n, d = other.numerator, other.denominator
@@ -102,11 +81,7 @@ class Rational:
                 return _exact(self.numerator + n, d)
             return _exact(self.numerator * d + n * self.denominator,
                           self.denominator * d)
-        if isinstance(other, float):
-            return float(self) + other
         return NotImplemented
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         if type(other) is Rational or isinstance(other, int):
@@ -115,86 +90,53 @@ class Rational:
                 return _exact(self.numerator - n, d)
             return _exact(self.numerator * d - n * self.denominator,
                           self.denominator * d)
-        if isinstance(other, float):
-            return float(self) - other
         return NotImplemented
 
     def __rsub__(self, other):
         if isinstance(other, int):
             return _exact(other * self.denominator - self.numerator,
                           self.denominator)
-        if isinstance(other, float):
-            return other - float(self)
         return NotImplemented
 
     def __mul__(self, other):
         if type(other) is Rational or isinstance(other, int):
             return _exact(self.numerator * other.numerator,
                           self.denominator * other.denominator)
-        if isinstance(other, float):
-            return float(self) * other
         return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if type(other) is Rational or isinstance(other, int):
+        if type(other) is Rational:
             n, d = self.numerator * other.denominator, self.denominator * other.numerator
             return _exact(n, d) if d > 0 else Rational(n, d)
-        if isinstance(other, float):
-            return float(self) / other
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, int):
-            return Rational(other * self.denominator, self.numerator)
-        if isinstance(other, float):
-            return other / float(self)
         return NotImplemented
 
     def __pow__(self, other):
-        if isinstance(other, int):
-            if other < 0:
-                return 1 / self ** -other
+        if isinstance(other, int) and other >= 0:
             return _exact(self.numerator ** other, self.denominator ** other)
-        if isinstance(other, float):
-            return float(self) ** other
         return NotImplemented
-
-    def __neg__(self):
-        return _exact(-self.numerator, self.denominator)
 
     def __abs__(self):
         return _exact(abs(self.numerator), self.denominator)
 
-    # -- comparisons: exact against Rationals, ints, Fractions and floats --
-
     def _sides(self, other):
-        """self and other scaled to a common positive denominator, so they
-        compare as the pair does; (0.0, other) for a float inf or NaN, which
-        compares as Fraction compares them; None for any other type."""
-        if type(other) is int or type(other) is Rational:
-            n, d = other.numerator, other.denominator
-        elif isinstance(other, float):
-            if not math.isfinite(other):
-                return 0.0, other
-            n, d = other.as_integer_ratio()
-        elif isinstance(other, numbers.Rational):
-            n, d = other.numerator, other.denominator
-        else:
-            return None
-        return self.numerator * d, n * self.denominator
+        """self and other over a common positive denominator; a TypeError
+        unless other is an int, a Rational or a numbers.Rational."""
+        if not (type(other) is int or type(other) is Rational
+                or isinstance(other, numbers.Rational)):
+            raise TypeError(f"cannot compare Rational with {type(other).__name__}")
+        return self.numerator * other.denominator, other.numerator * self.denominator
 
     def __eq__(self, other):
         if type(other) is int:
             return self.numerator == other * self.denominator
-        sides = self._sides(other)
-        return NotImplemented if sides is None else sides[0] == sides[1]
+        mine, theirs = self._sides(other)
+        return mine == theirs
 
-    __lt__ = _ordering(operator.lt)
-    __le__ = _ordering(operator.le)
-    __gt__ = _ordering(operator.gt)
-    __ge__ = _ordering(operator.ge)
+    def __gt__(self, other):
+        mine, theirs = self._sides(other)
+        return mine > theirs
 
 
 def _exact(numerator: int, denominator: int) -> Rational:

@@ -324,6 +324,30 @@ class TestCliCommands:
         assert result.exit_code == 1, result.output
         assert "stage 'mine' failed" in result.output
 
+    @pytest.mark.parametrize("command", ["pipeline", "cluster-sweep", "gold",
+                                         "pairwise-tau"])
+    def test_unlabeled_dataset_exits_one_naming_load(self, tmp_path,
+                                                     monkeypatch, command):
+        from patclass import miner
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("an unlabeled dataset was mined")
+
+        monkeypatch.setattr(miner, "mine_frequent", not_called)
+        path = tmp_path / "bare.spmf"
+        path.write_text("".join(
+            " ".join(line.split()[:3]) + "\n" if line.startswith("t #") else line + "\n"
+            for line in molecule_like_text(1, 40).splitlines()))
+        result = CliRunner().invoke(main, [
+            command, "--dataset", str(path), "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        load = "load" if command != "pairwise-tau" else f"load {path}"
+        assert (f"error: stage '{load}' failed: dataset has unlabeled graphs"
+                in result.output)
+        stats = CliRunner().invoke(main, [
+            "stats", "--dataset", str(path), "--out", str(tmp_path / "stats")])
+        assert stats.exit_code == 0, stats.output
+
     def test_cluster_sweep_monotone(self, dataset_file, tmp_path):
         runner = CliRunner()
         result = runner.invoke(main, [

@@ -430,8 +430,9 @@ class TestSharedScorerOutputs:
 
 class TestRationalAgainstFraction:
     """measures.Rational gives what fractions.Fraction gives: the same
-    values, types, exceptions and hashes from every operator the formulas
-    use, and the same bits from every measure."""
+    values, types and exceptions from every operation the formulas use, and
+    the same bits from every measure. What the formulas do not use fails
+    loudly."""
 
     @staticmethod
     def pairs(seed, count=300):
@@ -449,13 +450,9 @@ class TestRationalAgainstFraction:
     @staticmethod
     def operands(rng, q, f):
         """(Rational-side, Fraction-side) operands for the value q = f: ints,
-        floats at and next to it, +-inf, NaN, zeros, and exact values, one
-        of them q itself."""
+        bools, zeros and exact values, one of them q itself."""
         n, d = rng.randint(-30, 30), rng.randint(1, 20)
-        x = float(f)
-        same = [0, 1, -1, 2, rng.randint(-99, 99), True,
-                0.0, -0.0, 0.5, x, math.nextafter(x, INF), math.nextafter(x, -INF),
-                rng.uniform(-3, 3), INF, -INF, math.nan]
+        same = [0, 1, -1, 2, rng.randint(-99, 99), True, False]
         return [(v, v) for v in same] + [
             (measures.Rational(2 * n, 2 * d), Fraction(n, d)),
             (measures.Rational(0, 7), Fraction(0)), (q, f)]
@@ -475,9 +472,9 @@ class TestRationalAgainstFraction:
             return ("float", "nan") if math.isnan(v) else ("float", struct.pack("<d", v))
         return type(v), v
 
-    BINARY = [operator.add, operator.sub, operator.mul, operator.truediv,
-              operator.eq, operator.ne, operator.lt, operator.le,
-              operator.gt, operator.ge]
+    # with an int, a bool or a Rational on either side; + and > with the
+    # Rational on the left, except between two Rationals
+    BOTH_ORDERS = [operator.sub, operator.mul, operator.eq, operator.ne]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_operators_match_fraction(self, seed):
@@ -485,34 +482,57 @@ class TestRationalAgainstFraction:
         checked = 0
         for q, f in self.pairs(seed):
             for qo, fo in self.operands(rng, q, f):
-                for op in self.BINARY:
+                for op in self.BOTH_ORDERS:
                     assert self.outcome(op, q, qo) == self.outcome(op, f, fo), (op, q, qo)
                     assert self.outcome(op, qo, q) == self.outcome(op, fo, f), (op, qo, q)
                     checked += 2
-            for e in (0, 1, 2, 3, -1, -2, 0.5, -1.5):
+                for op in (operator.add, operator.gt):
+                    assert self.outcome(op, q, qo) == self.outcome(op, f, fo), (op, q, qo)
+                if type(qo) is measures.Rational:
+                    for op in (operator.add, operator.truediv, operator.gt):
+                        assert self.outcome(op, qo, q) == self.outcome(op, fo, f), (op, qo, q)
+                    assert (self.outcome(operator.truediv, q, qo)
+                            == self.outcome(operator.truediv, f, fo))
+                # a Fraction is compared as the value it holds
+                for op in (operator.eq, operator.ne, operator.gt):
+                    assert self.outcome(op, q, fo) == self.outcome(op, f, fo), (op, q, fo)
+                assert self.outcome(operator.eq, fo, q) == self.outcome(operator.eq, fo, f)
+            for e in (0, 1, 2, 3):
                 assert self.outcome(operator.pow, q, e) == self.outcome(operator.pow, f, e)
-            for fn in (operator.neg, abs, float, bool, hash,
-                       math.log2, math.sqrt):
+            for fn in (abs, float, bool, math.log2, math.sqrt):
                 assert self.outcome(fn, q) == self.outcome(fn, f), fn
             assert self.outcome(max, q, q - 1) == self.outcome(max, f, f - 1)
             if f.denominator == 1:
-                assert q == f.numerator and hash(q) == hash(f.numerator)
+                assert q == f.numerator
         assert checked > 10_000
 
-    def test_exact_float_comparisons_and_hashes(self):
-        # float(1/3) is not 1/3, and the comparison sees it; dyadic values
-        # equal their floats and hash like them
-        third = measures.Rational(2, 6)
-        assert third != 1 / 3 and third > 1 / 3
-        assert not third < 1 / 3 and third < math.nextafter(1 / 3, 1)
-        for n, d in ((3, 8), (-5, 4), (0, 9), (12, 3), (-14, 7)):
-            q = measures.Rational(n * 3, d * 3)
-            assert q == n / d and hash(q) == hash(n / d) == hash(Fraction(n, d))
-        assert {measures.Rational(4, 2): "two"}[2] == "two"
+    def test_dropped_operations_fail_loudly(self):
+        # a float operand would turn exact arithmetic into float arithmetic
+        # (or an exact float comparison into a silent False) unseen
+        for q in (measures.Rational(0, 3), measures.Rational(2, 4)):
+            for x in (0.0, 0.5, INF, -INF, math.nan):
+                for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+                           operator.eq, operator.ne, operator.gt):
+                    with pytest.raises(TypeError):
+                        op(q, x)
+                    with pytest.raises(TypeError):
+                        op(x, q)
+            for dropped in (lambda: 1 + q, lambda: q / 2, lambda: 2 / q, lambda: q ** -1,
+                            lambda: q ** 0.5, lambda: -q, lambda: hash(q)):
+                with pytest.raises(TypeError):
+                    dropped()
+        assert not measures.Rational(0, 7) and measures.Rational(-1, 7)
+
+    def test_sign_normalisation_and_exact_equality(self):
         half = measures.Rational(1, -2)
-        assert (half.numerator, half.denominator) == (-1, 2) and half < 0
+        assert (half.numerator, half.denominator) == (-1, 2) and not half > 0
         with pytest.raises(ZeroDivisionError):
             measures.Rational(1, 0)
+        for n, d in ((3, 8), (-5, 4), (0, 9), (12, 3), (-14, 7)):
+            q = measures.Rational(n * 3, d * 3)
+            assert q == Fraction(n, d) and Fraction(n, d) == q
+            assert (q == n // d) is (d == 1 or n % d == 0)
+        assert measures.Rational(6, 3) == 2 and 2 == measures.Rational(-4, -2)
 
     def test_kit_is_built_in_it(self):
         k = prob_kit(C(2, 3))
