@@ -47,12 +47,12 @@ class Rational:
     It is never reduced to lowest terms: the formulas need exact values, and
     the gcd that fractions.Fraction takes on every operation is most of its
     cost. It has only what the formulas use: +, - and * with a Rational or
-    an int (either side), / by a Rational, ** by an int >= 0, abs, bool,
-    float, and == and > against an int, a Rational or a numbers.Rational
-    such as Fraction. Any other operand, a float included, is a TypeError,
-    so a formula cannot fall into float arithmetic unseen. It is not
-    hashable. float() is n / d, which Python rounds correctly, so the float
-    of a value does not depend on whether it was reduced.
+    an int (an int on the left only for - and *), / by a Rational, ** by an
+    int >= 0, abs, bool, float, and == and > against an int, a Rational or
+    a numbers.Rational such as Fraction. Any other operand, a float
+    included, is a TypeError, and it is not hashable. float() is n / d,
+    which Python rounds correctly, so the float of a value does not depend
+    on whether it was reduced.
     """
 
     __slots__ = ("numerator", "denominator")
