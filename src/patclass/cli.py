@@ -278,7 +278,7 @@ def _mine_and_cluster(cfg: RunConfig, path: str, seconds: Optional[dict] = None,
         matrix = footprints.build_matrix(pattern_set, ds)
     with _stage("cluster", seconds):
         clustering = clusterer.FootprintClustering.build(matrix)
-        cut = clustering.cut(_share(cfg.threshold_pct))
+        cut = clustering.cut(math.floor(_share(cfg.threshold_pct) * matrix.n_graphs))
     return ds, pattern_set, matrix, clustering, cut
 
 
@@ -351,7 +351,8 @@ def run_cluster_sweep(cfg: RunConfig) -> str:
     with _stage("sweep"):
         f1 = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
                                                 seed=cfg.seed)
-        cuts = [clustering.cut(_share(pct)) for pct in cfg.thresholds]
+        cuts = [clustering.cut(math.floor(_share(pct) * matrix.n_graphs))
+                for pct in cfg.thresholds]
         scores = f1.many(cut.representatives for cut in cuts)
         lines = ["threshold_pct,abs_threshold,n_representatives,f1"]
         for pct, cut, score in zip(cfg.thresholds, cuts, scores):
@@ -392,16 +393,17 @@ def run_gold(cfg: RunConfig) -> dict:
     _ds, _ps, matrix, _clustering, cut = _mine_and_cluster(cfg, _one_dataset(cfg))
     reps = list(cut.representatives)
     with _stage("gold standard"):
-        gold = shapley.gold_standard(matrix, reps, k=cfg.k_folds, c=cfg.c,
-                                     seed=cfg.seed,
-                                     n_permutations=cfg.n_permutations,
-                                     exact_limit=cfg.exact_limit)
+        # the sweep reads f's cache: a coalition the Shapley run already
+        # evaluated costs no CV
+        f = shapley.performance_characteristic(matrix, k=cfg.k_folds, c=cfg.c,
+                                               seed=cfg.seed)
+        gold = shapley.gold_standard(f, reps, n_permutations=cfg.n_permutations,
+                                     seed=cfg.seed, exact_limit=cfg.exact_limit)
         _write(out_dir, "gold.csv", shapley.shapley_csv(gold))
     with _stage("sweep"):
         rankings = measures.rank_all(matrix, reps, cfg.measures)
         sizes = [max(1, _ceil_pct(pct, len(reps))) for pct in cfg.s_grid]
         # every swept set is cross-validated in one batch before the rows
-        f = gold.characteristic
         f.many(ranking.top(s) for s in sizes
                for ranking in (gold.ranking, *rankings.values()))
         rbo_lines = ["measure,s_pct,s,rbo_vs_gold"]
@@ -438,15 +440,15 @@ def run_properties(cfg: RunConfig) -> str:
 DENSITY_CONVENTION = "2m/(n(n-1))"  # plain density, even for bipartite graphs
 
 
-def run_stats(cfg: RunConfig) -> graphdata.DatasetStats:
-    """Statistics of the dataset as read, not under-sampled."""
+def run_stats(cfg: RunConfig) -> dict:
+    """Statistics of the dataset as read, not under-sampled: the row
+    written to stats.csv."""
     with _stage("load"):   # a ConfigError passes through
         ds = _load_dataset(cfg, _one_dataset(cfg))
-    st = graphdata.dataset_stats(ds)
-    row = asdict(st) | {"density_convention": DENSITY_CONVENTION}
+    row = asdict(graphdata.dataset_stats(ds)) | {"density_convention": DENSITY_CONVENTION}
     _write(Path(cfg.out), "stats.csv", ",".join(row) + "\n" + ",".join(
         "" if value is None else str(value) for value in row.values()) + "\n")
-    return st
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -529,9 +531,7 @@ def properties(cfg):
 @_command
 def stats(cfg):
     """Dataset summary statistics."""
-    st = run_stats(cfg)
-    click.echo(json.dumps(asdict(st) | {"density_convention": DENSITY_CONVENTION},
-                          indent=2, sort_keys=True))
+    click.echo(json.dumps(run_stats(cfg), indent=2, sort_keys=True))
 
 
 if __name__ == "__main__":

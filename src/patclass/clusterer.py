@@ -5,7 +5,8 @@ The Manhattan distance between two footprints is the number of graphs on
 which the patterns disagree, so distances and merge heights are integers.
 Cutting the dendrogram at threshold t yields clusters whose maximum pairwise
 footprint distance is at most t; t = 0 groups exactly the identical
-footprints. Tie-breaks (merge order, medoids) are by ascending pattern id so
+footprints. t is an integer: the commands floor their share of the graph
+count to it. Tie-breaks (merge order, medoids) are by ascending pattern id so
 runs are reproducible.
 
 Distances are popcounts of XORed 64-bit words, with no BLAS call: a Gram
@@ -23,9 +24,7 @@ row. That costs O(p^2) plus O(p) per rescan, not O(p^3).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -78,7 +77,6 @@ class Dendrogram:
 
     merges: tuple[tuple[int, int, int, int], ...]  # (x, y, height, new_id)
     pattern_ids: tuple[int, ...]
-    n_graphs: int
 
     @property
     def n_leaves(self) -> int:
@@ -107,8 +105,7 @@ class ClusterCut:
 
 
 def agglomerate_complete(distances: np.ndarray,
-                         pattern_ids: Sequence[int] | None = None, *,
-                         n_graphs: int) -> Dendrogram:
+                         pattern_ids: Sequence[int] | None = None) -> Dendrogram:
     """Complete-linkage agglomeration of the given distance matrix.
 
     At every step the pair of clusters with minimal complete-linkage distance
@@ -139,7 +136,7 @@ def agglomerate_complete(distances: np.ndarray,
     if len(set(ids)) != p:
         raise ClusterError("pattern_ids must be distinct")
     if p < 2:
-        return Dendrogram((), ids, int(n_graphs))
+        return Dendrogram((), ids)
 
     top = np.iinfo(np.int32).max
     if max(abs(int(d.max())), abs(int(d.min()))) >= top:
@@ -174,7 +171,7 @@ def agglomerate_complete(distances: np.ndarray,
         nn[stale] = near = heights[stale].argmin(axis=1)
         nn_height[stale] = heights[stale, near]
 
-    return Dendrogram(tuple(merges), ids, int(n_graphs))
+    return Dendrogram(tuple(merges), ids)
 
 
 def _medoid(rows: Sequence[int], distances: np.ndarray, weights: np.ndarray,
@@ -206,36 +203,32 @@ class FootprintClustering:
         groups = tuple(tuple(g) for g in _footprints.distinct_footprint_groups(matrix))
         reps = tuple(g[0] for g in groups)
         dist = manhattan_matrix(matrix, reps)
-        dendro = agglomerate_complete(dist, reps, n_graphs=matrix.n_graphs)
+        dendro = agglomerate_complete(dist, reps)
         return FootprintClustering(groups, dist, dendro)
 
-    def cut(self, share: float | Fraction) -> ClusterCut:
-        """Apply every merge with height <= floor(share * n_graphs), with
-        leaf i standing for the pattern ids groups[i] (smallest first),
-        weighted by their count in the medoid choice.
-
-        share is a share in [0, 1] of the graph count (the maximal possible
-        Manhattan distance); share 0 groups exactly the identical footprints.
-        A Fraction, as the commands pass, floors an exact product.
+    def cut(self, threshold: int) -> ClusterCut:
+        """Apply every merge with height <= threshold, a non-negative
+        integer Manhattan distance, with leaf i standing for the pattern ids
+        groups[i] (smallest first), weighted by their count in the medoid
+        choice. Threshold 0 groups exactly the identical footprints.
         """
-        if not (0.0 <= share <= 1.0):
-            raise ClusterError("share must be in [0, 1]")
+        if not isinstance(threshold, (int, np.integer)) or threshold < 0:
+            raise ClusterError("threshold must be a non-negative integer")
         dendrogram, groups = self.dendrogram, self.groups
-        threshold = math.floor(share * dendrogram.n_graphs)
         members: dict[int, list[int]] = {i: [i] for i in range(dendrogram.n_leaves)}
         for (x, y, h, new_id) in dendrogram.merges:
             if h > threshold:
                 break
             members[new_id] = members.pop(x) + members.pop(y)
         weights = np.array([len(g) for g in groups], dtype=np.int64)
-        leaf_ids = [g[0] for g in groups]
         found = []
         for rows in members.values():
             cluster = tuple(sorted(pid for r in rows for pid in groups[r]))
-            found.append((cluster, _medoid(rows, self.distances, weights, leaf_ids)))
+            found.append((cluster, _medoid(rows, self.distances, weights,
+                                           dendrogram.pattern_ids)))
         found.sort(key=lambda cr: cr[0][0])
         return ClusterCut(clusters=tuple(c for c, _r in found),
-                          threshold=threshold,
+                          threshold=int(threshold),
                           representatives=tuple(r for _c, r in found))
 
 

@@ -24,13 +24,20 @@ class MinerError(ValueError):
 
 @dataclass(frozen=True)
 class Pattern:
-    """Connected pattern in canonical (minimal) DFS code form."""
+    """Connected pattern in canonical (minimal) DFS code form. Its sizes
+    are read from the code and its support from graph_ids."""
 
     pattern_id: int
     code: DfsCode
-    n_vertices: int
-    n_edges: int
     graph_ids: tuple[int, ...] = ()  # containing graphs, cached by the miner
+
+    @property
+    def n_vertices(self) -> int:
+        return max(max(i, j) for i, j, *_ in self.code) + 1
+
+    @property
+    def n_edges(self) -> int:
+        return len(self.code)
 
     @property
     def support(self) -> int:
@@ -275,10 +282,7 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
         code, embeddings, gids = stack.pop()
         if not _is_min(code):
             continue
-        patterns.append(Pattern(
-            pattern_id=len(patterns), code=code,
-            n_vertices=max(max(i, j) for i, j, *_ in code) + 1,
-            n_edges=len(code), graph_ids=tuple(sorted(gids))))
+        patterns.append(Pattern(len(patterns), code, tuple(sorted(gids))))
         if max_edges is None or len(code) < max_edges:
             push(code, _extensions(code, embeddings, hosts))
 

@@ -27,7 +27,7 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 # cross_validate is not called here; it stays importable from this module
@@ -162,9 +162,6 @@ class GoldStandard:
     std_error: Optional[dict[int, float]]
     ranking: Ranking
     method: str  # "exact" | "sampled(n_permutations=..., seed=...)"
-    # the f the values were computed from; gold_standard's keeps its cache, so
-    # reading a coalition the Shapley run already evaluated costs no CV
-    characteristic: CachedCharacteristic = field(compare=False, repr=False)
 
 
 def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
@@ -212,26 +209,25 @@ def sampled_shapley(pattern_ids: Sequence[int], f: CachedCharacteristic,
     return GoldStandard(
         values=values, std_error=std_error,
         ranking=Ranking.of(values),
-        method=f"sampled(n_permutations={n_permutations}, seed={seed})",
-        characteristic=f)
+        method=f"sampled(n_permutations={n_permutations}, seed={seed})")
 
 
-def gold_standard(matrix: FootprintMatrix, pattern_ids: Sequence[int],
-                  k: int = 5, c: float = 1.0, seed: int = 0,
-                  n_permutations: int = 200,
+def gold_standard(f: CachedCharacteristic, pattern_ids: Sequence[int],
+                  n_permutations: int = 200, seed: int = 0,
                   exact_limit: int = EXACT_LIMIT) -> GoldStandard:
-    """Shapley-based gold standard over the given (representative) patterns.
+    """Shapley-based gold standard of f over the given (representative)
+    patterns.
 
-    Exact below the coalition-count limit, permutation-sampled above it.
+    Exact up to exact_limit players, permutation-sampled with the seed above
+    it. The caller owns f, so it can read the coalitions the run evaluated
+    from f's cache.
     """
     ids = list(pattern_ids)
-    f = performance_characteristic(matrix, k=k, c=c, seed=seed)
     if len(ids) > exact_limit:
         return sampled_shapley(ids, f, n_permutations=n_permutations, seed=seed)
     values = exact_shapley(ids, f, exact_limit=exact_limit)
     return GoldStandard(values=values, std_error=None,
-                        ranking=Ranking.of(values), method="exact",
-                        characteristic=f)
+                        ranking=Ranking.of(values), method="exact")
 
 
 def shapley_csv(gold: GoldStandard) -> str:

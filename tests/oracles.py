@@ -251,9 +251,7 @@ def import_patterns(text: str | Iterable[str],
         gids: tuple[int, ...] = ()
         if dataset is not None:
             gids = tuple(h.graph_id for h in dataset if contains(g, h))
-        patterns.append(Pattern(
-            pattern_id=len(patterns), code=code,
-            n_vertices=g.n_vertices, n_edges=g.n_edges, graph_ids=gids))
+        patterns.append(Pattern(pattern_id=len(patterns), code=code, graph_ids=gids))
     return PatternSet(tuple(patterns), min_support=min_support)
 
 
@@ -406,13 +404,13 @@ def naive_complete_linkage(dist, ids=None):
     return merges
 
 
-def cut(dendrogram, threshold_pct, distances):
+def cut(dendrogram, threshold, distances):
     """Cut a dendrogram built over one leaf per pattern id: apply every merge
-    with height <= floor(threshold_pct * n_graphs), with unit medoid weights.
-    Threshold 0 groups exactly the identical footprints."""
+    with height <= threshold, with unit medoid weights. Threshold 0 groups
+    exactly the identical footprints."""
     ids = tuple(dendrogram.pattern_ids)
     return FootprintClustering(tuple((pid,) for pid in ids), distances,
-                               dendrogram).cut(threshold_pct)
+                               dendrogram).cut(threshold)
 
 
 def medoids(clusters, distances, pattern_ids):

@@ -256,15 +256,15 @@ def test_c5_threshold_zero_and_coarsening():
     mat = footprints.FootprintMatrix(bits, labels)
     ids = list(range(mat.n_patterns))
     dist = clusterer.manhattan_matrix(mat, ids)
-    dendro = clusterer.agglomerate_complete(dist, ids, n_graphs=n_graphs)
-    zero_cut = cut(dendro, 0.0, dist)
+    dendro = clusterer.agglomerate_complete(dist, ids)
+    zero_cut = cut(dendro, 0, dist)
     groups = footprints.distinct_footprint_groups(mat)
     zero_ok = (len(zero_cut.representatives) == len(groups)
                and [list(c) for c in zero_cut.clusters] == groups)
     prev = None
     monotone = True
     for pct in [i / 10 for i in range(11)]:
-        cur = cut(dendro, pct, dist)
+        cur = cut(dendro, math.floor(pct * n_graphs), dist)
         if prev is not None:
             cur_sets = [set(c) for c in cur.clusters]
             if not all(any(set(small) <= big for big in cur_sets)
@@ -468,11 +468,12 @@ def test_c8_planted_pattern_reproduction():
     mat = planted_matrix()
     ids = list(range(mat.n_patterns))
     dist = clusterer.manhattan_matrix(mat, ids)
-    dendro = clusterer.agglomerate_complete(dist, ids, n_graphs=mat.n_graphs)
-    reps = list(cut(dendro, 0.0, dist).representatives)
+    dendro = clusterer.agglomerate_complete(dist, ids)
+    reps = list(cut(dendro, 0, dist).representatives)
     assert all(pid in reps for pid in range(5))
 
-    gold = shapley.gold_standard(mat, reps, k=3, seed=0, n_permutations=30)
+    gold = shapley.gold_standard(shapley.performance_characteristic(mat, k=3, seed=0),
+                                 reps, seed=0, n_permutations=30)
     top10 = gold.ranking.pattern_ids[:10]
     planted_in_top10 = all(pid in top10 for pid in range(5))
 

@@ -434,8 +434,8 @@ class TestDuplicateColumnStability:
         mat = FootprintMatrix(bits, y.tolist())
         ids = list(range(mat.n_patterns))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=n)
-        reps = cut(dg, 0.0, d).representatives
+        dg = agglomerate_complete(d, ids)
+        reps = cut(dg, 0, d).representatives
         full = cross_validate(FeatureView.from_matrix(mat, ids), k=5, seed=1)
         reduced = cross_validate(FeatureView.from_matrix(mat, list(reps)), k=5, seed=1)
         assert abs(full.f1 - reduced.f1) <= 0.02

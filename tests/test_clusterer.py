@@ -90,12 +90,12 @@ class TestManhattan:
 class TestAgglomerate:
     def test_two_patterns_single_merge(self):
         d = np.array([[0, 3], [3, 0]])
-        dg = agglomerate_complete(d, n_graphs=10)
+        dg = agglomerate_complete(d)
         assert dg.merges == ((0, 1, 3, 2),)
 
     def test_three_equidistant_tie_break(self):
         d = np.array([[0, 2, 2], [2, 0, 2], [2, 2, 0]])
-        dg = agglomerate_complete(d, n_graphs=10)
+        dg = agglomerate_complete(d)
         # first merge must pick pair (0, 1); heights equal
         assert dg.merges[0][:3] == (0, 1, 2)
         assert dg.merges[1][2] == 2
@@ -106,7 +106,7 @@ class TestAgglomerate:
             p = rng.randint(2, 7)
             mat = random_footprints(rng, 12, p)
             d = manhattan_matrix(mat, list(range(p)))
-            dg = agglomerate_complete(d, n_graphs=12)
+            dg = agglomerate_complete(d)
             ref = naive_complete_linkage([list(row) for row in d])
             assert list(dg.merges) == ref
 
@@ -120,7 +120,7 @@ class TestAgglomerate:
         rng = np.random.default_rng(21)
         for p in list(range(2, 41)) * 2:
             d = self.tie_heavy(rng, p)
-            dg = agglomerate_complete(d, n_graphs=3)
+            dg = agglomerate_complete(d)
             assert list(dg.merges) == naive_complete_linkage(d.tolist()), p
 
     def test_tie_heavy_permuted_ids_match_oracle(self):
@@ -128,7 +128,7 @@ class TestAgglomerate:
         for p in list(range(2, 41)) * 2:
             d = self.tie_heavy(rng, p)
             ids = rng.permutation(3 * p)[:p].tolist()
-            dg = agglomerate_complete(d, ids, n_graphs=3)
+            dg = agglomerate_complete(d, ids)
             assert list(dg.merges) == naive_complete_linkage(d.tolist(), ids), (p, ids)
 
     @pytest.mark.parametrize("seed", [23, 24, 25])
@@ -138,10 +138,10 @@ class TestAgglomerate:
         # pattern id
         rng = np.random.default_rng(seed)
         d = self.tie_heavy(rng, 80)
-        assert list(agglomerate_complete(d, n_graphs=3).merges) == \
+        assert list(agglomerate_complete(d).merges) == \
             naive_complete_linkage(d.tolist())
         ids = rng.permutation(240)[:80].tolist()
-        merges = list(agglomerate_complete(d, ids, n_graphs=3).merges)
+        merges = list(agglomerate_complete(d, ids).merges)
         assert merges == naive_complete_linkage(d.tolist(), ids)
         assert any(y < 80 and ids[y] < ids[x] for x, y, _h, _n in merges)
 
@@ -156,17 +156,17 @@ class TestAgglomerate:
                       [2, 2, 1, 0]])
         expected = [(1, 2, 0, 4), (3, 4, 2, 5), (0, 5, 3, 6)]
         assert naive_complete_linkage(d.tolist(), ids) == expected
-        assert list(agglomerate_complete(d, ids, n_graphs=4).merges) == expected
+        assert list(agglomerate_complete(d, ids).merges) == expected
 
     def test_duplicate_ids_rejected(self):
         d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(ClusterError):
-            agglomerate_complete(d, [4, 2, 4], n_graphs=2)
+            agglomerate_complete(d, [4, 2, 4])
 
     def test_pair_key_overflow_rejected(self):
         d = np.array([[0, 2 ** 62], [2 ** 62, 0]])
         with pytest.raises(ClusterError):
-            agglomerate_complete(d, n_graphs=1)
+            agglomerate_complete(d)
 
     def test_peak_memory_height_matrix(self):
         # the p x p int32 height matrix and its permuted copy, plus 128 KiB
@@ -176,11 +176,11 @@ class TestAgglomerate:
         bits = rng.random((n, p)) < 0.3
         bits[0] = True
         d = manhattan_matrix(FootprintMatrix(bits, [1] * 75 + [-1] * 75), range(p))
-        agglomerate_complete(d[:10, :10], n_graphs=n)   # imports, untraced
+        agglomerate_complete(d[:10, :10])   # imports, untraced
         for ids in (None, rng.permutation(p).tolist()):
             tracemalloc.start()
             try:
-                agglomerate_complete(d, ids, n_graphs=n)
+                agglomerate_complete(d, ids)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -190,7 +190,7 @@ class TestAgglomerate:
         rng = random.Random(4)
         mat = random_footprints(rng, 16, 14)
         d = manhattan_matrix(mat, list(range(14)))
-        dg = agglomerate_complete(d, n_graphs=16)
+        dg = agglomerate_complete(d)
         hs = [h for (_x, _y, h, _n) in dg.merges]
         assert hs == sorted(hs)
 
@@ -201,8 +201,8 @@ class TestCut:
         mat = matrix_from_columns(cols)
         ids = list(range(5))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=4)
-        c = cut(dg, 0.0, d)
+        dg = agglomerate_complete(d, ids)
+        c = cut(dg, 0, d)
         groups = [tuple(g) for g in distinct_footprint_groups(mat)]
         assert list(c.clusters) == groups
 
@@ -211,8 +211,8 @@ class TestCut:
         mat = random_footprints(rng, 10, 8)
         ids = list(range(8))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=10)
-        c = cut(dg, 1.0, d)
+        dg = agglomerate_complete(d, ids)
+        c = cut(dg, 10, d)
         assert len(c.clusters) == 1
         assert c.threshold == 10
 
@@ -221,10 +221,10 @@ class TestCut:
         mat = random_footprints(rng, 14, 20)
         ids = list(range(20))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=14)
+        dg = agglomerate_complete(d, ids)
         prev = None
-        for pct in [0.0, 0.1, 0.2, 0.4, 0.7, 1.0]:
-            cur = cut(dg, pct, d)
+        for t in [0, 1, 2, 5, 9, 14]:
+            cur = cut(dg, t, d)
             if prev is not None:
                 cur_sets = [set(c) for c in cur.clusters]
                 for small in prev.clusters:
@@ -237,19 +237,19 @@ class TestCut:
         mat = random_footprints(rng, 12, 15)
         ids = list(range(15))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=12)
-        for pct in [0.0, 0.25, 0.5, 0.75]:
-            c = cut(dg, pct, d)
+        dg = agglomerate_complete(d, ids)
+        for t in [0, 3, 6, 9]:
+            c = cut(dg, t, d)
             for cluster in c.clusters:
                 for i in cluster:
                     for j in cluster:
                         assert d[ids.index(i), ids.index(j)] <= c.threshold
 
-    def test_pct_validation(self):
+    @pytest.mark.parametrize("threshold", [-1, 0.5])
+    def test_negative_or_fractional_threshold_rejected(self, threshold):
         d = np.array([[0, 1], [1, 0]])
-        dg = agglomerate_complete(d, n_graphs=2)
         with pytest.raises(ClusterError):
-            cut(dg, 1.5, d)
+            cut(agglomerate_complete(d), threshold, d)
 
 
 class TestMedoids:
@@ -267,8 +267,8 @@ class TestMedoids:
         mat = random_footprints(rng, 10, 12)
         ids = list(range(12))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=10)
-        c = cut(dg, 0.4, d)
+        dg = agglomerate_complete(d, ids)
+        c = cut(dg, 4, d)
         for cluster, rep in zip(c.clusters, c.representatives):
             totals = {i: sum(d[ids.index(i), ids.index(j)] for j in cluster)
                       for i in cluster}
@@ -296,14 +296,14 @@ class TestFootprintClustering:
             mat = self.duplicate_rich(seed)
             ids = list(range(mat.n_patterns))
             d = manhattan_matrix(mat, ids)
-            dg = agglomerate_complete(d, ids, n_graphs=mat.bits.shape[0])
+            dg = agglomerate_complete(d, ids)
             fast = FootprintClustering.build(mat)
-            for pct in [0.0, 0.1, 0.3, 0.5, 0.8, 1.0]:
-                direct = cut(dg, pct, d)
-                deduped = fast.cut(pct)
-                assert deduped.clusters == direct.clusters, (seed, pct)
-                assert deduped.representatives == direct.representatives, (seed, pct)
-                assert deduped.threshold == direct.threshold
+            for t in range(mat.n_graphs + 1):
+                direct = cut(dg, t, d)
+                deduped = fast.cut(t)
+                assert deduped.clusters == direct.clusters, (seed, t)
+                assert deduped.representatives == direct.representatives, (seed, t)
+                assert deduped.threshold == direct.threshold == t
 
     def test_scales_past_quadratic_blowup(self):
         # 4000 columns but only ~40 distinct footprints: must finish fast
@@ -318,7 +318,7 @@ class TestFootprintClustering:
         import time
         t0 = time.perf_counter()
         clustering = FootprintClustering.build(mat)
-        c = clustering.cut(0.0)
+        c = clustering.cut(0)
         assert time.perf_counter() - t0 < 5.0
         from patclass.footprints import distinct_footprint_groups
         assert len(c.clusters) == len(distinct_footprint_groups(mat))
@@ -347,8 +347,8 @@ class TestCsv:
         mat = random_footprints(rng, 8, 6)
         ids = list(range(6))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids, n_graphs=8)
-        c = cut(dg, 0.25, d)
+        dg = agglomerate_complete(d, ids)
+        c = cut(dg, 2, d)
         assert clusters_csv(c).startswith("cluster_id,pattern_id,is_representative")
         assert dendrogram_csv(dg).startswith("merge_index,left,right,height")
         assert len(dendrogram_csv(dg).strip().splitlines()) == 6  # header + 5 merges

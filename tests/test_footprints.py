@@ -52,7 +52,7 @@ class TestBuildMatrix:
         # columns come from graph_ids alone: empty ids are zero support
         ds = self.make_dataset(seed=29)
         mined = mine_frequent(ds, min_support=1, max_edges=3)
-        stripped = [p.__class__(p.pattern_id, p.code, p.n_vertices, p.n_edges, ())
+        stripped = [p.__class__(p.pattern_id, p.code, ())
                     for p in mined]
         with pytest.raises(FootprintError, match="pattern 0 has zero support"):
             build_matrix(stripped, ds)

@@ -261,6 +261,17 @@ class TestMineFrequent:
         sizes = sorted((p.n_vertices, p.n_edges) for p in ps)
         assert sizes == [(2, 1), (3, 2), (3, 3)]
 
+    def test_sizes_are_read_from_the_code(self):
+        p = miner.Pattern(0, ((0, 1, 0, 0, 1),), (0,))
+        assert (p.n_vertices, p.n_edges, p.support) == (2, 1, 1)
+        # TestFirstEdgePruning's first configuration: 600 patterns, <= 6 edges
+        mined = mine_frequent(molecule_like(1, 150), min_support=3,
+                              max_patterns=600, max_edges=6)
+        assert len(mined) == 600
+        for p in mined:
+            g = code_to_graph(p.code)
+            assert (p.n_vertices, p.n_edges) == (g.n_vertices, g.n_edges), p.code
+
     def test_min_support_above_n_empty(self):
         ds = GraphDataset((triangle(),))
         assert len(mine_frequent(ds, min_support=2)) == 0

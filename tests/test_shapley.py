@@ -379,7 +379,7 @@ class TestCharacteristic:
 class TestGoldStandard:
     def test_separating_pattern_ranked_first(self):
         m = TestCharacteristic().make_matrix()
-        gold = gold_standard(m, [0, 1, 2], seed=0)
+        gold = gold_standard(performance_characteristic(m, seed=0), [0, 1, 2], seed=0)
         assert gold.method == "exact"
         assert gold.ranking.pattern_ids[0] == 0
 
@@ -391,7 +391,7 @@ class TestGoldStandard:
         noise[0] = True
         bits = np.stack([col, col, noise], axis=1)
         m = FootprintMatrix(bits, y)
-        gold = gold_standard(m, [0, 1, 2], seed=1)
+        gold = gold_standard(performance_characteristic(m, seed=1), [0, 1, 2], seed=1)
         assert gold.values[0] == pytest.approx(gold.values[1], abs=1e-12)
         first, second = gold.ranking.pattern_ids[:2]
         assert (first, second) == (0, 1)
@@ -409,16 +409,17 @@ class TestGoldStandard:
             cols.append(c)
         m = FootprintMatrix(np.stack(cols, axis=1), y.tolist())
         ids = list(range(10))
-        exact = gold_standard(m, ids, seed=2, k=3, exact_limit=10)
-        sampled = gold_standard(m, ids, seed=2, k=3, exact_limit=5,
-                                n_permutations=250)
+        exact = gold_standard(performance_characteristic(m, k=3, seed=2), ids,
+                              seed=2, exact_limit=10)
+        sampled = gold_standard(performance_characteristic(m, k=3, seed=2), ids,
+                                seed=2, exact_limit=5, n_permutations=250)
         assert exact.method == "exact" and sampled.method.startswith("sampled")
         from patclass.rankcmp import rbo
         assert rbo(exact.ranking, sampled.ranking, p=0.9) >= 0.9
 
     def test_csv_schema(self):
         m = TestCharacteristic().make_matrix()
-        gold = gold_standard(m, [0, 1, 2], seed=0)
+        gold = gold_standard(performance_characteristic(m, seed=0), [0, 1, 2], seed=0)
         text = shapley_csv(gold)
         lines = text.strip().splitlines()
         assert lines[0] == "pattern_id,shapley_value,std_error,rank"
