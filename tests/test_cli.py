@@ -324,6 +324,15 @@ class TestCliCommands:
         assert result.exit_code == 1, result.output
         assert "stage 'mine' failed" in result.output
 
+    def test_fold_error_in_gold_exits_one_naming_gold_standard(self, dataset_file,
+                                                               tmp_path):
+        # run_gold builds the characteristic and runs Shapley in one stage
+        result = CliRunner().invoke(main, [
+            "gold", "--dataset", str(dataset_file), "--out", str(tmp_path / "out"),
+            "--set", "max_edges=2", "--set", "k_folds=50"])
+        assert result.exit_code == 1, result.output
+        assert "error: stage 'gold standard' failed: each class needs" in result.output
+
     @pytest.mark.parametrize("command", ["pipeline", "cluster-sweep", "gold",
                                          "pairwise-tau"])
     def test_unlabeled_dataset_exits_one_naming_load(self, tmp_path,
