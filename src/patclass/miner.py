@@ -4,6 +4,12 @@ A pattern is identified by its minimal DFS code: a sequence of extension
 tuples (i, j, label_i, edge_label, label_j) over DFS discovery indices.
 Two patterns are isomorphic iff their minimal codes are equal. Support is
 presence-based: the number of graphs containing at least one embedding.
+
+One walk, _extensions, lists a code's rightmost-path extensions. The search
+skips an edge group with fewer embeddings than min_support before counting
+its graphs. The minimality check starts from the candidate's first edge and
+bounds each step by the candidate's next edge. Codes carry their rightmost
+path.
 """
 
 from __future__ import annotations
@@ -101,6 +107,13 @@ def _edge_key(e: DfsEdge) -> tuple:
     return (i < j, j if i > j else -i, e[2:])
 
 
+def _label_triple(edge: DfsEdge) -> tuple[int, int, int]:
+    """The labels of edge as a single-edge code writes them: (min label,
+    edge label, max label)."""
+    li, el, lj = edge[2:]
+    return (li, el, lj) if li <= lj else (lj, el, li)
+
+
 # ---------------------------------------------------------------------------
 # Embeddings. An embedding is a (graph id, vertex map) pair; the vertex map
 # takes DFS index k to the graph vertex vmap[k]. Hosts map a graph id to its
@@ -143,21 +156,26 @@ def _seeds(hosts: Hosts) -> dict[DfsEdge, list[Embedding]]:
     return seeds
 
 
-def _rightmost_path(code: DfsCode) -> list[int]:
-    """DFS indices from root to the rightmost vertex, derived from the code."""
-    parent = {j: i for (i, j, *_r) in code if i < j}  # forward edges discover j
-    path = [max(parent)]
-    while path[-1] in parent:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def _grow_path(path: tuple[int, ...], edge: DfsEdge) -> tuple[int, ...]:
+    """The rightmost path, root first, of a code whose path was `path` once
+    edge is appended: a forward edge (i, j) keeps the path up to i and adds
+    j, a backward edge keeps it. The empty code's path is its root, (0,)."""
+    i, j = edge[0], edge[1]
+    return path[:path.index(i) + 1] + (j,) if i < j else path
 
 
-def _extensions(code: DfsCode, embeddings: list[Embedding],
-                hosts: Hosts) -> dict[DfsEdge, list[Embedding]]:
-    """Rightmost-path extensions of every embedding, grouped by DFS edge: a
-    forward edge appends the new vertex to the vertex map, a backward edge
-    keeps it."""
-    path = _rightmost_path(code)
+def _extensions(code: DfsCode, embeddings: list[Embedding], hosts: Hosts,
+                path: tuple[int, ...], bound: Optional[DfsEdge] = None
+                ) -> dict[DfsEdge, list[Embedding]]:
+    """Rightmost-path extensions of every embedding of code, whose rightmost
+    path is `path`, grouped by DFS edge: a forward edge appends the new
+    vertex to the vertex map, a backward edge keeps it.
+
+    With bound, one extension of code, only bound's group is kept, and the
+    walk returns {} at the first extension that sorts before bound. Within
+    one extension set _edge_key is unique (backward edges share i, forward
+    edges share j), so bound's group is returned exactly when bound is the
+    smallest extension."""
     rm = path[-1]
     # An embedding is injective, so the graph edge between vmap[rm] and
     # vmap[di] is in use exactly when the code has an edge between rm and di.
@@ -165,6 +183,7 @@ def _extensions(code: DfsCode, embeddings: list[Embedding],
     # yet link to rm, whatever the embedding.
     linked = {j if i == rm else i for (i, j, *_r) in code if rm in (i, j)}
     back = set(path[:-1]) - linked
+    key = None if bound is None else _edge_key(bound)
     grouped: defaultdict[DfsEdge, list[Embedding]] = defaultdict(list)
     for emb in embeddings:
         gid, vmap = emb
@@ -174,31 +193,56 @@ def _extensions(code: DfsCode, embeddings: list[Embedding],
             if nbr in vmap:
                 di = vmap.index(nbr)
                 if di in back:
-                    grouped[(rm, di, labels[u], el, labels[nbr])].append(emb)
+                    edge = (rm, di, labels[u], el, labels[nbr])
+                    if bound is None or edge == bound:
+                        grouped[edge].append(emb)
+                    elif _edge_key(edge) < key:
+                        return {}
         for di in path:
             src = vmap[di]
             for (nbr, el) in adj[src]:
                 if nbr not in vmap:
-                    grouped[(di, rm + 1, labels[src], el, labels[nbr])].append(
-                        (gid, vmap + (nbr,)))
+                    edge = (di, rm + 1, labels[src], el, labels[nbr])
+                    if bound is None or edge == bound:
+                        grouped[edge].append((gid, vmap + (nbr,)))
+                    elif _edge_key(edge) < key:
+                        return {}
     return grouped
 
 
 def _min_code(host: Host, stop: Optional[DfsCode] = None) -> DfsCode:
     """Minimal DFS code of a connected graph, given as one host, grown by the
-    smallest extension over all self-embeddings. With stop, return at the
-    first edge where the minimal code departs from stop."""
-    n_edges = sum(map(len, host[0])) // 2
+    smallest extension over all self-embeddings.
+
+    With stop, a DFS code of the host's graph, return the longest prefix of
+    stop that the minimal code starts with: stop itself exactly when it is
+    minimal. The minimal code starts with the graph's smallest label triple,
+    so when an edge of stop has a smaller triple than stop[0] the result is
+    (). Otherwise the walk starts from stop[0]'s embeddings alone (both
+    orientations when its end labels are equal) and passes each next edge of
+    stop to _extensions as the bound."""
+    adj, labels = host
     hosts = {0: host}
-    code: DfsCode = ()
-    grouped = _seeds(hosts)
-    while True:
+    if stop is None:
+        grouped = _seeds(hosts)
         edge = min(grouped, key=_edge_key)
-        code += (edge,)
-        departed = stop is not None and edge != stop[len(code) - 1]
-        if departed or len(code) == n_edges:
+    elif min(map(_label_triple, stop)) != stop[0][2:]:
+        return ()
+    else:
+        edge = stop[0]
+        grouped = {edge: [(0, (x, y)) for x, nbrs in enumerate(adj)
+                          for (y, el) in nbrs if (labels[x], el, labels[y]) == edge[2:]]}
+    n_edges = sum(map(len, adj)) // 2
+    code, path = (edge,), (0, 1)
+    while len(code) < n_edges:
+        bound = None if stop is None else stop[len(code)]
+        grouped = _extensions(code, grouped[edge], hosts, path, bound)
+        edge = min(grouped, key=_edge_key) if bound is None else bound
+        if edge not in grouped:
             return code
-        grouped = _extensions(code, grouped[edge], hosts)
+        code += (edge,)
+        path = _grow_path(path, edge)
+    return code
 
 
 def _is_connected(graph: AttributedGraph) -> bool:
@@ -229,19 +273,17 @@ def canonical_code(graph: AttributedGraph) -> DfsCode:
 
 
 def _below_first(code: DfsCode, edge: DfsEdge) -> bool:
-    """Whether edge, as a single-edge code (0, 1, min label, edge label, max
-    label), sorts before the first edge of code (gSpan's first-edge
-    pruning). The graph of code + (edge,) then has a smaller first edge than
-    its code, so that code is not minimal and _is_min would reject it."""
-    if not code:
-        return False
-    li, el, lj = edge[2:]
-    return ((li, el, lj) if li <= lj else (lj, el, li)) < code[0][2:]
+    """Whether edge, as a single-edge code, sorts before the first edge of
+    code (gSpan's first-edge pruning). The graph of code + (edge,) then has
+    a smaller first edge than its code, so that code is not minimal and
+    _is_min would reject it."""
+    return bool(code) and _label_triple(edge) < code[0][2:]
 
 
 def _is_min(code: DfsCode) -> bool:
     """Whether a code the miner grew (so connected) is its graph's minimal
-    code; stops at the first edge where the minimal code departs from it."""
+    code; stops at the first edge where the minimal code departs from it,
+    before any walk when an edge has a smaller label triple than the first."""
     return code == _min_code(_code_host(code), stop=code)
 
 
@@ -266,25 +308,35 @@ def mine_frequent(dataset: GraphDataset, min_support: int,
         raise MinerError("dataset is empty")
     hosts = _hosts(dataset)
     patterns: list[Pattern] = []
-    # Depth-first search on an explicit stack of (code, embeddings, graph
-    # ids). Frequent children are pushed last first, so they pop in DFS-code
-    # order and each subtree is finished before its next sibling.
-    stack: list[tuple[DfsCode, list[Embedding], set[int]]] = []
+    # Depth-first search on an explicit stack of (code, rightmost path,
+    # embeddings, graph ids). Frequent children are pushed last first, so
+    # they pop in DFS-code order and each subtree is finished before its
+    # next sibling.
+    stack: list[tuple[DfsCode, tuple[int, ...], list[Embedding], set[int]]] = []
 
-    def push(code: DfsCode, grouped: dict[DfsEdge, list[Embedding]]) -> None:
-        for edge in sorted(grouped, key=_edge_key, reverse=True):
-            gids = {gid for gid, _vmap in grouped[edge]}
-            if len(gids) >= min_support and not _below_first(code, edge):
-                stack.append((code + (edge,), grouped[edge], gids))
+    def push(code: DfsCode, path: tuple[int, ...],
+             grouped: dict[DfsEdge, list[Embedding]]) -> None:
+        frequent = {}
+        for edge, embeddings in grouped.items():
+            # a group's support is at most its number of embeddings
+            if len(embeddings) >= min_support:
+                gids = {gid for gid, _vmap in embeddings}
+                if len(gids) >= min_support and not _below_first(code, edge):
+                    frequent[edge] = gids
+        for edge in sorted(frequent, key=_edge_key, reverse=True):
+            stack.append((code + (edge,), _grow_path(path, edge), grouped[edge],
+                          frequent[edge]))
 
-    push((), _seeds(hosts))
-    while stack and len(patterns) != max_patterns:
-        code, embeddings, gids = stack.pop()
+    push((), (0,), _seeds(hosts))
+    while stack:
+        code, path, embeddings, gids = stack.pop()
         if not _is_min(code):
             continue
         patterns.append(Pattern(len(patterns), code, tuple(sorted(gids))))
+        if len(patterns) == max_patterns:
+            break
         if max_edges is None or len(code) < max_edges:
-            push(code, _extensions(code, embeddings, hosts))
+            push(code, path, _extensions(code, embeddings, hosts, path))
 
     return PatternSet(tuple(patterns), min_support=min_support,
                       truncated=len(patterns) == max_patterns)

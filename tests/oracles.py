@@ -4,7 +4,8 @@ The oracles are deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, the pairwise DFS-edge comparison of Yan & Han, an
 O(p^3) reference agglomerator, the minimality check and the footprint CSV
-writer as first written (through a validated graph, and cell by cell), the
+writer as first written (through a validated graph with an extension walk
+of its own that tracks used edges, and cell by cell), the
 one-fold-at-a-time SVM trainer and cross-validation loop, the one-coalition-at-a-time permutation-sampling
 Shapley loop, and the property checks, ranking and score table that score
 every operand with a fresh call.
@@ -13,7 +14,8 @@ The helpers are what no command calls, kept here so `src/` holds only what
 a command, the benchmark or `patclass.__all__` reaches: the backtracking
 subgraph isomorphism `contains` (the fast support recount next to
 `brute_force_contains`), `graph_support`, `import_patterns`, sorted degree
-sequences, the cut and medoids over one leaf per pattern, one model's
+sequences, `rightmost_path`, read from a code for the miner's extension
+walk, the cut and medoids over one leaf per pattern, one model's
 `predict` and the label-based `prf1` (cross-validation scores its folds from
 stacked decisions and counts), one property check
 or appendix result at a time (`check`, `recheck_counterexample`,
@@ -32,6 +34,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import permutations
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,7 +42,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from patclass import miner
 from patclass.classify import (EPOCHS, ClassifyError, EvalReport, LinearModel,
                                 stratified_folds)
 from patclass.clusterer import FootprintClustering, _medoid
@@ -282,26 +284,69 @@ def reference_edge_lt(e1, e2) -> bool:
     return j1 <= i2       # forward vs backward
 
 
+def reference_edge_key(edge):
+    """A sort key that orders DFS edges by `reference_edge_lt`."""
+    return cmp_to_key(lambda e1, e2: -1 if reference_edge_lt(e1, e2)
+                      else int(reference_edge_lt(e2, e1)))(edge)
+
+
+def rightmost_path(code) -> tuple[int, ...]:
+    """DFS indices from the root to the rightmost vertex, read from the
+    forward edges of the code."""
+    parent = {j: i for (i, j, *_r) in code if i < j}
+    path = [max(parent)]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return tuple(path[::-1])
+
+
+def reference_extensions(code, embeddings, adj, labels):
+    """The rightmost-path extension walk as first written, on one graph. An
+    embedding is a (vertex map, used graph edges) pair; a backward edge goes
+    from the rightmost vertex to a rightmost-path vertex over a graph edge
+    the embedding does not use yet, a forward edge from a rightmost-path
+    vertex to an unmapped vertex."""
+    path = rightmost_path(code)
+    rm = path[-1]
+    grouped: dict = {}
+    for (vmap, used) in embeddings:
+        u = vmap[rm]
+        for (nbr, el) in adj[u]:
+            step = frozenset((u, nbr))
+            if nbr in vmap and vmap.index(nbr) in path[:-1] and step not in used:
+                grouped.setdefault((rm, vmap.index(nbr), labels[u], el, labels[nbr]),
+                                   []).append((vmap, used | {step}))
+        for di in path:
+            src = vmap[di]
+            for (nbr, el) in adj[src]:
+                if nbr not in vmap:
+                    grouped.setdefault((di, rm + 1, labels[src], el, labels[nbr]),
+                                       []).append((vmap + (nbr,), used | {frozenset((src, nbr))}))
+    return grouped
+
+
 def reference_is_min(code) -> bool:
     """The miner's minimality check as first written: materialize the code's
-    graph through the validating `code_to_graph`, seed the walk from its
-    edge list, and grow the minimal code by the smallest extension until it
-    departs from `code` or covers every edge."""
+    graph through the validating `code_to_graph`, seed the walk from every
+    edge in both orientations, and grow the minimal code by the extension
+    that is smallest under `reference_edge_lt` until it departs from `code`
+    or covers every edge. It shares nothing with the miner but
+    `code_to_graph`."""
     graph = code_to_graph(code)
-    hosts = {graph.graph_id: (graph.adjacency(), graph.vertex_labels)}
+    adj, labels = graph.adjacency(), graph.vertex_labels
     grouped: dict = {}
     for (u, v, el) in graph.edges:
         for (x, y) in ((u, v), (v, u)):
-            lx, ly = graph.vertex_labels[x], graph.vertex_labels[y]
-            if lx <= ly:
-                grouped.setdefault((0, 1, lx, el, ly), []).append((graph.graph_id, (x, y)))
+            if labels[x] <= labels[y]:
+                grouped.setdefault((0, 1, labels[x], el, labels[y]), []).append(
+                    ((x, y), frozenset({frozenset((x, y))})))
     walk = ()
     while True:
-        edge = min(grouped, key=miner._edge_key)
+        edge = min(grouped, key=reference_edge_key)
         walk += (edge,)
         if edge != code[len(walk) - 1] or len(walk) == graph.n_edges:
             return walk == code
-        grouped = miner._extensions(walk, grouped[edge], hosts)
+        grouped = reference_extensions(walk, grouped[edge], adj, labels)
 
 
 def reference_matrix_csv(matrix) -> str:

@@ -13,7 +13,8 @@ from patclass.miner import (MinerError, canonical_code, code_to_graph,
 from oracles import (brute_force_contains, brute_force_isomorphic,
                      connected_subgraph_classes, contains, graph_canonical_form,
                      graph_support, import_patterns, molecule_like_text,
-                     random_graph, reference_edge_lt, reference_is_min)
+                     random_graph, reference_edge_lt, reference_is_min,
+                     rightmost_path)
 
 
 def molecule_like(seed, n_graphs):
@@ -147,10 +148,37 @@ class TestMinimality:
                 outcomes.add(is_min)
                 early += len(miner._min_code(miner._code_host(code), stop=code)) < len(code)
                 if len(code) < 4:
-                    grouped = miner._extensions(code, embs, hosts)
+                    grouped = miner._extensions(code, embs, hosts, rightmost_path(code))
                     stack.extend((code + (edge,), e) for edge, e in grouped.items())
         assert outcomes == {True, False}
         assert early > 0 and dropped > 0
+
+    def test_bounded_check_agrees_with_the_oracle_to_six_edges(self):
+        """Every node of the unpruned rightmost-path extension tree, up to 6
+        edges, of three molecule-like graphs and an all-equal-label host
+        (symmetric first edges, seeded in both orientations): _is_min equals
+        the independent oracle. Accepted codes, codes rejected at the first
+        edge and codes rejected by a smaller later edge all occur."""
+        equal = AttributedGraph(0, (0,) * 5, ((0, 1, 0), (0, 4, 0), (1, 2, 0),
+                                              (1, 3, 0), (2, 3, 0), (3, 4, 0)), None)
+        outcomes = set()
+        for host in list(molecule_like(1, 3)) + [equal]:
+            hosts = miner._hosts([host])
+            stack = [((edge,), embs) for edge, embs in miner._seeds(hosts).items()]
+            while stack:
+                code, embs = stack.pop()
+                is_min = miner._is_min(code)
+                assert is_min == reference_is_min(code), code
+                agreed = len(miner._min_code(miner._code_host(code), stop=code))
+                outcome = "accepted" if is_min else "first" if agreed == 0 else "later"
+                outcomes.add((outcome, host is equal))
+                if len(code) < 6:
+                    grouped = miner._extensions(code, embs, hosts, rightmost_path(code))
+                    stack.extend((code + (edge,), e) for edge, e in grouped.items())
+        # on the all-equal host every label triple ties, so nothing is
+        # rejected at its first edge
+        assert outcomes == {("accepted", False), ("first", False), ("later", False),
+                            ("accepted", True), ("later", True)}
 
 
 class TestFirstEdgePruning:
@@ -302,6 +330,35 @@ class TestMineFrequent:
         assert [p.code for p in cut] == [p.code for p in full][:4]
         # the flag means the cap was reached, even when nothing was left
         assert mine_frequent(ds, min_support=1, max_patterns=len(full)).truncated
+
+    def test_support_counts_graphs_not_embeddings(self):
+        """The search skips a group with fewer embeddings than min_support
+        before counting its graphs, and keeps or drops by the graph count.
+        Graph 0 is a 0-labelled centre with two 1-labelled leaves and one
+        2-labelled leaf, graph 1 the centre with one leaf of each."""
+        star = AttributedGraph(0, (0, 1, 1, 2), ((0, 1, 0), (0, 2, 0), (0, 3, 0)), None)
+        fork = AttributedGraph(1, (0, 1, 2), ((0, 1, 0), (0, 2, 0)), None)
+        ds = GraphDataset((star, fork))
+        first = (0, 1, 0, 0, 1)
+        hosts = miner._hosts(ds)
+        grouped = miner._extensions((first,), miner._seeds(hosts)[first], hosts, (0, 1))
+        kept, dropped = (0, 2, 0, 0, 2), (0, 2, 0, 0, 1)
+        # three embeddings in two graphs, two embeddings in one graph
+        assert [gid for gid, _vmap in grouped[kept]] == [0, 0, 1]
+        assert [gid for gid, _vmap in grouped[dropped]] == [0, 0]
+        mined = {p.code: p.graph_ids for p in mine_frequent(ds, min_support=2)}
+        assert mined[(first, kept)] == (0, 1)
+        assert (first, dropped) not in mined
+        assert set(mined) == {(first,), ((0, 1, 0, 0, 2),), (first, kept)}
+
+    def test_no_extension_after_the_last_pattern(self, monkeypatch):
+        """The pattern that fills max_patterns is not extended."""
+        def refuse(*args):
+            raise AssertionError("extended after the last pattern")
+
+        monkeypatch.setattr(miner, "_extensions", refuse)
+        ps = mine_frequent(GraphDataset((triangle(),)), min_support=1, max_patterns=1)
+        assert ps.truncated and [p.code for p in ps] == [((0, 1, 0, 0, 0),)]
 
     def test_completeness_against_brute_force(self):
         rng = random.Random(17)
