@@ -41,17 +41,18 @@ def manhattan_matrix(matrix: FootprintMatrix,
                      pattern_ids: Sequence[int]) -> np.ndarray:
     """Symmetric int64 matrix of footprint Hamming distances.
 
-    Filled 64 rows at a time: per 64-bit word of footprint, one XOR, one
-    popcount and one add. Beyond the 8 p^2-byte result the memory is three
-    copies of the footprints (8 bytes per pattern and 64 graphs) and one
-    block's XOR words and counts, 9 * 64 * p bytes.
+    The one reader of packed bits: it packs the given columns into 64-bit
+    words, then fills 64 rows at a time, per word one XOR, one popcount and
+    one add. Beyond the 8 p^2-byte result the memory is a bool copy of the
+    columns while packing, two packed copies (8 bytes per pattern and 64
+    graphs) and one block's XOR words and counts, 9 * 64 * p bytes.
     """
     ids = list(pattern_ids)
     if not ids:
         raise ClusterError("at least one pattern required")
-    p, n_bytes = len(ids), matrix.packed.shape[0]
+    p, n_bytes = len(ids), -(-matrix.n_graphs // 8)
     padded = np.zeros((p, -(-n_bytes // 8) * 8), dtype=np.uint8)
-    padded[:, :n_bytes] = matrix.packed.T[ids]
+    padded[:, :n_bytes] = np.packbits(matrix.bits[:, ids], axis=0).T
     # (words, p): row w holds every footprint's graphs 64w .. 64w + 63
     words = padded.view(np.uint64).T.copy()
     dist = np.zeros((p, p), dtype=np.int64)
@@ -174,13 +175,16 @@ def agglomerate_complete(distances: np.ndarray,
     return Dendrogram(tuple(merges), ids)
 
 
-def _medoid(rows: Sequence[int], distances: np.ndarray, weights: np.ndarray,
-            ids: Sequence[int]) -> int:
-    """Id of the row minimizing the weighted total distance to the others;
-    ties by ascending id."""
-    totals = distances[np.ix_(rows, rows)] @ weights[rows]
-    best = totals.min()
-    return min(ids[r] for r, t in zip(rows, totals.tolist()) if t == best)
+def _medoid(footprints: np.ndarray, ids: Sequence[int]) -> int:
+    """The first of the ascending ids whose footprint column has the least
+    total Manhattan distance to the columns of all ids, duplicates included.
+    With m ids and present[g] of their columns set on graph g, column j's
+    total sums present[g] where its bit g is 0 and m - present[g] where it
+    is 1: one integer pass over the columns, with no pairwise distance."""
+    cols = footprints[:, ids]
+    present = cols.sum(axis=1, keepdims=True)
+    totals = np.where(cols, len(ids) - present, present).sum(axis=0)
+    return ids[int(totals.argmin())]
 
 
 @dataclass(frozen=True)
@@ -189,28 +193,28 @@ class FootprintClustering:
 
     Identical footprints are collapsed before agglomeration: they sit at
     distance 0, so they always merge first and never change a complete-linkage
-    maximum. Cuts are expanded back to full pattern-id clusters with
-    multiplicity-weighted medoids, which reproduces exactly what clustering
-    the uncollapsed columns would produce at a fraction of the cost.
+    maximum. Cuts are expanded back to full pattern-id clusters, with medoids
+    read from the columns of all their ids, which reproduces exactly what
+    clustering the uncollapsed columns would produce at a fraction of the
+    cost. No distance matrix outlives `build`; the matrix's bits are shared.
     """
 
     groups: tuple[tuple[int, ...], ...]   # identical-footprint groups
-    distances: np.ndarray                 # over each group's smallest id
+    footprints: np.ndarray                # the matrix's bits, graphs x ids
     dendrogram: Dendrogram
 
     @staticmethod
     def build(matrix: FootprintMatrix) -> "FootprintClustering":
         groups = tuple(tuple(g) for g in _footprints.distinct_footprint_groups(matrix))
         reps = tuple(g[0] for g in groups)
-        dist = manhattan_matrix(matrix, reps)
-        dendro = agglomerate_complete(dist, reps)
-        return FootprintClustering(groups, dist, dendro)
+        dendro = agglomerate_complete(manhattan_matrix(matrix, reps), reps)
+        return FootprintClustering(groups, matrix.bits, dendro)
 
     def cut(self, threshold: int) -> ClusterCut:
         """Apply every merge with height <= threshold, a non-negative
         integer Manhattan distance, with leaf i standing for the pattern ids
-        groups[i] (smallest first), weighted by their count in the medoid
-        choice. Threshold 0 groups exactly the identical footprints.
+        groups[i] (smallest first). Threshold 0 groups exactly the identical
+        footprints.
         """
         if not isinstance(threshold, (int, np.integer)) or threshold < 0:
             raise ClusterError("threshold must be a non-negative integer")
@@ -220,12 +224,10 @@ class FootprintClustering:
             if h > threshold:
                 break
             members[new_id] = members.pop(x) + members.pop(y)
-        weights = np.array([len(g) for g in groups], dtype=np.int64)
         found = []
         for rows in members.values():
             cluster = tuple(sorted(pid for r in rows for pid in groups[r]))
-            found.append((cluster, _medoid(rows, self.distances, weights,
-                                           dendrogram.pattern_ids)))
+            found.append((cluster, _medoid(self.footprints, cluster)))
         found.sort(key=lambda cr: cr[0][0])
         return ClusterCut(clusters=tuple(c for c, _r in found),
                           threshold=int(threshold),

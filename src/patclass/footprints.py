@@ -1,8 +1,7 @@
 """Binary pattern-occurrence matrix H and per-pattern class contingencies.
 
 Row i / column j of H is 1 iff pattern j occurs in graph i; column j is the
-pattern's footprint. Columns are additionally kept bit-packed so footprint
-distances reduce to XOR + popcount.
+pattern's footprint.
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ class FootprintMatrix:
         self._bits.setflags(write=False)
         self._labels = labels
         self._labels.setflags(write=False)
-        self._packed = np.packbits(bits, axis=0)
         pos_mask = labels == POSITIVE
         self._n_pos = int(pos_mask.sum())
         # per-pattern supports in each class: the (a, b) of every contingency
@@ -82,11 +80,6 @@ class FootprintMatrix:
     @property
     def labels(self) -> np.ndarray:
         return self._labels
-
-    @property
-    def packed(self) -> np.ndarray:
-        """uint8 matrix of shape (ceil(n_graphs/8), n_patterns)."""
-        return self._packed
 
     @property
     def n_pos(self) -> int:
@@ -131,9 +124,8 @@ def distinct_footprint_groups(matrix: FootprintMatrix) -> list[list[int]]:
     """Groups of pattern ids with bit-identical columns, ordered by the
     smallest member id; singletons included."""
     seen: dict[bytes, list[int]] = {}
-    packed = matrix.packed
-    for j in range(matrix.n_patterns):
-        seen.setdefault(packed[:, j].tobytes(), []).append(j)
+    for j, column in enumerate(matrix.bits.T):
+        seen.setdefault(column.tobytes(), []).append(j)
     return sorted(seen.values(), key=lambda grp: grp[0])
 
 

@@ -30,7 +30,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .footprints import ContingencyCounts, FootprintMatrix, contingency
 
@@ -514,23 +514,23 @@ def measure_info(name: str) -> MeasureInfo:
     return MeasureInfo(name, r[1], r[2], r[3], r[4], r[5], r[6], r[7])
 
 
-def scorer(measure: str, kit: Callable[[ContingencyCounts], ProbKit]
-           ) -> Callable[[ContingencyCounts], float]:
-    """The raw score of one measure as a function of the table, reading each
-    table's probabilities through `kit` (`prob_kit`, or a memo of it that
-    the caller shares across measures). It memoizes nothing: every call
-    evaluates the formula and checks it for NaN. Callers that read a table
-    more than once keep its score under their own key: `_scored` by the
-    table, `properties.property_matrix` by (a, b)."""
+def scorer(measure: str, kit: Callable[[Any], ProbKit]) -> Callable[[Any], float]:
+    """The raw score of one measure as a function of a table's key, reading
+    the table's probabilities through `kit` (`prob_kit` on the table, or a
+    memo that the caller shares across measures, keyed as the caller
+    chooses). It memoizes nothing: every call evaluates the formula and
+    checks it for NaN, naming the key. Callers that read a table more than
+    once keep its score under their own key: `_scored` by the table,
+    `properties.property_matrix` by (a, b)."""
     try:
         fn = _REGISTRY[measure][0]
     except KeyError:
         raise MeasureError(f"unknown measure {measure!r}") from None
 
-    def raw(counts: ContingencyCounts) -> float:
-        out = float(fn(kit(counts)))
+    def raw(key) -> float:
+        out = float(fn(kit(key)))
         if math.isnan(out):
-            raise MeasureError(f"{measure} produced NaN on {counts}")
+            raise MeasureError(f"{measure} produced NaN on {key}")
         return out
     return raw
 

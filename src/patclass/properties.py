@@ -128,11 +128,10 @@ def property_matrix(n: int = 10,
     each (measure, table) is scored once however many checks reach it."""
     tables = {(a, b): ContingencyCounts(a, b, n, n)
               for a in range(_at_least_two(n) + 1) for b in range(n + 1) if a + b}
-    kits = cache(lambda a, b: _measures.prob_kit(tables[a, b]))
+    kits = cache(lambda ab: _measures.prob_kit(tables[ab]))
     reports = []
     for m in MEASURE_NAMES if measures is None else measures:
-        formula = scorer(m, lambda c: kits(c.a, c.b))
-        raw = cache(lambda ab: formula(tables[ab]))
+        raw = cache(scorer(m, kits))
         reports.extend(_check(raw, m, prop, n) for prop in PROPERTIES)
     return reports
 

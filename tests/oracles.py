@@ -3,7 +3,9 @@
 The oracles are deliberately naive: permutation search for isomorphism,
 exhaustive edge-subset enumeration for subgraph classes, O(s^2) pair scans
 for rank correlation, the pairwise DFS-edge comparison of Yan & Han, an
-O(p^3) reference agglomerator, the minimality check and the footprint CSV
+O(p^3) reference agglomerator, the cut that replays a dendrogram over one
+leaf per pattern and scans each cluster's distances pair by pair for its
+medoid, the minimality check and the footprint CSV
 writer as first written (through a validated graph with an extension walk
 of its own that tracks used edges, and cell by cell), the
 one-fold-at-a-time SVM trainer and cross-validation loop, the one-coalition-at-a-time permutation-sampling
@@ -15,7 +17,7 @@ a command, the benchmark or `patclass.__all__` reaches: the backtracking
 subgraph isomorphism `contains` (the fast support recount next to
 `brute_force_contains`), `graph_support`, `import_patterns`, sorted degree
 sequences, `rightmost_path`, read from a code for the miner's extension
-walk, the cut and medoids over one leaf per pattern, one model's
+walk, one model's
 `predict` and the label-based `prf1` (cross-validation scores its folds from
 stacked decisions and counts), one property check
 or appendix result at a time (`check`, `recheck_counterexample`,
@@ -44,7 +46,7 @@ import numpy as np
 
 from patclass.classify import (EPOCHS, ClassifyError, EvalReport, LinearModel,
                                 stratified_folds)
-from patclass.clusterer import FootprintClustering, _medoid
+from patclass.clusterer import ClusterCut
 from patclass.footprints import ContingencyCounts, contingency
 from patclass.graphdata import POSITIVE, AttributedGraph, GraphDataset, parse_spmf
 from patclass.measures import (MEASURE_NAMES, Ranking, effective_score, prob_kit,
@@ -450,21 +452,30 @@ def naive_complete_linkage(dist, ids=None):
 
 
 def cut(dendrogram, threshold, distances):
-    """Cut a dendrogram built over one leaf per pattern id: apply every merge
-    with height <= threshold, with unit medoid weights. Threshold 0 groups
-    exactly the identical footprints."""
+    """Cut a dendrogram built over one leaf per pattern id: replay every
+    merge with height <= threshold, and give each cluster the medoid that
+    scanning its distances picks. Threshold 0 groups exactly the identical
+    footprints."""
     ids = tuple(dendrogram.pattern_ids)
-    return FootprintClustering(tuple((pid,) for pid in ids), distances,
-                               dendrogram).cut(threshold)
+    members = {leaf: [leaf] for leaf in range(len(ids))}
+    for (x, y, h, new_id) in dendrogram.merges:
+        if h <= threshold:
+            members[new_id] = members.pop(x) + members.pop(y)
+    clusters = sorted(tuple(sorted(ids[leaf] for leaf in leaves))
+                      for leaves in members.values())
+    return ClusterCut(clusters=tuple(clusters), threshold=threshold,
+                      representatives=medoids(clusters, distances, ids))
 
 
 def medoids(clusters, distances, pattern_ids):
-    """Per cluster, the member minimizing the total distance to the others;
-    ties by ascending pattern id (the clusterer's medoid, unit weights)."""
+    """Per cluster, the member minimizing the total distance to the others,
+    summed pair by pair; ties by ascending pattern id."""
     pos = {pid: i for i, pid in enumerate(pattern_ids)}
-    weights = np.ones(len(pattern_ids), dtype=np.int64)
-    return tuple(_medoid([pos[pid] for pid in cluster], distances, weights,
-                         pattern_ids)
+
+    def total(cluster, pid):
+        return sum(int(distances[pos[pid]][pos[other]]) for other in cluster)
+
+    return tuple(min(sorted(cluster), key=lambda pid: total(cluster, pid))
                  for cluster in clusters)
 
 

@@ -4,11 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patclass.clusterer import (ClusterError, agglomerate_complete,
-                                clusters_csv, dendrogram_csv, manhattan_matrix)
+from patclass.clusterer import (ClusterError, FootprintClustering,
+                                agglomerate_complete, clusters_csv,
+                                dendrogram_csv, manhattan_matrix)
 from patclass.footprints import FootprintMatrix, distinct_footprint_groups
 
-from oracles import cut, medoids, naive_complete_linkage
+from oracles import cut, naive_complete_linkage
 
 
 def matrix_from_columns(cols, labels=None):
@@ -247,30 +248,43 @@ class TestCut:
 
     @pytest.mark.parametrize("threshold", [-1, 0.5])
     def test_negative_or_fractional_threshold_rejected(self, threshold):
-        d = np.array([[0, 1], [1, 0]])
+        mat = matrix_from_columns([[1, 0], [1, 1]])
         with pytest.raises(ClusterError):
-            cut(agglomerate_complete(d), threshold, d)
+            FootprintClustering.build(mat).cut(threshold)
 
 
 class TestMedoids:
     def test_singleton(self):
-        d = np.zeros((1, 1), dtype=int)
-        assert medoids([(5,)], d, [5]) == (5,)
+        mat = matrix_from_columns([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                   [1, 1, 0], [0, 1, 1], [1, 0, 1]])
+        c = FootprintClustering.build(mat).cut(0)
+        assert c.clusters[5] == (5,)
+        assert c.representatives == tuple(range(6))
 
     def test_chain_picks_middle(self):
         # distances: 0-1: 1, 1-2: 1, 0-2: 2
-        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        assert medoids([(0, 1, 2)], d, [0, 1, 2]) == (1,)
+        mat = matrix_from_columns([[1, 0, 0], [1, 1, 0], [1, 1, 1]])
+        c = FootprintClustering.build(mat).cut(2)
+        assert c.clusters == ((0, 1, 2),)
+        assert c.representatives == (1,)
+
+    def test_duplicates_tied_total_smallest_id_wins(self):
+        # footprint A (ids 1, 4) and B (ids 2, 3) sit at distance 2, and C
+        # (id 0) at 3 from both: A and B tie at total 7, C has 12
+        a, b, c = [1, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]
+        mat = matrix_from_columns([c, a, b, b, a])
+        cut3 = FootprintClustering.build(mat).cut(3)
+        assert cut3.clusters == ((0, 1, 2, 3, 4),)
+        assert cut3.representatives == (1,)
 
     def test_matches_exhaustive_scan(self):
         rng = random.Random(3)
         mat = random_footprints(rng, 10, 12)
-        ids = list(range(12))
-        d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
-        c = cut(dg, 4, d)
+        c = FootprintClustering.build(mat).cut(4)
+        assert any(len(cluster) > 2 for cluster in c.clusters)
         for cluster, rep in zip(c.clusters, c.representatives):
-            totals = {i: sum(d[ids.index(i), ids.index(j)] for j in cluster)
+            totals = {i: sum(int((mat.bits[:, i] != mat.bits[:, j]).sum())
+                             for j in cluster)
                       for i in cluster}
             best = min(totals.values())
             candidates = sorted(i for i in cluster if totals[i] == best)
@@ -322,6 +336,25 @@ class TestFootprintClustering:
         assert time.perf_counter() - t0 < 5.0
         from patclass.footprints import distinct_footprint_groups
         assert len(c.clusters) == len(distinct_footprint_groups(mat))
+
+    def test_build_keeps_no_distance_matrix(self):
+        # the workspace keeps the groups, the dendrogram and a reference to
+        # the matrix's bits; a kept p x p distance matrix, 8 p^2 bytes here
+        # with 600 distinct footprints, would break the p^2-byte bound
+        rng = np.random.default_rng(0)
+        p, n = 600, 150
+        bits = rng.random((n, p)) < 0.3
+        bits[0] = True
+        mat = FootprintMatrix(bits, [1] * 75 + [-1] * 75)
+        FootprintClustering.build(matrix_from_columns([[1, 0], [1, 1]]))  # imports, untraced
+        tracemalloc.start()
+        try:
+            clustering = FootprintClustering.build(mat)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert clustering.footprints is mat.bits
+        assert held < p * p
 
     def test_groups_looked_up_on_footprints_per_call(self, monkeypatch):
         # perfbench's tracer counts distinct footprints by wrapping
