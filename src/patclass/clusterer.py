@@ -16,10 +16,12 @@ three times as long at p = 563 and kept both cores busy.
 Agglomeration is the generic algorithm with a nearest-neighbour cache
 (Müllner 2011, arXiv:1109.2378): each cluster caches its nearest partner
 under the tie rule, and a merge rescans only the clusters whose cache it
-made stale. The heights live in one p x p matrix with its rows in ascending
-pattern id, and a merged cluster keeps the smaller of its two rows, so the
-tie rule is the first index of an argmin and a rescan is one argmin over a
-row. That costs O(p^2) plus O(p) per rescan, not O(p^3).
+made stale. Leaf i is row i of the distances, and the representatives
+arrive in ascending pattern id, so a row's index is its tie rank. The
+heights live in one int32 copy of the distances, and a merged cluster
+keeps the smaller of its two rows, so the tie rule is the first index of an
+argmin and a rescan is one argmin over a row. That costs O(p^2) plus O(p)
+per rescan, not O(p^3).
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ class ClusterError(ValueError):
 
 def manhattan_matrix(matrix: FootprintMatrix,
                      pattern_ids: Sequence[int]) -> np.ndarray:
-    """Symmetric int64 matrix of footprint Hamming distances.
+    """Symmetric int32 matrix of footprint Hamming distances, each at most
+    n_graphs.
 
     The one reader of packed bits: it packs the given columns into 64-bit
     words, then fills 64 rows at a time, per word one XOR, one popcount and
-    one add. Beyond the 8 p^2-byte result the memory is a bool copy of the
+    one add. Beyond the 4 p^2-byte result the memory is a bool copy of the
     columns while packing, two packed copies (8 bytes per pattern and 64
     graphs) and one block's XOR words and counts, 9 * 64 * p bytes.
     """
@@ -55,7 +58,7 @@ def manhattan_matrix(matrix: FootprintMatrix,
     padded[:, :n_bytes] = np.packbits(matrix.bits[:, ids], axis=0).T
     # (words, p): row w holds every footprint's graphs 64w .. 64w + 63
     words = padded.view(np.uint64).T.copy()
-    dist = np.zeros((p, p), dtype=np.int64)
+    dist = np.zeros((p, p), dtype=np.int32)
     rows = min(p, 64)
     xor = np.empty((rows, p), dtype=np.uint64)
     count = np.empty((rows, p), dtype=np.uint8)
@@ -72,16 +75,13 @@ def manhattan_matrix(matrix: FootprintMatrix,
 class Dendrogram:
     """Merge list of a complete-linkage agglomeration.
 
-    Leaves are 0..p-1 (positions in pattern_ids); merge k creates cluster
-    p + k. Heights are integer Manhattan distances and non-decreasing.
+    Leaves are 0..p-1 (rows of the distance matrix); merge k creates
+    cluster p + k. Heights are integer Manhattan distances and
+    non-decreasing.
     """
 
     merges: tuple[tuple[int, int, int, int], ...]  # (x, y, height, new_id)
-    pattern_ids: tuple[int, ...]
-
-    @property
-    def n_leaves(self) -> int:
-        return len(self.pattern_ids)
+    n_leaves: int
 
     def __post_init__(self):
         if len(self.merges) != max(0, self.n_leaves - 1):
@@ -105,47 +105,39 @@ class ClusterCut:
                 raise ClusterError("representative must belong to its cluster")
 
 
-def agglomerate_complete(distances: np.ndarray,
-                         pattern_ids: Sequence[int] | None = None) -> Dendrogram:
-    """Complete-linkage agglomeration of the given distance matrix.
+def agglomerate_complete(distances: np.ndarray) -> Dendrogram:
+    """Complete-linkage agglomeration of the given distance matrix, leaf i
+    for row i.
 
     At every step the pair of clusters with minimal complete-linkage distance
-    merges; ties pick the lexicographically smallest (min member id, second
-    min member id) pair. Deterministic; pattern_ids must be distinct.
+    merges; ties pick the lexicographically smallest (min member leaf, second
+    min member leaf) pair. Deterministic.
 
-    One p x p int32 matrix holds the live heights, row and column r for the
-    pattern id of rank r; the diagonal and retired columns hold the int32
-    maximum. A merged cluster keeps the smaller of its two rows, so
+    One p x p int32 copy of the distances holds the live heights; the
+    diagonal and retired columns hold the int32 maximum, and the input is
+    never written. A merged cluster keeps the smaller of its two rows, so
     pair (r, z) always has the tie part (min(r, z), max(r, z)): at equal
     heights a row's partners rank by column, and its nearest partner is the
     first argmin of its row. Each live row caches that partner and height. A
     merge writes the elementwise maximum of the two rows to the survivor's
     row and column, retires the other, and rescans only the rows whose
     cached partner was one of the two: O(p^2) time in the typical case. The
-    memory is the height matrix and one permuted copy, 8 p^2 bytes.
+    memory is the height matrix, 4 p^2 bytes.
     Distances of magnitude 2^31 - 1 or more raise ClusterError.
     """
-    d = np.asarray(distances, dtype=np.int64)
+    d = np.asarray(distances)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ClusterError("distance matrix must be square")
     p = d.shape[0]
-    if pattern_ids is None:
-        pattern_ids = range(p)
-    ids = tuple(pattern_ids)
-    if len(ids) != p:
-        raise ClusterError("pattern_ids must match the matrix size")
-    if len(set(ids)) != p:
-        raise ClusterError("pattern_ids must be distinct")
     if p < 2:
-        return Dendrogram((), ids)
+        return Dendrogram((), p)
 
     top = np.iinfo(np.int32).max
     if max(abs(int(d.max())), abs(int(d.min()))) >= top:
         raise ClusterError("distances too large for the int32 height matrix")
-    order = np.array(sorted(range(p), key=ids.__getitem__))
-    heights = d.astype(np.int32)[order][:, order]   # row r: rank r
+    heights = d.astype(np.int32)
     np.fill_diagonal(heights, top)
-    cluster_id = order.tolist()              # row -> current cluster id
+    cluster_id = list(range(p))              # row -> current cluster id
     nn = heights.argmin(axis=1)              # cached nearest partner per row
     nn_height = heights[np.arange(p), nn]
     merges = []
@@ -172,7 +164,7 @@ def agglomerate_complete(distances: np.ndarray,
         nn[stale] = near = heights[stale].argmin(axis=1)
         nn_height[stale] = heights[stale, near]
 
-    return Dendrogram(tuple(merges), ids)
+    return Dendrogram(tuple(merges), p)
 
 
 def _medoid(footprints: np.ndarray, ids: Sequence[int]) -> int:
@@ -207,7 +199,7 @@ class FootprintClustering:
     def build(matrix: FootprintMatrix) -> "FootprintClustering":
         groups = tuple(tuple(g) for g in _footprints.distinct_footprint_groups(matrix))
         reps = tuple(g[0] for g in groups)
-        dendro = agglomerate_complete(manhattan_matrix(matrix, reps), reps)
+        dendro = agglomerate_complete(manhattan_matrix(matrix, reps))
         return FootprintClustering(groups, matrix.bits, dendro)
 
     def cut(self, threshold: int) -> ClusterCut:
@@ -226,6 +218,9 @@ class FootprintClustering:
             members[new_id] = members.pop(x) + members.pop(y)
         found = []
         for rows in members.values():
+            if len(rows) == 1:   # one footprint: every total is 0
+                found.append((groups[rows[0]], groups[rows[0]][0]))
+                continue
             cluster = tuple(sorted(pid for r in rows for pid in groups[r]))
             found.append((cluster, _medoid(self.footprints, cluster)))
         found.sort(key=lambda cr: cr[0][0])

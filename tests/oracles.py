@@ -417,18 +417,15 @@ def naive_rbo(list_a, list_b, p, depth):
     return raw / norm
 
 
-def naive_complete_linkage(dist, ids=None):
-    """O(p^3) reference agglomerator with the id-pair tie-break.
+def naive_complete_linkage(dist):
+    """O(p^3) reference agglomerator with the leaf-pair tie-break.
 
     dist: dict or 2D indexable of pairwise distances. Returns the merge list
     [(cluster_x, cluster_y, height, new_id)] using the same conventions as
-    the clusterer: leaves 0..p-1, new clusters numbered from p. ids[i] is
-    the pattern id of leaf i (default: i); ties compare the clusters'
-    smallest pattern ids.
+    the clusterer: leaves 0..p-1, new clusters numbered from p; ties compare
+    the clusters' smallest leaves.
     """
     p = len(dist)
-    if ids is None:
-        ids = range(p)
     members = {i: frozenset([i]) for i in range(p)}
     next_id = p
     merges = []
@@ -439,8 +436,7 @@ def naive_complete_linkage(dist, ids=None):
                 if x >= y:
                     continue
                 h = max(dist[a][b] for a in members[x] for b in members[y])
-                key = tuple(sorted((min(ids[i] for i in members[x]),
-                                    min(ids[i] for i in members[y]))))
+                key = tuple(sorted((min(members[x]), min(members[y]))))
                 cand = (h, key, x, y)
                 if best is None or (cand[0], cand[1]) < (best[0], best[1]):
                     best = cand
@@ -452,28 +448,26 @@ def naive_complete_linkage(dist, ids=None):
 
 
 def cut(dendrogram, threshold, distances):
-    """Cut a dendrogram built over one leaf per pattern id: replay every
-    merge with height <= threshold, and give each cluster the medoid that
-    scanning its distances picks. Threshold 0 groups exactly the identical
-    footprints."""
-    ids = tuple(dendrogram.pattern_ids)
-    members = {leaf: [leaf] for leaf in range(len(ids))}
+    """Cut a dendrogram built over one leaf per pattern id, leaf i for id i:
+    replay every merge with height <= threshold, and give each cluster the
+    medoid that scanning its distances picks. Threshold 0 groups exactly the
+    identical footprints."""
+    members = {leaf: [leaf] for leaf in range(dendrogram.n_leaves)}
     for (x, y, h, new_id) in dendrogram.merges:
         if h <= threshold:
             members[new_id] = members.pop(x) + members.pop(y)
-    clusters = sorted(tuple(sorted(ids[leaf] for leaf in leaves))
-                      for leaves in members.values())
+    clusters = sorted(tuple(sorted(leaves)) for leaves in members.values())
     return ClusterCut(clusters=tuple(clusters), threshold=threshold,
-                      representatives=medoids(clusters, distances, ids))
+                      representatives=medoids(clusters, distances))
 
 
-def medoids(clusters, distances, pattern_ids):
+def medoids(clusters, distances):
     """Per cluster, the member minimizing the total distance to the others,
-    summed pair by pair; ties by ascending pattern id."""
-    pos = {pid: i for i, pid in enumerate(pattern_ids)}
+    summed pair by pair over the rows of `distances` (pattern id i is row
+    i); ties by ascending pattern id."""
 
     def total(cluster, pid):
-        return sum(int(distances[pos[pid]][pos[other]]) for other in cluster)
+        return sum(int(distances[pid][other]) for other in cluster)
 
     return tuple(min(sorted(cluster), key=lambda pid: total(cluster, pid))
                  for cluster in clusters)

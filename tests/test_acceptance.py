@@ -256,7 +256,7 @@ def test_c5_threshold_zero_and_coarsening():
     mat = footprints.FootprintMatrix(bits, labels)
     ids = list(range(mat.n_patterns))
     dist = clusterer.manhattan_matrix(mat, ids)
-    dendro = clusterer.agglomerate_complete(dist, ids)
+    dendro = clusterer.agglomerate_complete(dist)
     zero_cut = cut(dendro, 0, dist)
     groups = footprints.distinct_footprint_groups(mat)
     zero_ok = (len(zero_cut.representatives) == len(groups)
@@ -468,7 +468,7 @@ def test_c8_planted_pattern_reproduction():
     mat = planted_matrix()
     ids = list(range(mat.n_patterns))
     dist = clusterer.manhattan_matrix(mat, ids)
-    dendro = clusterer.agglomerate_complete(dist, ids)
+    dendro = clusterer.agglomerate_complete(dist)
     reps = list(cut(dendro, 0, dist).representatives)
     assert all(pid in reps for pid in range(5))
 

@@ -434,7 +434,7 @@ class TestDuplicateColumnStability:
         mat = FootprintMatrix(bits, y.tolist())
         ids = list(range(mat.n_patterns))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
+        dg = agglomerate_complete(d)
         reps = cut(dg, 0, d).representatives
         full = cross_validate(FeatureView.from_matrix(mat, ids), k=5, seed=1)
         reduced = cross_validate(FeatureView.from_matrix(mat, list(reps)), k=5, seed=1)

@@ -58,16 +58,17 @@ class TestManhattan:
                               + [-1] * (n_graphs - n_graphs // 2))
         ids = rng.permutation(160)[:150].tolist()
         d = manhattan_matrix(mat, ids)
-        assert d.dtype == np.int64
+        assert d.dtype == np.int32
         for i, a in enumerate(ids):
             for j, b in enumerate(ids):
                 assert d[i, j] == int((bits[:, a] != bits[:, b]).sum())
 
     def test_peak_memory_result_and_one_block(self):
-        # the int64 result, three copies of the footprints at 8 bytes per
-        # pattern and 64 graphs, one 64-row block of XOR words and counts,
-        # and 256 KiB for numpy's cast buffers and the id lists; a copy of
-        # the result, as a symmetrizing maximum takes, would break it
+        # the int32 result, 4 p^2 bytes, three copies of the footprints at 8
+        # bytes per pattern and 64 graphs, one 64-row block of XOR words and
+        # counts, and 256 KiB for numpy's cast buffers and the id lists; a
+        # copy of the result, as a symmetrizing maximum takes, or an int64
+        # result would break it
         rng = np.random.default_rng(0)
         p, n = 600, 150
         bits = rng.random((n, p)) < 0.3
@@ -80,7 +81,7 @@ class TestManhattan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * p * p + 3 * 8 * -(-n // 64) * p + 9 * 64 * p + 2 ** 18
+        assert peak <= 4 * p * p + 3 * 8 * -(-n // 64) * p + 9 * 64 * p + 2 ** 18
 
     def test_empty_ids_rejected(self):
         mat = matrix_from_columns([[1, 0]])
@@ -124,45 +125,37 @@ class TestAgglomerate:
             dg = agglomerate_complete(d)
             assert list(dg.merges) == naive_complete_linkage(d.tolist()), p
 
-    def test_tie_heavy_permuted_ids_match_oracle(self):
-        rng = np.random.default_rng(22)
-        for p in list(range(2, 41)) * 2:
-            d = self.tie_heavy(rng, p)
-            ids = rng.permutation(3 * p)[:p].tolist()
-            dg = agglomerate_complete(d, ids)
-            assert list(dg.merges) == naive_complete_linkage(d.tolist(), ids), (p, ids)
-
     @pytest.mark.parametrize("seed", [23, 24, 25])
     def test_tie_heavy_p80_matches_oracle(self, seed):
-        # past the small cases above: ascending ids, and shuffled ids with at
-        # least one merge of two leaves where the later leaf has the smaller
-        # pattern id
+        # past the small cases above
         rng = np.random.default_rng(seed)
         d = self.tie_heavy(rng, 80)
         assert list(agglomerate_complete(d).merges) == \
             naive_complete_linkage(d.tolist())
-        ids = rng.permutation(240)[:80].tolist()
-        merges = list(agglomerate_complete(d, ids).merges)
-        assert merges == naive_complete_linkage(d.tolist(), ids)
-        assert any(y < 80 and ids[y] < ids[x] for x, y, _h, _n in merges)
 
     def test_merged_min_member_decides_equal_height_tie(self):
-        # Leaves 1 and 2 (ids 7 and 1) merge at 0 into cluster 4, whose
-        # smallest id is 1. At height 2, pair (4, leaf 3) has key (1, 3) and
-        # pair (leaf 0, leaf 3) has key (3, 5): the merged cluster goes first.
-        ids = [5, 7, 1, 3]
-        d = np.array([[0, 3, 1, 2],
-                      [3, 0, 0, 2],
-                      [1, 0, 0, 1],
-                      [2, 2, 1, 0]])
-        expected = [(1, 2, 0, 4), (3, 4, 2, 5), (0, 5, 3, 6)]
-        assert naive_complete_linkage(d.tolist(), ids) == expected
-        assert list(agglomerate_complete(d, ids).merges) == expected
+        # Leaves 0 and 3 merge at 0 into cluster 4, whose smallest leaf is
+        # 0. At height 2, pair (leaf 1, 4) has key (0, 1) and pair (leaf 1,
+        # leaf 2) has key (1, 2): the merged cluster goes first.
+        d = np.array([[0, 1, 1, 0],
+                      [1, 0, 2, 2],
+                      [1, 2, 0, 3],
+                      [0, 2, 3, 0]])
+        expected = [(0, 3, 0, 4), (1, 4, 2, 5), (2, 5, 3, 6)]
+        assert naive_complete_linkage(d.tolist()) == expected
+        assert list(agglomerate_complete(d).merges) == expected
 
-    def test_duplicate_ids_rejected(self):
-        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        with pytest.raises(ClusterError):
-            agglomerate_complete(d, [4, 2, 4])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_input_left_unchanged(self, dtype):
+        # the heights are a copy: the oracles and callers read the distances
+        # after the call, and an int32 input must not be taken as the
+        # height matrix itself
+        rng = np.random.default_rng(26)
+        d = self.tie_heavy(rng, 30).astype(dtype)
+        before = d.copy()
+        agglomerate_complete(d)
+        assert d.dtype == dtype
+        assert np.array_equal(d, before)
 
     def test_pair_key_overflow_rejected(self):
         d = np.array([[0, 2 ** 62], [2 ** 62, 0]])
@@ -170,22 +163,21 @@ class TestAgglomerate:
             agglomerate_complete(d)
 
     def test_peak_memory_height_matrix(self):
-        # the p x p int32 height matrix and its permuted copy, plus 128 KiB
-        # for the per-row vectors and the merge list: 3.0 MB at p = 600
+        # one p x p int32 copy of the distances as heights, plus 128 KiB
+        # for the per-row vectors and the merge list: 1.6 MB at p = 600
         rng = np.random.default_rng(0)
         p, n = 600, 150
         bits = rng.random((n, p)) < 0.3
         bits[0] = True
         d = manhattan_matrix(FootprintMatrix(bits, [1] * 75 + [-1] * 75), range(p))
         agglomerate_complete(d[:10, :10])   # imports, untraced
-        for ids in (None, rng.permutation(p).tolist()):
-            tracemalloc.start()
-            try:
-                agglomerate_complete(d, ids)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 * p * p + 2 ** 17
+        tracemalloc.start()
+        try:
+            agglomerate_complete(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * p * p + 2 ** 17
 
     def test_heights_non_decreasing(self):
         rng = random.Random(4)
@@ -202,7 +194,7 @@ class TestCut:
         mat = matrix_from_columns(cols)
         ids = list(range(5))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
+        dg = agglomerate_complete(d)
         c = cut(dg, 0, d)
         groups = [tuple(g) for g in distinct_footprint_groups(mat)]
         assert list(c.clusters) == groups
@@ -212,7 +204,7 @@ class TestCut:
         mat = random_footprints(rng, 10, 8)
         ids = list(range(8))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
+        dg = agglomerate_complete(d)
         c = cut(dg, 10, d)
         assert len(c.clusters) == 1
         assert c.threshold == 10
@@ -222,7 +214,7 @@ class TestCut:
         mat = random_footprints(rng, 14, 20)
         ids = list(range(20))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
+        dg = agglomerate_complete(d)
         prev = None
         for t in [0, 1, 2, 5, 9, 14]:
             cur = cut(dg, t, d)
@@ -238,7 +230,7 @@ class TestCut:
         mat = random_footprints(rng, 12, 15)
         ids = list(range(15))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
+        dg = agglomerate_complete(d)
         for t in [0, 3, 6, 9]:
             c = cut(dg, t, d)
             for cluster in c.clusters:
@@ -310,7 +302,7 @@ class TestFootprintClustering:
             mat = self.duplicate_rich(seed)
             ids = list(range(mat.n_patterns))
             d = manhattan_matrix(mat, ids)
-            dg = agglomerate_complete(d, ids)
+            dg = agglomerate_complete(d)
             fast = FootprintClustering.build(mat)
             for t in range(mat.n_graphs + 1):
                 direct = cut(dg, t, d)
@@ -356,6 +348,26 @@ class TestFootprintClustering:
         assert clustering.footprints is mat.bits
         assert held < p * p
 
+    def test_build_peak_two_int32_matrices(self):
+        # at its peak build holds the int32 distances and the int32 heights
+        # copied from them, 8 p^2 bytes, plus the packing terms of
+        # manhattan_matrix's bound; int64 distances or a permuted copy of
+        # the heights would break it
+        rng = np.random.default_rng(0)
+        p, n = 600, 150
+        bits = rng.random((n, p)) < 0.3
+        bits[0] = True
+        mat = FootprintMatrix(bits, [1] * 75 + [-1] * 75)
+        FootprintClustering.build(matrix_from_columns([[1, 0], [1, 1]]))  # imports, untraced
+        tracemalloc.start()
+        try:
+            clustering = FootprintClustering.build(mat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clustering.dendrogram.n_leaves == p
+        assert peak <= 8 * p * p + 3 * 8 * -(-n // 64) * p + 9 * 64 * p + 2 ** 18
+
     def test_groups_looked_up_on_footprints_per_call(self, monkeypatch):
         # perfbench's tracer counts distinct footprints by wrapping
         # footprints.distinct_footprint_groups; a name bound at import
@@ -380,7 +392,7 @@ class TestCsv:
         mat = random_footprints(rng, 8, 6)
         ids = list(range(6))
         d = manhattan_matrix(mat, ids)
-        dg = agglomerate_complete(d, ids)
+        dg = agglomerate_complete(d)
         c = cut(dg, 2, d)
         assert clusters_csv(c).startswith("cluster_id,pattern_id,is_representative")
         assert dendrogram_csv(dg).startswith("merge_index,left,right,height")
