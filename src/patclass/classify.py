@@ -86,7 +86,8 @@ class FeatureView:
             raise ClassifyError("features and labels must align")
         if not set(np.unique(self.y)) <= {-1, 1}:
             raise ClassifyError("labels must be +1/-1")
-        if not set(np.unique(self.x)) <= {0.0, 1.0}:
+        # bool bits are binary by their dtype; only other dtypes are scanned
+        if self.x.dtype != bool and not set(np.unique(self.x)) <= {0.0, 1.0}:
             raise ClassifyError("features must be binary")
 
     @staticmethod

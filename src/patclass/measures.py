@@ -147,8 +147,12 @@ def _exact(numerator: int, denominator: int) -> Rational:
     return q
 
 
+# _div, _mul and _log2 test an exact operand (Rational, read per call: a test
+# swaps in Fraction) for zero by `.numerator`, not by `Rational.__eq__`
 def _div(num, den):
     """Division under the x/0 and 0/0 conventions; num may be +-inf."""
+    if type(num) is Rational and type(den) is Rational and den.numerator:
+        return num / den
     if isinstance(num, float) and math.isinf(num):
         if den == 0:
             raise MeasureError("inf/0 is not defined by any convention")
@@ -164,6 +168,8 @@ def _div(num, den):
 
 def _mul(x, y):
     """Product with 0 * (+-inf) -> 0."""
+    if type(x) is Rational and type(y) is Rational:
+        return x * y if x.numerator and y.numerator else Rational(0)
     if x == 0 or y == 0:
         return Rational(0)
     if (isinstance(x, float) and math.isinf(x)) or (isinstance(y, float) and math.isinf(y)):
@@ -173,6 +179,8 @@ def _mul(x, y):
 
 
 def _log2(x) -> float:
+    if type(x) is Rational:
+        return math.log2(x) if x.numerator else -INF
     if x == 0:
         return -INF
     if isinstance(x, float) and math.isinf(x):
@@ -181,8 +189,8 @@ def _log2(x) -> float:
 
 
 def _xlog2(p, q) -> float:
-    """p * log2(q) with 0*log0 -> 0 and 0*inf -> 0."""
-    if p == 0:
+    """p * log2(q) with 0*log0 -> 0 and 0*inf -> 0; p is exact."""
+    if not p.numerator:
         return 0.0
     l = _log2(q)
     if math.isinf(l):
@@ -226,29 +234,26 @@ def prob_kit(counts: ContingencyCounts) -> ProbKit:
     a, b = counts.a, counts.b
     n_pos, n_neg = counts.n_pos, counts.n_neg
     N = n_pos + n_neg
-
-    def cond(num: int, den: int, prior: Rational) -> Rational:
-        return Rational(num, den) if den else prior
-
-    p_pos = Rational(n_pos, N)
-    p_neg = Rational(n_neg, N)
-    p_pattern = Rational(a + b, N)
+    n_pattern, n_absent = a + b, N - a - b
+    # Denominators are counts, so no value needs Rational's sign normalisation
+    q = _exact if Rational.__module__ == __name__ else Rational  # or a test's Fraction
+    p_pos, p_neg, p_pattern = q(n_pos, N), q(n_neg, N), q(n_pattern, N)
     return ProbKit(
         n_graphs=N,
         p_pattern=p_pattern,
-        p_absent=1 - p_pattern,
+        p_absent=q(n_absent, N),
         p_pos=p_pos,
         p_neg=p_neg,
-        joint_pattern_pos=Rational(a, N),
-        joint_pattern_neg=Rational(b, N),
-        joint_absent_pos=Rational(n_pos - a, N),
-        joint_absent_neg=Rational(n_neg - b, N),
-        pos_given_pattern=cond(a, a + b, p_pos),
-        neg_given_pattern=cond(b, a + b, p_neg),
-        pos_given_absent=cond(n_pos - a, N - a - b, p_pos),
-        neg_given_absent=cond(n_neg - b, N - a - b, p_neg),
-        pattern_given_pos=cond(a, n_pos, p_pattern),
-        pattern_given_neg=cond(b, n_neg, p_pattern),
+        joint_pattern_pos=q(a, N),
+        joint_pattern_neg=q(b, N),
+        joint_absent_pos=q(n_pos - a, N),
+        joint_absent_neg=q(n_neg - b, N),
+        pos_given_pattern=q(a, n_pattern) if n_pattern else p_pos,
+        neg_given_pattern=q(b, n_pattern) if n_pattern else p_neg,
+        pos_given_absent=q(n_pos - a, n_absent) if n_absent else p_pos,
+        neg_given_absent=q(n_neg - b, n_absent) if n_absent else p_neg,
+        pattern_given_pos=q(a, n_pos) if n_pos else p_pattern,
+        pattern_given_neg=q(b, n_neg) if n_neg else p_pattern,
     )
 
 
@@ -521,7 +526,7 @@ def scorer(measure: str, kit: Callable[[Any], ProbKit]) -> Callable[[Any], float
     chooses). It memoizes nothing: every call evaluates the formula and
     checks it for NaN, naming the key. Callers that read a table more than
     once keep its score under their own key: `_scored` by the table,
-    `properties.property_matrix` by (a, b)."""
+    `properties.property_matrix` in one dict per measure by (a, b)."""
     try:
         fn = _REGISTRY[measure][0]
     except KeyError:

@@ -6,7 +6,9 @@ Scores are compared as extended reals with strict inequalities: two patterns
 tied at +inf are a genuine strictness violation.
 
 A property is one row of `_PROPERTY_TABLE`: its kind and its domain for class
-size n. Every table must be realizable by a mined pattern, so a + b >= 1.
+size n, which `property_matrix` builds once for all measures; `_check` decides
+a row from its neighbours. Every table must be realizable by a mined pattern,
+so a + b >= 1.
   - Contrastivity fixes the positive support a and is checked on the
     non-degenerate slice 1 <= a <= n-1: along b = 0..n the score must fall.
     At a = 0 almost every measure collapses to a constant of b (zero
@@ -27,12 +29,12 @@ comparison, not a property, and live in `rankcmp`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from operator import gt, lt
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import measures as _measures  # prob_kit is looked up per call
 from .footprints import ContingencyCounts
-from .measures import MEASURE_NAMES, effective, measure_info, scorer
+from .measures import MEASURE_NAMES, REVERSED_MEASURES, effective, measure_info, scorer
 # score is not called here; it stays importable from this module because
 # perfbench/spans.py counts score calls under this name
 from .measures import score  # noqa: F401
@@ -85,29 +87,31 @@ _PROPERTY_TABLE: dict[str, tuple[str, Callable[[int], Iterable]]] = {
 }
 
 def _check(raw: Callable[[tuple[int, int]], float], measure: str, prop: str,
-           n: int) -> PropertyReport:
-    """Walk the property's domain of (a, b) keys in order, reading each raw
-    score through `raw`; the first violation is the counterexample, the table
-    expected to score higher first. Scoring stays lazy: a check that exits
-    early never scores the tables it did not reach."""
-    kind, domain = _PROPERTY_TABLE[prop]
-    for item in domain(n):
-        if kind == "invariant":
-            k1, k2 = item
+           n: int, domain: Iterable) -> PropertyReport:
+    """Walk the property's domain at class size n in order, scoring (a, b)
+    keys through `raw`, lazily; the first violation is the counterexample,
+    the table expected to score higher first. A row is decided from its
+    neighbours (scores are never NaN, so `>` is a strict total order); only a
+    failing row is scanned pair by pair from i = 0 for its first violating (i, j)."""
+    kind = _PROPERTY_TABLE[prop][0]
+    if kind == "invariant":
+        for k1, k2 in domain:
             s1, s2 = raw(k1), raw(k2)
             if s1 != s2:
                 return _violation(measure, prop, n, (k1, k2), (s1, s2))
+        return PropertyReport(measure, prop, True, None, None)
+    ordered = gt if kind == "falls" else lt
+    for row in domain:
+        effs = [raw(ab) for ab in row]
+        if measure in REVERSED_MEASURES:
+            effs = [effective(measure, s) for s in effs]
+        if all(map(ordered, effs, effs[1:])):
             continue
-        effs = [effective(measure, raw(ab)) for ab in item]
-        # Every pair i < j needs keys[i] > keys[j]. Negation turns a rising
-        # row into a falling one, exactly: the scores are never NaN.
-        keys = effs if kind == "falls" else [-e for e in effs]
-        for i in range(len(keys) - 1):
-            ki = keys[i]
-            for j in range(i + 1, len(keys)):
-                if not ki > keys[j]:
+        for i in range(len(effs) - 1):
+            for j in range(i + 1, len(effs)):
+                if not ordered(effs[i], effs[j]):
                     hi, lo = (i, j) if kind == "falls" else (j, i)
-                    return _violation(measure, prop, n, (item[hi], item[lo]),
+                    return _violation(measure, prop, n, (row[hi], row[lo]),
                                       (effs[hi], effs[lo]))
     return PropertyReport(measure, prop, True, None, None)
 
@@ -119,20 +123,29 @@ def _violation(measure: str, prop: str, n: int, keys, scores) -> PropertyReport:
                           scores)
 
 
+class _Memo(dict):
+    """fn's value by key, computed on the key's first read."""
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+    def __missing__(self, key):
+        return self.setdefault(key, self.fn(key))
+
+
 def property_matrix(n: int = 10,
                     measures: Sequence[str] | None = None) -> list[PropertyReport]:
     """All (measure, property) verdicts over the balanced domain of size n.
 
-    The grid of tables is built once. Kits are memoized by (a, b) across all
-    measures, and each measure's raw scores by (a, b) across its checks, so
-    each (measure, table) is scored once however many checks reach it."""
-    tables = {(a, b): ContingencyCounts(a, b, n, n)
-              for a in range(_at_least_two(n) + 1) for b in range(n + 1) if a + b}
-    kits = cache(lambda ab: _measures.prob_kit(tables[ab]))
+    Each property's domain is built once for all measures. Kits are memoized
+    by (a, b) across all measures, and each measure's raw scores across its
+    checks, so each (measure, table) is scored once however many reach it."""
+    domains = {p: list(_PROPERTY_TABLE[p][1](n)) for p in PROPERTIES}
+    kits = _Memo(lambda ab: _measures.prob_kit(ContingencyCounts(*ab, n, n)))
     reports = []
     for m in MEASURE_NAMES if measures is None else measures:
-        raw = cache(scorer(m, kits))
-        reports.extend(_check(raw, m, prop, n) for prop in PROPERTIES)
+        raw = _Memo(scorer(m, kits.__getitem__)).__getitem__
+        reports.extend(_check(raw, m, p, n, domains[p]) for p in PROPERTIES)
     return reports
 
 
@@ -145,7 +158,8 @@ def properties_csv(reports: Sequence[PropertyReport]) -> str:
              "expected_flag,matches_declared"]
     for r in reports:
         c1, c2 = (r.counterexample or (None, None))
+        expected = r.expected()
         lines.append(
             f"{r.measure},{r.property},{int(r.holds)},{_fmt_counts(c1)},"
-            f"{_fmt_counts(c2)},{int(r.expected())},{int(r.matches_declared())}")
+            f"{_fmt_counts(c2)},{int(expected)},{int(r.holds == expected)}")
     return "\n".join(lines) + "\n"

@@ -9,8 +9,8 @@ medoid, the minimality check and the footprint CSV
 writer as first written (through a validated graph with an extension walk
 of its own that tracks used edges, and cell by cell), the
 one-fold-at-a-time SVM trainer and cross-validation loop, the one-coalition-at-a-time permutation-sampling
-Shapley loop, and the property checks, ranking and score table that score
-every operand with a fresh call.
+Shapley loop, the property checks, ranking and score table that score
+every operand with a fresh call, and a row check that compares every pair.
 
 The helpers are what no command calls, kept here so `src/` holds only what
 a command, the benchmark or `patclass.__all__` reaches: the backtracking
@@ -49,8 +49,8 @@ from patclass.classify import (EPOCHS, ClassifyError, EvalReport, LinearModel,
 from patclass.clusterer import ClusterCut
 from patclass.footprints import ContingencyCounts, contingency
 from patclass.graphdata import POSITIVE, AttributedGraph, GraphDataset, parse_spmf
-from patclass.measures import (MEASURE_NAMES, Ranking, effective_score, prob_kit,
-                               score, scorer)
+from patclass.measures import (MEASURE_NAMES, Ranking, effective, effective_score,
+                               prob_kit, score, scorer)
 from patclass.miner import Pattern, PatternSet, canonical_code, code_to_graph
 from patclass.properties import _PROPERTY_TABLE, PropertyReport, _check
 from patclass.rankcmp import RankCmpError, _ids, kendall_tau, rbo
@@ -707,6 +707,26 @@ def _reference_report(measure, prop, violation):
     return PropertyReport(measure, prop, False, (c1, c2), (s1, s2))
 
 
+def reference_row_check(raw, measure, prop, n, rows):
+    """A falling or rising property over hand-made rows of (a, b) keys,
+    every pair i < j of a row compared on the effective scale, each row
+    scored whole before its pairs. The first violating pair in row order,
+    then (i, j) order, is the counterexample, the key expected to score
+    higher first."""
+    falls = prop == "Contrastivity"
+    for row in rows:
+        effs = [effective(measure, raw(ab)) for ab in row]
+        for i in range(len(row)):
+            for j in range(i + 1, len(row)):
+                hi, lo = (i, j) if falls else (j, i)
+                if not effs[hi] > effs[lo]:
+                    return _reference_report(
+                        measure, prop, (ContingencyCounts(*row[hi], n, n),
+                                        ContingencyCounts(*row[lo], n, n),
+                                        effs[hi], effs[lo]))
+    return _reference_report(measure, prop, None)
+
+
 def reference_contrastivity(measure, n):
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -797,7 +817,8 @@ def check(measure, prop, n):
     `property_matrix` walks, with a fresh table and score for every (a, b)
     key the check reads."""
     formula = scorer(measure, prob_kit)
-    return _check(lambda ab: formula(ContingencyCounts(*ab, n, n)), measure, prop, n)
+    return _check(lambda ab: formula(ContingencyCounts(*ab, n, n)), measure, prop, n,
+                  _PROPERTY_TABLE[prop][1](n))
 
 
 def recheck_counterexample(report: PropertyReport) -> bool:

@@ -18,6 +18,17 @@ def balanced_labels(n):
     return np.array([1] * (n // 2) + [-1] * (n - n // 2))
 
 
+class TestFeatureView:
+    def test_non_binary_features_rejected(self):
+        # the value scan is skipped only for bool bits, binary by their dtype
+        y = balanced_labels(4)
+        for bad in ([0.5, 1.0, 0.0, 1.0], [2.0, 0.0, 1.0, 1.0], [0, 1, 1, -1]):
+            with pytest.raises(ClassifyError, match="binary"):
+                FeatureView(np.array(bad).reshape(-1, 1), y)
+        bits = np.array([[True], [False], [True], [False]])
+        assert FeatureView(bits, y).x is bits
+
+
 class TestTrain:
     def test_aligned_column_perfect_f1(self):
         y = balanced_labels(24)

@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from patclass.rankcmp import equivalence_blocks, min_tau_csv
 
 from oracles import (check, check_independence_equilibrium, check_ps2_exclusivity,
                      recheck_counterexample, reference_class_symmetry,
-                     reference_property_matrix, reference_ps2)
+                     reference_property_matrix, reference_ps2, reference_row_check)
 
 # The one known gap between exhaustive verdicts and the declared flags:
 # ColStr's printed composite formula changes sign where its second denominator
@@ -112,8 +114,87 @@ class TestPatternSymmetry:
             assert rep.holds == measure_info(m).pattern_symmetry, (m, rep.counterexample)
 
 
+class TestRowCheck:
+    """`_check` decides a row from its neighbours and scans only a failing
+    row pair by pair, from i = 0; on hand-made rows with a synthetic `raw`
+    it reports what the pairwise reference reports."""
+
+    INF = float("inf")
+
+    def both(self, scores, measure, prop, n, rows):
+        """(_check's report, the reference's report, the keys _check read)."""
+        read = []
+
+        def raw(ab):
+            read.append(ab)
+            return scores[ab]
+
+        got = properties._check(raw, measure, prop, n, rows)
+        return got, reference_row_check(scores.__getitem__, measure, prop, n, rows), read
+
+    def test_jumpiness_reports_the_first_pair_not_the_first_neighbours(self):
+        # neighbours first fail at (2, 3), pairs at (0, 3): the counterexample
+        # is ((4, 0), (1, 0)), not ((4, 0), (3, 0))
+        row = [(1, 0), (2, 0), (3, 0), (4, 0)]
+        scores = dict(zip(row, [2.0, 3.0, 4.0, 1.0]))
+        got, want, _ = self.both(scores, "Sup", "Jumpiness", 4, [row])
+        assert got == want
+        assert [(c.a, c.b) for c in got.counterexample] == [(4, 0), (1, 0)]
+        assert got.counterexample_scores == (1.0, 2.0)
+
+    @pytest.mark.parametrize("prop, row_scores, holds", [
+        ("Contrastivity", [INF, 3.0, 0.0, -INF], True),
+        ("Contrastivity", [INF, INF, 1.0], False),      # tied at +inf
+        ("Contrastivity", [5.0, 1.0, -INF, -INF], False),
+        ("Contrastivity", [3.0, 1.0, 2.0, 0.0], False),
+        ("Jumpiness", [-INF, 0.0, 1.0, INF], True),
+        ("Jumpiness", [1.0, INF, INF], False),
+        ("Jumpiness", [-INF, -INF, 2.0], False),
+        ("PS2", [0.0, 2.0, 1.0, 3.0], False),
+    ])
+    @pytest.mark.parametrize("measure", ["Sup", "FPR"])  # FPR is reversed
+    def test_hand_made_rows_match_pairwise_reference(self, prop, row_scores, holds,
+                                                     measure):
+        if measure == "FPR":  # negated raw scores, the same effective row
+            row_scores = [-s for s in row_scores]
+        row = [(2, b) for b in range(len(row_scores))]
+        got, want, _ = self.both(dict(zip(row, row_scores)), measure, prop, 4, [row])
+        assert got == want
+        assert got.holds == holds
+
+    def test_random_rows_match_pairwise_reference(self):
+        rng = random.Random(5)
+        n = 6
+        keys = [(a, b) for a in range(n + 1) for b in range(n + 1) if a + b]
+        pool = [-self.INF, self.INF] + [x / 2 for x in range(-6, 7)]
+        failed = 0
+        for _ in range(3000):
+            scores = {ab: rng.choice(pool) for ab in keys}
+            measure = rng.choice(["Sup", "FPR"])
+            prop = rng.choice(["Contrastivity", "Jumpiness", "PS2"])
+            rows = []
+            for _ in range(rng.randint(1, 3)):
+                # sorted the way the check wants, so that some checks hold,
+                # then two keys swapped in some rows
+                row = rng.sample(keys, rng.randint(2, 6))
+                row.sort(key=scores.get,
+                         reverse=(prop == "Contrastivity") != (measure == "FPR"))
+                if rng.random() < 0.2:
+                    i, j = rng.sample(range(len(row)), 2)
+                    row[i], row[j] = row[j], row[i]
+                rows.append(row)
+            got, want, read = self.both(scores, measure, prop, n, rows)
+            assert got == want, (measure, prop, rows, [scores[k] for r in rows for k in r])
+            failed += not got.holds
+            # lazy: rows past the first failing one are never scored
+            stop = next((i for i in range(len(rows)) if not reference_row_check(
+                scores.__getitem__, measure, prop, n, rows[:i + 1]).holds), len(rows) - 1)
+            assert read == [ab for row in rows[:stop + 1] for ab in row]
+        assert 500 < failed < 2500
+
+
 class TestStabilityAndRecheck:
-    @pytest.mark.parametrize("n", [5, 10, 20])
+    @pytest.mark.parametrize("n", [5, 10, 20, 40])
     def test_verdicts_stable_across_n(self, n):
         for rep in property_matrix(n):
             expected = measure_info(rep.measure).flags[
